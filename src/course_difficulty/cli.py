@@ -7,14 +7,14 @@ and ``fixtures`` (write the bundled reference dataset to a directory).
 
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure.
 Output is rendered fully before anything is written, so a failing run never
-leaves partial output on the primary stream; identical inputs and flags
-produce byte-identical output.
+leaves partial output on the primary stream, and a ``validate`` run whose
+report cannot be written removes the plot data it wrote; identical inputs and
+flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +23,6 @@ from . import data_io
 from .engine import (
     CombinePolicy,
     Course,
-    GradeHistory,
     bloom_difficulty,
     final_difficulty,
     grade_difficulty,
@@ -31,7 +30,6 @@ from .engine import (
 from .errors import CourseDifficultyError
 from .mapper import map_outcome
 from .rounding import format_fixed, round_half_away
-from .taxonomy import CriterionCatalog
 from .validation import compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -114,6 +112,12 @@ def _emit(text: str, output: Path | None) -> None:
         output.write_text(text, encoding="utf-8", newline="")
 
 
+def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
+    """Render rows as CSV or as an aligned table, per ``--format``, and emit them."""
+    render = data_io.csv_text if args.format == "csv" else _table
+    _emit(render(headers, rows), args.output)
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -159,7 +163,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(data_io.json_text(payload), args.output)
         return 0
 
     rows = [
@@ -167,10 +171,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         for r in results
     ]
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
-    if args.format == "csv":
-        _emit(data_io.csv_text(headers, rows), args.output)
-    else:
-        _emit(_table(headers, rows), args.output)
+    _emit_rows(args, headers, rows)
     return 0
 
 
@@ -202,7 +203,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                 for history in grades.values()
             ]
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(data_io.json_text(payload), args.output)
         return 0
 
     headers = (
@@ -218,25 +219,13 @@ def cmd_grades(args: argparse.Namespace) -> int:
             (history.course_code, *cells, str(len(history.generations)),
              format_fixed(grade_difficulty(history)))
         )
-    if args.format == "csv":
-        _emit(data_io.csv_text(headers, rows), args.output)
-    else:
-        _emit(_table(headers, rows), args.output)
+    _emit_rows(args, headers, rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
-
-def _course_dis(course: Course, catalog: CriterionCatalog, history: GradeHistory, full_precision: bool):
-    estimated = bloom_difficulty(course, catalog).di
-    actual = grade_difficulty(history)
-    if not full_precision:
-        estimated = round_half_away(estimated)
-        actual = round_half_away(actual)
-    return actual, estimated
-
 
 def cmd_validate(args: argparse.Namespace) -> int:
     bundle = data_io.load_bundle(args.catalog, args.curriculum, args.grades)
@@ -251,27 +240,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 1
     for code in missing:
         _warn(f"no grade history for course {code}; excluded from validation")
-    for code in bundle.unmatched_grade_codes():
+    unmatched = bundle.unmatched_grade_codes()
+    for code in unmatched:
         _warn(f"grade history for unknown course {code}; not validated")
 
     comparisons = []
     finals = {}
     for course in bundle.courses:
-        if course.code in missing:
+        history = bundle.grades.get(course.code)
+        if history is None:
             continue
-        effective = _apply_mode(course, args.mode)
-        actual, estimated = _course_dis(
-            effective, bundle.catalog, bundle.grades[course.code], args.full_precision
-        )
+        estimated = bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog).di
+        actual = grade_difficulty(history)
+        if not args.full_precision:
+            estimated = round_half_away(estimated)
+            actual = round_half_away(actual)
         comparisons.append(compare(actual, estimated, course.code))
-        finals[course.code] = final_difficulty(estimated, actual, policy, course.code)
+        finals[course.code] = final_difficulty(estimated, actual, policy, course.code).final_di
     report = summarize(comparisons, args.tolerance)
 
-    if args.plot_data is not None:
-        data_io.write_plot_data(report, args.plot_data)
-
     if args.format == "csv":
-        _emit(data_io.render_report_csv(report), args.output)
+        text = data_io.render_report_csv(report)
     elif args.format == "json":
         payload = {
             "mode": args.mode,
@@ -279,9 +268,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "comparison_precision": "full" if args.full_precision else "rounded",
             "tolerance": float(report.tolerance),
             "accuracy": float(report.accuracy),
-            "courses_within_tolerance": sum(
-                1 for c in report.comparisons if c.abs_error <= report.tolerance
-            ),
+            "courses_within_tolerance": report.within_tolerance,
             "course_count": len(report.comparisons),
             "mean_actual": float(format_fixed(report.mean_actual)),
             "mean_estimated": float(format_fixed(report.mean_estimated)),
@@ -294,18 +281,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
                     "estimated_di": float(c.estimated_di),
                     "abs_error": float(c.abs_error),
                     "squared_error": float(c.squared_error),
-                    "final_di": float(finals[c.course_code].final_di),
+                    "final_di": float(finals[c.course_code]),
                 }
                 for c in report.comparisons
             ],
             "excluded_courses": list(missing),
-            "unmatched_grades": list(bundle.unmatched_grade_codes()),
+            "unmatched_grades": list(unmatched),
             "inputs": [
                 {"role": role, "path": path, "sha256": digest}
                 for role, path, digest in bundle.provenance
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        text = data_io.json_text(payload)
     else:
         headers = ("course_code", "actual_di", "estimated_di", "abs_error", "final_di")
         rows = [
@@ -314,7 +301,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 format_fixed(c.actual_di),
                 format_fixed(c.estimated_di),
                 format_fixed(c.abs_error),
-                format_fixed(finals[c.course_code].final_di),
+                format_fixed(finals[c.course_code]),
             )
             for c in report.comparisons
         ]
@@ -330,10 +317,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
         summary = (
             f"mode: {args.mode}  policy: {policy.value}\n"
             f"accuracy: {float(report.accuracy):.3f} at tolerance {format_fixed(report.tolerance)}"
-            f" ({sum(1 for c in report.comparisons if c.abs_error <= report.tolerance)}"
-            f"/{len(report.comparisons)} courses)\n"
+            f" ({report.within_tolerance}/{len(report.comparisons)} courses)\n"
         )
-        _emit(_table(headers, rows) + summary, args.output)
+        text = _table(headers, rows) + summary
+
+    if args.plot_data is not None:
+        data_io.write_plot_data(report, args.plot_data)
+    try:
+        _emit(text, args.output)
+    except OSError:
+        if args.plot_data is not None:  # a failed run leaves no output file behind
+            args.plot_data.unlink(missing_ok=True)
+        raise
     return 0
 
 
@@ -374,7 +369,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
                 for stmt, res, rubric in entries
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(data_io.json_text(payload), args.output)
         return 0
 
     headers = ("criterion_id", "levels", "matched", "draft_rubric", "unmatched_tokens", "ambiguous", "status")
@@ -390,10 +385,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
         )
         for stmt, res, rubric in entries
     ]
-    if args.format == "csv":
-        _emit(data_io.csv_text(headers, rows), args.output)
-    else:
-        _emit(_table(headers, rows), args.output)
+    _emit_rows(args, headers, rows)
     return 0
 
 

@@ -1,10 +1,11 @@
 """On-disk formats: catalogs, lexicons, curricula, grade files, and reports.
 
-CSV is the primary interchange format (institutional gradebooks export CSV);
-every format has a JSON mirror for programmatic use. All files are UTF-8
-with a required header row. Diagnostics always carry the file path and,
-for row-level problems, the line number; malformed values are never
-silently coerced.
+CSV is the primary interchange format (institutional gradebooks export CSV).
+Catalogs, lexicons, curricula and grade files also have a JSON form, chosen
+by a ``.json`` extension; the validation report's JSON form is the output of
+``validate --format json``. All files are UTF-8; CSV files need a header row.
+Diagnostics always carry the file path and, for row-level problems, the line
+number; malformed values are never silently coerced.
 
 CSV schemas
 -----------
@@ -17,8 +18,9 @@ statements:  criterion_id,text
 report:      course_code,actual_di,estimated_di,abs_error   (+ AVERAGE row)
 plot data:   course_code,actual_di,estimated_di
 
-JSON mirrors use the documented key order produced by the writers here;
-round-tripping any written file reproduces the original objects.
+JSON files use the key order produced by the writers here; round-tripping
+any written catalog, lexicon, curriculum or grade file reproduces the
+original objects.
 """
 
 from __future__ import annotations
@@ -112,17 +114,19 @@ def _is_json(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _parse_levels(cell: str | Iterable[object], *, path: str, line: int | None = None) -> frozenset[BloomLevel]:
-    if isinstance(cell, str):
-        tokens: Iterable[object] = [t for t in cell.split("|") if t.strip()]
-    else:
-        tokens = cell
-    levels = set()
-    for token in tokens:
-        if isinstance(token, str) and not (token.strip().lstrip("-").isdigit() or token.strip().isalpha()):
-            raise DataFormatError(f"cannot parse complexity level {token!r}", path=path, line=line)
-        levels.add(BloomLevel.from_token(token))  # out-of-range -> ValidationError
-    return frozenset(levels)
+def _json_list(entry: dict, key: str, where: str, path: str | Path) -> list:
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise DataFormatError(f"{where}.{key} must be a list", path=str(path))
+    return value
+
+
+def _parse_levels(cell: str | list[object], *, path: str, line: int | None = None) -> frozenset[BloomLevel]:
+    tokens = [t for t in cell.split("|") if t.strip()] if isinstance(cell, str) else cell
+    try:
+        return frozenset(BloomLevel.from_token(token) for token in tokens)  # out-of-range -> ValidationError
+    except ValueError as exc:
+        raise DataFormatError(str(exc), path=path, line=line) from None
 
 
 def _parse_int(cell: str, what: str, *, path: str, line: int | None = None) -> int:
@@ -154,7 +158,7 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload: object) -> str:
+def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -175,7 +179,9 @@ def load_catalog(path: str | Path) -> CriterionCatalog:
             criteria.append(
                 AbetCriterion(
                     id=str(entry["id"]),
-                    levels=_parse_levels(entry["levels"], path=str(path)),
+                    levels=_parse_levels(
+                        _json_list(entry, "levels", f"criteria[{i}]", path), path=str(path)
+                    ),
                     description=str(entry.get("description", "")),
                 )
             )
@@ -209,7 +215,7 @@ def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
                 for c in catalog.criteria.values()
             ],
         }
-        _write_text(path, _json_text(payload))
+        _write_text(path, json_text(payload))
         return
     rows = [
         (c.id, c.description, "|".join(str(w) for w in sorted(level.weight for level in c.levels)))
@@ -232,7 +238,8 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
         for i, entry in enumerate(payload["verbs"]):
             if not isinstance(entry, dict) or "verb" not in entry or "levels" not in entry:
                 raise DataFormatError(f"verbs[{i}] must have 'verb' and 'levels'", path=str(path))
-            for level in _parse_levels(entry["levels"], path=str(path)):
+            levels = _json_list(entry, "levels", f"verbs[{i}]", path)
+            for level in _parse_levels(levels, path=str(path)):
                 by_level[level].add(str(entry["verb"]))
     else:
         for line, row in _csv_rows(path, LEXICON_COLUMNS):
@@ -253,7 +260,7 @@ def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
         payload = {
             "verbs": [{"verb": verb, "levels": sorted(weights)} for verb, weights in items]
         }
-        _write_text(path, _json_text(payload))
+        _write_text(path, json_text(payload))
         return
     rows = [(verb, "|".join(str(w) for w in sorted(weights))) for verb, weights in items]
     _write_text(path, csv_text(LEXICON_COLUMNS, rows))
@@ -295,7 +302,7 @@ def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]
             courses.append(
                 Course(
                     code=str(entry["course_code"]),
-                    criteria=tuple(str(c) for c in entry["criteria"]),
+                    criteria=tuple(str(c) for c in _json_list(entry, "criteria", f"courses[{i}]", path)),
                     title=str(entry["title"]) if entry.get("title") else None,
                     cell_overrides={
                         str(k): _parse_int(str(v), "override points", path=str(path), line=None)
@@ -340,7 +347,7 @@ def write_curriculum(courses: Sequence[Course], path: str | Path) -> None:
                 for c in courses
             ]
         }
-        _write_text(path, _json_text(payload))
+        _write_text(path, json_text(payload))
         return
     rows = [
         (
@@ -381,7 +388,9 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
         for i, entry in enumerate(payload["courses"]):
             if not isinstance(entry, dict) or "course_code" not in entry:
                 raise DataFormatError(f"courses[{i}] must have 'course_code'", path=str(path))
-            for gen in entry.get("generations", []):
+            for j, gen in enumerate(_json_list(entry, "generations", f"courses[{i}]", path)):
+                if not isinstance(gen, dict):
+                    raise DataFormatError(f"courses[{i}].generations[{j}] must be an object", path=str(path))
                 record = GenerationRecord(
                     label=str(gen.get("label", "")),
                     kind=_parse_kind(str(gen.get("kind", "")), path=str(path), line=None),
@@ -416,7 +425,7 @@ def write_grades(grades: Mapping[str, GradeHistory], path: str | Path) -> None:
                 for history in grades.values()
             ]
         }
-        _write_text(path, _json_text(payload))
+        _write_text(path, json_text(payload))
         return
     rows = [
         (history.course_code, g.label, g.kind.value, decimal_text(g.value))
@@ -460,54 +469,13 @@ def render_report_csv(report: ValidationReport) -> str:
     return csv_text(REPORT_COLUMNS, rows)
 
 
-def render_report_json(report: ValidationReport) -> str:
-    """JSON mirror of the report CSV; keys appear in this documented order."""
-    payload = {
-        "tolerance": float(report.tolerance),
-        "accuracy": float(report.accuracy),
-        "courses_within_tolerance": sum(
-            1 for c in report.comparisons if c.abs_error <= report.tolerance
-        ),
-        "course_count": len(report.comparisons),
-        "mean_actual": float(format_fixed(report.mean_actual)),
-        "mean_estimated": float(format_fixed(report.mean_estimated)),
-        "mean_abs_error": float(format_fixed(report.mean_abs_error)),
-        "mean_squared_error": float(report.mean_squared_error),
-        "courses": [
-            {
-                "course_code": c.course_code,
-                "actual_di": float(format_fixed(c.actual_di)),
-                "estimated_di": float(format_fixed(c.estimated_di)),
-                "abs_error": float(format_fixed(c.abs_error)),
-                "squared_error": float(c.squared_error),
-            }
-            for c in report.comparisons
-        ],
-    }
-    return _json_text(payload)
-
-
-def write_report(report: ValidationReport, fmt: str, path: str | Path) -> None:
-    """Serialize a validation report as 'csv' or 'json'."""
-    if fmt == "csv":
-        _write_text(path, render_report_csv(report))
-    elif fmt == "json":
-        _write_text(path, render_report_json(report))
-    else:
-        raise ValueError(f"unsupported report format {fmt!r}")
-
-
-def render_plot_csv(report: ValidationReport) -> str:
+def write_plot_data(report: ValidationReport, path: str | Path) -> None:
     """Two-series plot data: actual vs estimated difficulty per course."""
     rows = [
         (c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di))
         for c in report.comparisons
     ]
-    return csv_text(PLOT_COLUMNS, rows)
-
-
-def write_plot_data(report: ValidationReport, path: str | Path) -> None:
-    _write_text(path, render_plot_csv(report))
+    _write_text(path, csv_text(PLOT_COLUMNS, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +489,6 @@ class DataBundle:
     catalog: CriterionCatalog
     courses: tuple[Course, ...]
     grades: Mapping[str, GradeHistory] = field(default_factory=dict)
-    lexicon: BloomLexicon | None = None
     provenance: tuple[tuple[str, str, str], ...] = ()
 
     def courses_without_grades(self) -> tuple[str, ...]:
@@ -543,26 +510,21 @@ def load_bundle(
     catalog_path: str | Path,
     curriculum_path: str | Path,
     grades_path: str | Path | None = None,
-    lexicon_path: str | Path | None = None,
 ) -> DataBundle:
     """Load and cross-validate a full input set."""
     catalog = load_catalog(catalog_path)
     courses = load_curriculum(curriculum_path, catalog)
     grades = load_grades(grades_path) if grades_path else {}
-    lexicon = load_lexicon(lexicon_path) if lexicon_path else None
     provenance = [
         ("catalog", str(catalog_path), _sha256(catalog_path)),
         ("curriculum", str(curriculum_path), _sha256(curriculum_path)),
     ]
     if grades_path:
         provenance.append(("grades", str(grades_path), _sha256(grades_path)))
-    if lexicon_path:
-        provenance.append(("lexicon", str(lexicon_path), _sha256(lexicon_path)))
     return DataBundle(
         catalog=catalog,
         courses=tuple(courses),
         grades=grades,
-        lexicon=lexicon,
         provenance=tuple(provenance),
     )
 

@@ -174,8 +174,6 @@ def class_average_to_di(average: Numeric) -> Fraction:
 
 def grade_difficulty(history: GradeHistory) -> Fraction:
     """Arithmetic mean of the per-generation difficulty values."""
-    if not history.generations:
-        raise InsufficientDataError(f"course {history.course_code!r} has no generation records")
     values = [record.di() for record in history.generations]
     return sum(values, Fraction(0)) / len(values)
 

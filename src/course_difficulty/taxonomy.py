@@ -9,11 +9,14 @@ add further outcomes under any single-token id.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidCriterionError, ValidationError
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class BloomLevel(Enum):
@@ -36,49 +39,26 @@ class BloomLevel(Enum):
 
     @classmethod
     def from_token(cls, token: str | int) -> "BloomLevel":
-        """Parse a level from an integer 1-6 or a canonical level name."""
-        if isinstance(token, int):
+        """Parse a level from an integer 1-6 or a canonical level name.
+
+        A token of neither shape (ASCII digits with an optional minus, or
+        letters) raises ``ValueError``; a number out of range or an unknown
+        name raises ``ValidationError``.
+        """
+        if isinstance(token, str) and _INTEGER.fullmatch(token.strip()):
+            value = int(token)
+        elif isinstance(token, str) and token.strip().isalpha():
+            try:
+                return cls[token.strip().upper()]
+            except KeyError:
+                raise ValidationError(f"unknown complexity level {token!r}") from None
+        elif isinstance(token, int) and not isinstance(token, bool):
             value = token
         else:
-            text = str(token).strip()
-            if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
-                value = int(text)
-            else:
-                try:
-                    return cls[text.upper()]
-                except KeyError:
-                    raise ValidationError(f"unknown complexity level {token!r}") from None
+            raise ValueError(f"cannot parse complexity level {token!r}")
         if not any(value == lvl.value for lvl in cls):
             raise ValidationError(f"complexity level out of range 1-6: {value}")
         return cls(value)
-
-
-ALL_LEVELS: frozenset[BloomLevel] = frozenset(BloomLevel)
-
-# Companion domain labels from the three-column complexity table. Stored for
-# documentation only; no arithmetic in this package uses them.
-LEGACY_COGNITIVE_LABELS: Mapping[int, str] = {
-    1: "Knowledge",
-    2: "Comprehension",
-    3: "Application",
-    4: "Analysis",
-    5: "Synthesis",
-    6: "Evaluation",
-}
-AFFECTIVE_LABELS: Mapping[int, str] = {
-    1: "Receiving",
-    2: "Responding",
-    3: "Valuing",
-    4: "Organizing",
-    5: "Characterizing by value or value concept",
-}
-PSYCHOMOTOR_LABELS: Mapping[int, str] = {
-    1: "Imitation",
-    2: "Manipulation",
-    3: "Precision",
-    4: "Articulation",
-    5: "Naturalization",
-}
 
 
 def max_rubric() -> int:
@@ -111,8 +91,6 @@ class AbetCriterion:
 
 def criterion_rubric(criterion: AbetCriterion) -> int:
     """Sum of the complexity weights mapped to the criterion (1..21)."""
-    if not criterion.levels:
-        raise InvalidCriterionError(f"criterion {criterion.id!r} maps to no complexity levels")
     return sum(level.weight for level in criterion.levels)
 
 
@@ -180,12 +158,6 @@ class BloomLexicon:
 
     def is_ambiguous(self, verb: str) -> bool:
         return len(self.levels_for(verb)) > 1
-
-    def verbs(self) -> frozenset[str]:
-        out: set[str] = set()
-        for verbs in self.entries.values():
-            out |= verbs
-        return frozenset(out)
 
 
 # Canonical catalog: outcome letter -> (mapped complexity levels, statement).

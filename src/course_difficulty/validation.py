@@ -35,6 +35,7 @@ class ValidationReport:
     mean_squared_error: Fraction
     accuracy: Fraction
     tolerance: Fraction
+    within_tolerance: int
 
 
 def compare(actual: Numeric, estimated: Numeric, course_code: str = "") -> CourseComparison:
@@ -71,4 +72,5 @@ def summarize(comparisons: list[CourseComparison], tolerance: Numeric = Fraction
         mean_squared_error=sum((c.squared_error for c in comparisons), Fraction(0)) / n,
         accuracy=Fraction(within, n),
         tolerance=tol,
+        within_tolerance=within,
     )

@@ -218,6 +218,31 @@ class TestValidate:
         assert code == 0
         assert "GHOST" in err
 
+    def test_json_report(self, fixture_dir, capsys):
+        code, out, _ = run(capsys, *self._args(fixture_dir, "--format", "json"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mean_actual"] == 3.6
+        assert payload["mean_estimated"] == 3.5
+        assert payload["mean_abs_error"] == 0.2
+        assert len(payload["courses"]) == payload["course_count"] == 11
+
+    @pytest.mark.parametrize("failing", ["output", "plot"])
+    def test_failed_write_leaves_no_file(self, fixture_dir, tmp_path, capsys, failing):
+        plot, report = tmp_path / "plot.csv", tmp_path / "report.json"
+        if failing == "output":
+            report = tmp_path / "nodir" / "report.json"
+        else:
+            plot = tmp_path / "nodir" / "plot.csv"
+        code, out, err = run(
+            capsys,
+            *self._args(fixture_dir, "--format", "json", "--plot-data", str(plot), "--output", str(report)),
+        )
+        assert code == 2
+        assert out == ""
+        assert "nodir" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_data_file(self, fixture_dir, tmp_path, capsys):
         plot = tmp_path / "plot.csv"
         code, _, _ = run(capsys, *self._args(fixture_dir, "--plot-data", str(plot)))

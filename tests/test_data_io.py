@@ -47,10 +47,11 @@ class TestLoadCatalog:
             data_io.load_catalog(path)
 
     def test_unparseable_level_has_line_diagnostic(self, tmp_path):
-        path = _write(tmp_path / "cat.csv", "id,description,levels\na,ok,1\nb,bad,x7\n")
-        with pytest.raises(DataFormatError) as exc:
-            data_io.load_catalog(path)
-        assert "cat.csv:3" in str(exc.value)
+        for cell in ("x7", "1|\u00b2"):  # superscript two passes str.isdigit but is no ASCII digit
+            path = _write(tmp_path / "cat.csv", f"id,description,levels\na,ok,1\nb,bad,{cell}\n")
+            with pytest.raises(DataFormatError) as exc:
+                data_io.load_catalog(path)
+            assert "cat.csv:3" in str(exc.value)
 
     def test_empty_levels_cell_is_invalid_criterion(self, tmp_path):
         from course_difficulty.errors import InvalidCriterionError
@@ -167,6 +168,27 @@ class TestLoadGrades:
         assert labels == ["late", "early"]
 
 
+class TestJsonListFields:
+    @pytest.mark.parametrize("name,text,message", [
+        ("cat.json", '{"criteria": [{"id": "a", "levels": 3}]}', "criteria[0].levels must be a list"),
+        ("lex.json", '{"verbs": [{"verb": "list", "levels": "1"}]}', "verbs[0].levels must be a list"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": "ahk"}]}', "courses[0].criteria must be a list"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generations": "g1"}]}', "courses[0].generations must be a list"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generations": ["g1"]}]}', "courses[0].generations[0] must be"),
+    ], ids=["catalog", "lexicon", "curriculum", "grades", "grades-entry"])
+    def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
+        path = _write(tmp_path / name, text)
+        load = {
+            "cat.json": data_io.load_catalog,
+            "lex.json": data_io.load_lexicon,
+            "cur.json": lambda p: data_io.load_curriculum(p, catalog),
+            "g.json": data_io.load_grades,
+        }[name]
+        with pytest.raises(DataFormatError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+
 class TestReportWriting:
     @pytest.fixture
     def report(self, catalog, asprinted_courses, grade_histories):
@@ -187,24 +209,8 @@ class TestReportWriting:
         assert lines[-2] == "AVERAGE,3.6,3.5,0.2"
         assert text.endswith("\n")
 
-    def test_csv_bytes_stable(self, report, tmp_path):
-        data_io.write_report(report, "csv", tmp_path / "one.csv")
-        data_io.write_report(report, "csv", tmp_path / "two.csv")
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
-
-    def test_json_mirror(self, report, tmp_path):
-        import json
-
-        data_io.write_report(report, "json", tmp_path / "r.json")
-        payload = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-        assert payload["mean_actual"] == 3.6
-        assert payload["mean_estimated"] == 3.5
-        assert payload["mean_abs_error"] == 0.2
-        assert len(payload["courses"]) == 11
-
-    def test_unknown_format_rejected(self, report, tmp_path):
-        with pytest.raises(ValueError):
-            data_io.write_report(report, "xlsx", tmp_path / "r.xlsx")
+    def test_csv_bytes_stable(self, report):
+        assert data_io.render_report_csv(report) == data_io.render_report_csv(report)
 
     def test_plot_data(self, report, tmp_path):
         data_io.write_plot_data(report, tmp_path / "plot.csv")
@@ -240,6 +246,11 @@ class TestRoundTrips:
         for name in ("g.csv", "g.json"):
             data_io.write_grades(grades, tmp_path / name)
             assert data_io.load_grades(tmp_path / name) == grades
+
+    @pytest.mark.parametrize("name", ["lex.csv", "lex.json"])
+    def test_lexicon(self, tmp_path, default_lexicon, name):
+        data_io.write_lexicon(default_lexicon, tmp_path / name)
+        assert data_io.load_lexicon(tmp_path / name) == default_lexicon
 
 
 class TestShippedFixtures:

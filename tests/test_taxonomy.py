@@ -56,6 +56,11 @@ class TestBloomLevel:
         with pytest.raises(ValidationError):
             BloomLevel.from_token(token)
 
+    @pytest.mark.parametrize("token", ["x7", "\u00b2", "1_0", "", True, 3.0, None])
+    def test_from_token_rejects_malformed_tokens(self, token):
+        with pytest.raises(ValueError, match="cannot parse"):
+            BloomLevel.from_token(token)
+
 
 class TestCriterionRubric:
     def test_full_level_set_gives_21(self):
