@@ -27,9 +27,9 @@ from .engine import (
     final_difficulty,
     grade_difficulty,
 )
-from .errors import CourseDifficultyError
+from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
-from .rounding import format_fixed, round_half_away
+from .rounding import format_fixed, parse_decimal, round_half_away
 from .validation import compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -43,9 +43,9 @@ _POLICIES = {
 
 def _positive_fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        value = parse_decimal(text, "tolerance")
+    except DataFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value

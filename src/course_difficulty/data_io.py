@@ -4,8 +4,6 @@ CSV is the primary interchange format (institutional gradebooks export CSV).
 Catalogs, lexicons, curricula and grade files also have a JSON form, chosen
 by a ``.json`` extension; the validation report's JSON form is the output of
 ``validate --format json``. All files are UTF-8; CSV files need a header row.
-Diagnostics always carry the file path and, for row-level problems, the line
-number; malformed values are never silently coerced.
 
 CSV schemas
 -----------
@@ -18,9 +16,18 @@ statements:  criterion_id,text
 report:      course_code,actual_di,estimated_di,abs_error   (+ AVERAGE row)
 plot data:   course_code,actual_di,estimated_di
 
-JSON files use the key order produced by the writers here; round-tripping
-any written catalog, lexicon, curriculum or grade file reproduces the
-original objects.
+A JSON file is an object with one entry list (``criteria``, ``verbs`` or
+``courses``) whose entries are keyed by the CSV columns and read as the rows
+they stand for; a grade course lists its records under ``generations``, with
+``label`` for the generation column. ``levels`` and ``criteria`` are lists,
+``overrides`` is an id -> points object, and every other value is a string
+or a number, kept as its literal text; ``null`` and any other type are
+rejected. Numbers are ASCII digits with an optional sign and decimal point:
+no exponent, ``/``, ``_``, ``nan`` or ``inf``. An error in a record starts
+with ``path:line:`` (CSV) or ``path:courses[3].generations[1]:`` (JSON); a
+JSON value of the wrong type is named by its key path instead. Malformed
+values are never coerced, and every written file loads back to the same
+objects.
 """
 
 from __future__ import annotations
@@ -29,16 +36,17 @@ import csv
 import hashlib
 import io
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from .engine import Course, GenerationRecord, GradeHistory, GradeKind
-from .errors import DataFormatError, UnresolvedCriterionError, ValidationError
+from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .mapper import OutcomeStatement
-from .rounding import decimal_text, format_fixed
+from .rounding import decimal_text, format_fixed, parse_decimal, parse_int
 from .taxonomy import (
     AbetCriterion,
     BloomLevel,
@@ -67,87 +75,144 @@ FIXTURE_NAMES = (
     "outcome_statements.csv",
 )
 
+# JSON keys whose value is a list (one '|'-joined cell) or an object (id:points pairs);
+# every other value is a string or a number
+_JSON_SHAPES = {"levels": (list, "a list"), "criteria": (list, "a list"), "overrides": (dict, "an object")}
+_JSON_REQUIRED = frozenset({"id", "verb", "levels", "course_code", "criteria"})  # other keys default to ""
+_JSON_KEYS = {"generation": "label"}  # CSV column -> JSON key, where they differ
+
 
 # ---------------------------------------------------------------------------
-# low-level readers
+# reading: every file kind as (locator, CSV-shaped row) records
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc.strerror or exc}", path=str(path)) from exc
+        raise DataFormatError(f"cannot read file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _csv_rows(path: str | Path, columns: Sequence[str]) -> list[tuple[int, dict[str, str]]]:
-    """Parse a CSV file, checking the header and returning (line, row) pairs."""
-    text = _read_text(path)
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise DataFormatError("file is empty; a header row is required", path=str(path))
-    missing = [c for c in columns if c not in reader.fieldnames]
-    if missing:
-        raise DataFormatError(
-            f"header is missing column(s) {', '.join(missing)}; found {reader.fieldnames}",
-            path=str(path),
-        )
-    rows: list[tuple[int, dict[str, str]]] = []
-    for row in reader:
-        if row.get(None):
-            raise DataFormatError("row has more fields than the header", path=str(path), line=reader.line_num)
-        if None in row.values():
-            raise DataFormatError("row has fewer fields than the header", path=str(path), line=reader.line_num)
-        # structural fields are stripped at their point of use; free text stays verbatim
-        rows.append((reader.line_num, {k: v for k, v in row.items() if k is not None}))
-    return rows
+def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """Parse a CSV file, checking the header, and yield (line, row) pairs."""
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError("file is empty; a header row is required")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataFormatError(f"header is missing column(s) {', '.join(missing)}; found {header}")
+        width = len(header)
+        for cells in reader:
+            if len(cells) != width:
+                if not cells:  # blank line
+                    continue
+                more = "more" if len(cells) > width else "fewer"  # located here: the loader's line is the previous row's
+                raise DataFormatError(f"row has {more} fields than the header").locate(str(path), reader.line_num)
+            # structural fields are stripped at their point of use; free text stays verbatim
+            yield reader.line_num, dict(zip(header, cells))
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataFormatError(f"malformed CSV: {exc}").locate(str(path), reader.line_num) from None
 
 
 def _load_json(path: str | Path) -> object:
     text = _read_text(path)
-    try:
-        return json.loads(text)
+    try:  # numbers stay literal text, so they parse exactly as CSV cells do
+        return json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
     except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from exc
+        raise DataFormatError(f"invalid JSON: {exc.msg}").locate(str(path), exc.lineno) from exc
+    except RecursionError:
+        raise DataFormatError("invalid JSON: nested too deeply") from None
 
 
 def _is_json(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _json_list(entry: dict, key: str, where: str, path: str | Path) -> list:
-    value = entry.get(key, [])
-    if not isinstance(value, list):
-        raise DataFormatError(f"{where}.{key} must be a list", path=str(path))
+def _json_cell(value: object, key: str, where: str) -> str:
+    """A JSON value as the text of the CSV cell it stands for."""
+    shape, name = _JSON_SHAPES.get(key, (str, "a string or a number"))
+    if not isinstance(value, shape):
+        raise DataFormatError(f"{where} must be {name}")
+    if shape is list:
+        return "|".join(_json_cell(v, "", f"{where}[{i}]") for i, v in enumerate(value))
+    if shape is dict:
+        return "|".join(f"{_json_cell(k, '', where)}:{_json_cell(v, '', f'{where}.{k}')}" for k, v in value.items())
+    if key == "" and "|" in value:  # a list entry or override part would split in two once joined
+        raise DataFormatError(f"{where} must not contain '|'")
     return value
 
 
-def _parse_levels(cell: str | list[object], *, path: str, line: int | None = None) -> frozenset[BloomLevel]:
-    tokens = [t for t in cell.split("|") if t.strip()] if isinstance(cell, str) else cell
+def _json_rows(
+    entries: object, where: str, columns: Sequence[str], nested: Sequence[str], inherited: Mapping[str, str]
+) -> Iterator[tuple[str, dict[str, str]]]:
+    """Each JSON entry as an (entry path, CSV row) pair; with ``nested`` columns,
+    the entry's ``generations`` are the rows, each inheriting the entry's cells."""
+    if not isinstance(entries, list):
+        raise DataFormatError(f"{where} must be a list")
+    for i, entry in enumerate(entries):
+        at = f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{at} must be an object")
+        row = dict(inherited)
+        for column in columns:
+            key = _JSON_KEYS.get(column, column)
+            if key in entry:
+                row[column] = _json_cell(entry[key], key, f"{at}.{key}")
+            elif key in _JSON_REQUIRED:
+                raise DataFormatError(f"{at} must have {key!r}")
+            else:
+                row[column] = ""
+        if nested:
+            yield from _json_rows(entry.get("generations", []), f"{at}.generations", nested, (), row)
+        else:
+            yield at, row
+
+
+@contextmanager
+def _reading(
+    path: str | Path, columns: Sequence[str], key: str | None, nested: Sequence[str] = ()
+) -> Iterator[SimpleNamespace]:
+    """A file's records in CSV row shape, and the one place that names a failing record.
+
+    ``file.rows`` yields (locator, row) pairs: the CSV line number, or the path
+    of the JSON entry in the ``key`` list (no JSON form when ``key`` is None).
+    The loader keeps ``file.line`` current as it loops (``for file.line, row in
+    file.rows``), and any package error raised inside ``with`` is prefixed with
+    ``path:line:``. ``file.provenance`` is the path, or a JSON file's own
+    ``provenance`` text.
+    """
+    file = SimpleNamespace(line=None, provenance=str(path), rows=())
     try:
-        return frozenset(BloomLevel.from_token(token) for token in tokens)  # out-of-range -> ValidationError
-    except ValueError as exc:
-        raise DataFormatError(str(exc), path=path, line=line) from None
+        if key is not None and _is_json(path):
+            payload = _load_json(path)
+            if not isinstance(payload, dict):
+                raise DataFormatError(f"expected an object with a '{key}' list")
+            file.provenance = _json_cell(payload.get("provenance", ""), "provenance", "provenance")
+            file.rows = list(_json_rows(payload.get(key), key, columns, nested, {}))
+        else:
+            file.rows = _csv_rows(path, (*columns, *nested))
+        yield file
+    except CourseDifficultyError as exc:
+        raise exc.locate(str(path), file.line)
 
 
-def _parse_int(cell: str, what: str, *, path: str, line: int | None = None) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise DataFormatError(f"cannot parse {what} {cell!r} as an integer", path=path, line=line) from None
+def _levels(cell: str) -> frozenset[BloomLevel]:
+    return frozenset(BloomLevel.from_token(t) for t in cell.split("|") if t.strip())  # out-of-range -> ValidationError
 
 
-def _parse_number(cell: str, what: str, *, path: str, line: int | None = None) -> Fraction:
-    try:
-        return Fraction(cell)
-    except (ValueError, ZeroDivisionError):
-        raise DataFormatError(f"cannot parse {what} {cell!r} as a number", path=path, line=line) from None
-
+# ---------------------------------------------------------------------------
+# writing
+# ---------------------------------------------------------------------------
 
 def _write_text(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
-        raise DataFormatError(f"cannot write file: {exc.strerror or exc}", path=str(path)) from exc
+        raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -162,66 +227,56 @@ def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _cell_text(value: object) -> object:
+    if isinstance(value, dict):
+        return "|".join(f"{k}:{v}" for k, v in value.items())
+    return "|".join(map(str, value)) if isinstance(value, list) else value
+
+
+def _write_records(
+    path: str | Path, columns: Sequence[str], key: str, rows: Iterable[Sequence[object]],
+    nested: Sequence[str] = (), head: Mapping[str, str] | None = None,
+) -> None:
+    """Write rows of cell values as CSV, or by extension as the JSON form ``_reading`` reads.
+
+    In CSV a list value becomes one '|'-joined cell and a dict id:points pairs.
+    """
+    if not _is_json(path):
+        _write_text(path, csv_text((*columns, *nested), ([_cell_text(v) for v in row] for row in rows)))
+        return
+    entries: list[dict[str, object]] = []
+    for row in rows:
+        entry = dict(zip(columns, row))
+        if not nested:
+            entries.append(entry)
+            continue
+        if not entries or any(entries[-1][c] != entry[c] for c in columns):
+            entries.append({**entry, "generations": []})
+        entries[-1]["generations"].append({_JSON_KEYS.get(c, c): v for c, v in zip(nested, row[len(columns):])})
+    _write_text(path, json_text({**(head or {}), key: entries}))
+
+
 # ---------------------------------------------------------------------------
 # catalogs
 # ---------------------------------------------------------------------------
 
 def load_catalog(path: str | Path) -> CriterionCatalog:
     """Load a criterion catalog from CSV or JSON (chosen by file extension)."""
-    if _is_json(path):
-        payload = _load_json(path)
-        if not isinstance(payload, dict) or not isinstance(payload.get("criteria"), list):
-            raise DataFormatError("expected an object with a 'criteria' list", path=str(path))
-        criteria = []
-        for i, entry in enumerate(payload["criteria"]):
-            if not isinstance(entry, dict) or "id" not in entry or "levels" not in entry:
-                raise DataFormatError(f"criteria[{i}] must have 'id' and 'levels'", path=str(path))
-            criteria.append(
-                AbetCriterion(
-                    id=str(entry["id"]),
-                    levels=_parse_levels(
-                        _json_list(entry, "levels", f"criteria[{i}]", path), path=str(path)
-                    ),
-                    description=str(entry.get("description", "")),
-                )
-            )
-        provenance = str(payload.get("provenance", ""))
-    else:
-        criteria = []
-        for line, row in _csv_rows(path, CATALOG_COLUMNS):
-            if not row["id"].strip():
-                raise DataFormatError("criterion id is empty", path=str(path), line=line)
-            criteria.append(
-                AbetCriterion(
-                    id=row["id"].strip(),
-                    levels=_parse_levels(row["levels"], path=str(path), line=line),
-                    description=row["description"],
-                )
-            )
-        provenance = str(path)
-    return CriterionCatalog.from_criteria(criteria, provenance=provenance)
+    criteria: dict[str, AbetCriterion] = {}
+    with _reading(path, CATALOG_COLUMNS, "criteria") as file:
+        for file.line, row in file.rows:
+            cid = row["id"].strip()
+            if not cid:
+                raise DataFormatError("criterion id is empty")
+            if cid in criteria:
+                raise ValidationError(f"duplicate criterion id {cid!r}")
+            criteria[cid] = AbetCriterion(id=cid, levels=_levels(row["levels"]), description=row["description"])
+    return CriterionCatalog(criteria=criteria, provenance=file.provenance)
 
 
 def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
-    if _is_json(path):
-        payload = {
-            "provenance": catalog.provenance,
-            "criteria": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "levels": sorted(level.weight for level in c.levels),
-                }
-                for c in catalog.criteria.values()
-            ],
-        }
-        _write_text(path, json_text(payload))
-        return
-    rows = [
-        (c.id, c.description, "|".join(str(w) for w in sorted(level.weight for level in c.levels)))
-        for c in catalog.criteria.values()
-    ]
-    _write_text(path, csv_text(CATALOG_COLUMNS, rows))
+    rows = [(c.id, c.description, sorted(level.weight for level in c.levels)) for c in catalog.criteria.values()]
+    _write_records(path, CATALOG_COLUMNS, "criteria", rows, head={"provenance": catalog.provenance})
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +286,14 @@ def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
 def load_lexicon(path: str | Path) -> BloomLexicon:
     """Load an action-verb lexicon (verb -> level(s)) from CSV or JSON."""
     by_level: dict[BloomLevel, set[str]] = {level: set() for level in BloomLevel}
-    if _is_json(path):
-        payload = _load_json(path)
-        if not isinstance(payload, dict) or not isinstance(payload.get("verbs"), list):
-            raise DataFormatError("expected an object with a 'verbs' list", path=str(path))
-        for i, entry in enumerate(payload["verbs"]):
-            if not isinstance(entry, dict) or "verb" not in entry or "levels" not in entry:
-                raise DataFormatError(f"verbs[{i}] must have 'verb' and 'levels'", path=str(path))
-            levels = _json_list(entry, "levels", f"verbs[{i}]", path)
-            for level in _parse_levels(levels, path=str(path)):
-                by_level[level].add(str(entry["verb"]))
-    else:
-        for line, row in _csv_rows(path, LEXICON_COLUMNS):
+    with _reading(path, LEXICON_COLUMNS, "verbs") as file:
+        for file.line, row in file.rows:
             if not row["verb"].strip():
-                raise DataFormatError("verb is empty", path=str(path), line=line)
-            for level in _parse_levels(row["levels"], path=str(path), line=line):
+                raise DataFormatError("verb is empty")
+            for level in _levels(row["levels"]):
                 by_level[level].add(row["verb"])
-    return BloomLexicon(entries={level: frozenset(verbs) for level, verbs in by_level.items()})
+        file.line = None  # a level without verbs is the whole file's problem
+        return BloomLexicon(entries={level: frozenset(verbs) for level, verbs in by_level.items()})
 
 
 def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
@@ -255,15 +301,8 @@ def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
     for level in BloomLevel:
         for verb in lexicon.entries[level]:
             levels_by_verb.setdefault(verb, []).append(level.weight)
-    items = sorted(levels_by_verb.items())
-    if _is_json(path):
-        payload = {
-            "verbs": [{"verb": verb, "levels": sorted(weights)} for verb, weights in items]
-        }
-        _write_text(path, json_text(payload))
-        return
-    rows = [(verb, "|".join(str(w) for w in sorted(weights))) for verb, weights in items]
-    _write_text(path, csv_text(LEXICON_COLUMNS, rows))
+    rows = [(verb, sorted(weights)) for verb, weights in sorted(levels_by_verb.items())]
+    _write_records(path, LEXICON_COLUMNS, "verbs", rows)
 
 
 def default_lexicon() -> BloomLexicon:
@@ -276,163 +315,83 @@ def default_lexicon() -> BloomLexicon:
 # curricula
 # ---------------------------------------------------------------------------
 
-def _parse_overrides(cell: str, *, path: str, line: int) -> dict[str, int]:
+def _overrides(cell: str) -> dict[str, int]:
     overrides: dict[str, int] = {}
     for pair in (p for p in cell.split("|") if p.strip()):
         cid, sep, points = pair.partition(":")
-        if not sep or not cid.strip():
-            raise DataFormatError(f"override {pair!r} is not an id:points pair", path=path, line=line)
-        overrides[cid.strip()] = _parse_int(points.strip(), "override points", path=path, line=line)
+        cid = cid.strip()
+        if not sep or not cid:
+            raise DataFormatError(f"override {pair!r} is not an id:points pair")
+        if cid in overrides:
+            raise DataFormatError(f"override {cid!r} is given twice")
+        overrides[cid] = parse_int(points, "override points")
     return overrides
 
 
 def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]:
     """Load courses and validate every referenced criterion against the catalog."""
-    courses: list[Course] = []
-    if _is_json(path):
-        payload = _load_json(path)
-        if not isinstance(payload, dict) or not isinstance(payload.get("courses"), list):
-            raise DataFormatError("expected an object with a 'courses' list", path=str(path))
-        for i, entry in enumerate(payload["courses"]):
-            if not isinstance(entry, dict) or "course_code" not in entry or "criteria" not in entry:
-                raise DataFormatError(f"courses[{i}] must have 'course_code' and 'criteria'", path=str(path))
-            overrides = entry.get("overrides") or {}
-            if not isinstance(overrides, dict):
-                raise DataFormatError(f"courses[{i}].overrides must be an object", path=str(path))
-            courses.append(
-                Course(
-                    code=str(entry["course_code"]),
-                    criteria=tuple(str(c) for c in _json_list(entry, "criteria", f"courses[{i}]", path)),
-                    title=str(entry["title"]) if entry.get("title") else None,
-                    cell_overrides={
-                        str(k): _parse_int(str(v), "override points", path=str(path), line=None)
-                        for k, v in overrides.items()
-                    },
-                )
+    courses: dict[str, Course] = {}
+    with _reading(path, CURRICULUM_COLUMNS, "courses") as file:
+        for file.line, row in file.rows:
+            course = Course(
+                code=row["course_code"].strip(),
+                criteria=tuple(c.strip() for c in row["criteria"].split("|") if c.strip()),
+                title=row["title"] or None,
+                cell_overrides=_overrides(row["overrides"]),
             )
-    else:
-        for line, row in _csv_rows(path, CURRICULUM_COLUMNS):
-            criteria = tuple(c.strip() for c in row["criteria"].split("|") if c.strip())
-            if not criteria:
-                raise ValidationError(f"{path}:{line}: course {row['course_code']!r} lists no criteria")
-            courses.append(
-                Course(
-                    code=row["course_code"].strip(),
-                    criteria=criteria,
-                    title=row["title"] or None,
-                    cell_overrides=_parse_overrides(row["overrides"], path=str(path), line=line),
-                )
-            )
-    seen: set[str] = set()
-    for course in courses:
-        if course.code in seen:
-            raise ValidationError(f"{path}: duplicate course code {course.code!r}")
-        seen.add(course.code)
-        for cid in course.criteria:
-            if cid not in catalog:
-                raise UnresolvedCriterionError(cid, course.code)
-    return courses
+            if course.code in courses:
+                raise ValidationError(f"duplicate course code {course.code!r}")
+            for cid in course.criteria:
+                if cid not in catalog:
+                    raise UnresolvedCriterionError(cid, course.code)
+            courses[course.code] = course
+    return list(courses.values())
 
 
 def write_curriculum(courses: Sequence[Course], path: str | Path) -> None:
-    if _is_json(path):
-        payload = {
-            "courses": [
-                {
-                    "course_code": c.code,
-                    "title": c.title or "",
-                    "criteria": list(c.criteria),
-                    "overrides": {cid: c.cell_overrides[cid] for cid in sorted(c.cell_overrides)},
-                }
-                for c in courses
-            ]
-        }
-        _write_text(path, json_text(payload))
-        return
     rows = [
-        (
-            c.code,
-            c.title or "",
-            "|".join(c.criteria),
-            "|".join(f"{cid}:{c.cell_overrides[cid]}" for cid in sorted(c.cell_overrides)),
-        )
+        (c.code, c.title or "", list(c.criteria), {cid: c.cell_overrides[cid] for cid in sorted(c.cell_overrides)})
         for c in courses
     ]
-    _write_text(path, csv_text(CURRICULUM_COLUMNS, rows))
+    _write_records(path, CURRICULUM_COLUMNS, "courses", rows)
 
 
 # ---------------------------------------------------------------------------
 # grade histories
 # ---------------------------------------------------------------------------
 
-def _parse_kind(cell: str, *, path: str, line: int | None) -> GradeKind:
-    cell = cell.strip()
-    if not cell:
-        raise ValidationError(f"{path}{':' + str(line) if line else ''}: record has no kind tag")
-    try:
-        return GradeKind(cell.lower())
-    except ValueError:
-        raise ValidationError(
-            f"{path}{':' + str(line) if line else ''}: unknown kind {cell!r}; expected "
-            + " or ".join(k.value for k in GradeKind)
-        ) from None
+_KINDS = {kind.value: kind for kind in GradeKind}
 
 
 def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     """Load per-generation grade records grouped by course, preserving file order."""
-    grouped: dict[str, list[GenerationRecord]] = {}
-    if _is_json(path):
-        payload = _load_json(path)
-        if not isinstance(payload, dict) or not isinstance(payload.get("courses"), list):
-            raise DataFormatError("expected an object with a 'courses' list", path=str(path))
-        for i, entry in enumerate(payload["courses"]):
-            if not isinstance(entry, dict) or "course_code" not in entry:
-                raise DataFormatError(f"courses[{i}] must have 'course_code'", path=str(path))
-            for j, gen in enumerate(_json_list(entry, "generations", f"courses[{i}]", path)):
-                if not isinstance(gen, dict):
-                    raise DataFormatError(f"courses[{i}].generations[{j}] must be an object", path=str(path))
-                record = GenerationRecord(
-                    label=str(gen.get("label", "")),
-                    kind=_parse_kind(str(gen.get("kind", "")), path=str(path), line=None),
-                    value=_parse_number(str(gen.get("value")), "grade value", path=str(path), line=None),
-                )
-                grouped.setdefault(str(entry["course_code"]), []).append(record)
-    else:
-        for line, row in _csv_rows(path, GRADES_COLUMNS):
+    grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
+    histories: dict[str, GradeHistory] = {}
+    # a JSON grade file lists each course's records under its "generations"
+    with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
+        for file.line, row in file.rows:
+            kind = _KINDS.get(row["kind"].strip().lower())
+            if kind is None:
+                raise ValidationError(f"unknown kind {row['kind'].strip()!r}; expected " + " or ".join(_KINDS))
             record = GenerationRecord(
-                label=row["generation"].strip(),
-                kind=_parse_kind(row["kind"], path=str(path), line=line),
-                value=_parse_number(row["value"], "grade value", path=str(path), line=line),
+                label=row["generation"].strip(), kind=kind, value=parse_decimal(row["value"], "grade value")
             )
-            grouped.setdefault(row["course_code"].strip(), []).append(record)
-    return {
-        code: GradeHistory(course_code=code, generations=tuple(records))
-        for code, records in grouped.items()
-    }
+            code = row["course_code"].strip()
+            if code not in grouped:
+                grouped[code] = (file.line, [])
+            grouped[code][1].append(record)
+        for code, (file.line, records) in grouped.items():  # a course's problem names its first record
+            histories[code] = GradeHistory(course_code=code, generations=tuple(records))
+    return histories
 
 
 def write_grades(grades: Mapping[str, GradeHistory], path: str | Path) -> None:
-    if _is_json(path):
-        payload = {
-            "courses": [
-                {
-                    "course_code": history.course_code,
-                    "generations": [
-                        {"label": g.label, "kind": g.kind.value, "value": float(g.value)}
-                        for g in history.generations
-                    ],
-                }
-                for history in grades.values()
-            ]
-        }
-        _write_text(path, json_text(payload))
-        return
     rows = [
         (history.course_code, g.label, g.kind.value, decimal_text(g.value))
         for history in grades.values()
         for g in history.generations
     ]
-    _write_text(path, csv_text(GRADES_COLUMNS, rows))
+    _write_records(path, GRADES_COLUMNS[:1], "courses", rows, nested=GRADES_COLUMNS[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +400,11 @@ def write_grades(grades: Mapping[str, GradeHistory], path: str | Path) -> None:
 
 def load_statements(path: str | Path) -> list[OutcomeStatement]:
     statements = []
-    for line, row in _csv_rows(path, STATEMENTS_COLUMNS):
-        if not row["text"].strip():
-            raise ValidationError(f"{path}:{line}: statement {row['criterion_id']!r} has empty text")
-        statements.append(OutcomeStatement(criterion_id=row["criterion_id"].strip(), text=row["text"]))
+    with _reading(path, STATEMENTS_COLUMNS, None) as file:
+        for file.line, row in file.rows:
+            if not row["text"].strip():
+                raise ValidationError(f"statement {row['criterion_id']!r} has empty text")
+            statements.append(OutcomeStatement(criterion_id=row["criterion_id"].strip(), text=row["text"]))
     return statements
 
 
@@ -503,7 +463,7 @@ def _sha256(path: str | Path) -> str:
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc.strerror or exc}", path=str(path)) from exc
+        raise DataFormatError(f"cannot read file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
 def load_bundle(

@@ -117,6 +117,8 @@ class GradeHistory:
     generations: tuple[GenerationRecord, ...]
 
     def __post_init__(self):
+        if not self.course_code:
+            raise ValidationError("course code must be non-empty")
         object.__setattr__(self, "generations", tuple(self.generations))
         if not self.generations:
             raise InsufficientDataError(f"course {self.course_code!r} has no generation records")

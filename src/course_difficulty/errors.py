@@ -10,27 +10,30 @@ from __future__ import annotations
 
 
 class CourseDifficultyError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-    exit_code = 1
-
-
-class DataFormatError(CourseDifficultyError):
-    """A file is missing, unreadable, or structurally malformed.
-
-    Carries the offending path and, when known, a record locator so
-    diagnostics always point at the failing input.
+    ``path`` and ``line`` name the failing input once an error is located;
+    ``line`` is a CSV line number or a JSON entry path such as
+    ``courses[3].generations[1]``.
     """
 
-    exit_code = 2
+    exit_code = 1
+    path: str | None = None
+    line: int | str | None = None
 
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        prefix = ""
-        if path is not None:
+    def locate(self, path: str, line: int | str | None = None) -> "CourseDifficultyError":
+        """Prefix the message with ``path:line:`` unless the error already names its input."""
+        if self.path is None:
+            self.path, self.line = path, line
             prefix = f"{path}: " if line is None else f"{path}:{line}: "
-        super().__init__(prefix + message)
+            self.args = (prefix + str(self),)
+        return self
+
+
+class DataFormatError(CourseDifficultyError, ValueError):
+    """A file is missing, unreadable, or structurally malformed, or a value is malformed."""
+
+    exit_code = 2
 
 
 class ValidationError(CourseDifficultyError):

@@ -1,15 +1,41 @@
-"""Exact rational arithmetic helpers for reporting boundaries.
+"""Exact number parsing and rounding at the input and reporting boundaries.
 
 Difficulty indices are computed as ``fractions.Fraction`` so the documented
 identities hold exactly; rounding happens once, at the edge, half away from
-zero. All printed values use one decimal place.
+zero. All printed values use one decimal place. Numbers read from files and
+flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+from .errors import DataFormatError
+
 Numeric = Fraction | int | float | str
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+_MAX_DIGITS = 4000  # int() refuses longer digit strings (sys.int_info.default_max_str_digits)
+
+
+def parse_int(text: str, what: str) -> int:
+    """ASCII digits with an optional sign; anything else raises ``DataFormatError``."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text) or len(text) > _MAX_DIGITS:
+        raise DataFormatError(f"cannot parse {what} {text!r} as an integer")
+    return int(text)
+
+
+def parse_decimal(text: str, what: str) -> Fraction:
+    """An ASCII decimal literal such as ``-4.25`` or ``.5``, exactly; no exponent,
+    ``/``, ``_``, ``nan`` or ``inf`` (those raise ``DataFormatError``)."""
+    text = text.strip()
+    if not _DECIMAL.fullmatch(text) or len(text) > _MAX_DIGITS:
+        raise DataFormatError(f"cannot parse {what} {text!r} as a decimal number")
+    whole, _, decimals = text.partition(".")
+    return Fraction(int(whole + decimals), 10 ** len(decimals))
 
 
 def to_fraction(value: Numeric) -> Fraction:
@@ -48,11 +74,10 @@ def format_fixed(value: Fraction, ndigits: int = 1) -> str:
 
 
 def decimal_text(value: Fraction) -> str:
-    """Exact decimal rendering for values that originated as decimal text.
+    """Exact decimal rendering, the inverse of ``parse_decimal``.
 
-    Falls back to the float repr for denominators with prime factors other
-    than 2 and 5 (unreachable for values parsed from the supported file
-    formats, which only carry decimal literals).
+    A value with no finite decimal expansion (a denominator with a prime
+    factor other than 2 and 5, such as 1/3) raises ``ValueError``.
     """
     num, den = value.numerator, value.denominator
     twos = fives = 0
@@ -63,7 +88,7 @@ def decimal_text(value: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return repr(float(value))
+        raise ValueError(f"{value} has no finite decimal expansion")
     digits = max(twos, fives)
     scaled = abs(num) * 10**digits // value.denominator
     sign = "-" if num < 0 else ""

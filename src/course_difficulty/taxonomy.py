@@ -9,14 +9,12 @@ add further outcomes under any single-token id.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidCriterionError, ValidationError
-
-_INTEGER = re.compile(r"-?[0-9]+")
+from .errors import DataFormatError, InvalidCriterionError, ValidationError
+from .rounding import parse_int
 
 
 class BloomLevel(Enum):
@@ -41,24 +39,25 @@ class BloomLevel(Enum):
     def from_token(cls, token: str | int) -> "BloomLevel":
         """Parse a level from an integer 1-6 or a canonical level name.
 
-        A token of neither shape (ASCII digits with an optional minus, or
-        letters) raises ``ValueError``; a number out of range or an unknown
-        name raises ``ValidationError``.
+        A token of neither shape (ASCII digits with an optional sign, or
+        letters) raises ``DataFormatError``, a ``ValueError``; a number out
+        of range or an unknown name raises ``ValidationError``.
         """
-        if isinstance(token, str) and _INTEGER.fullmatch(token.strip()):
-            value = int(token)
-        elif isinstance(token, str) and token.strip().isalpha():
+        if isinstance(token, str) and token.strip().isalpha():
             try:
                 return cls[token.strip().upper()]
             except KeyError:
                 raise ValidationError(f"unknown complexity level {token!r}") from None
+        if isinstance(token, str):
+            value = parse_int(token, "complexity level")
         elif isinstance(token, int) and not isinstance(token, bool):
             value = token
         else:
-            raise ValueError(f"cannot parse complexity level {token!r}")
-        if not any(value == lvl.value for lvl in cls):
-            raise ValidationError(f"complexity level out of range 1-6: {value}")
-        return cls(value)
+            raise DataFormatError(f"cannot parse complexity level {token!r}")
+        try:
+            return cls(value)
+        except ValueError:
+            raise ValidationError(f"complexity level out of range 1-6: {value}") from None
 
 
 def max_rubric() -> int:

@@ -263,6 +263,13 @@ class TestValidate:
         assert c2_rounded["actual_di"] == 4.0
         assert c2_full["actual_di"] == pytest.approx(12.1 / 3)
 
+    @pytest.mark.parametrize("text", ["1/3", "\u0660.\u0665", "1e-1", "nan", "0_5"])
+    def test_tolerance_must_be_a_decimal_literal(self, fixture_dir, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(self._args(fixture_dir, "--tolerance", text))
+        assert exc.value.code == 2
+        assert "cannot parse tolerance" in capsys.readouterr().err
+
     def test_zero_tolerance_rejected_by_parser(self, fixture_dir):
         with pytest.raises(SystemExit) as exc:
             main(self._args(fixture_dir, "--tolerance", "0"))

@@ -1,10 +1,13 @@
+import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from course_difficulty import data_io
-from course_difficulty.engine import GradeKind, course_raw_total
+from course_difficulty.cli import main
+from course_difficulty.engine import GenerationRecord, GradeHistory, GradeKind, course_raw_total
 from course_difficulty.errors import (
     DataFormatError,
     InvalidGradeError,
@@ -175,7 +178,28 @@ class TestJsonListFields:
         ("cur.json", '{"courses": [{"course_code": "C1", "criteria": "ahk"}]}', "courses[0].criteria must be a list"),
         ("g.json", '{"courses": [{"course_code": "C1", "generations": "g1"}]}', "courses[0].generations must be a list"),
         ("g.json", '{"courses": [{"course_code": "C1", "generations": ["g1"]}]}', "courses[0].generations[0] must be"),
-    ], ids=["catalog", "lexicon", "curriculum", "grades", "grades-entry"])
+        ("cat.json", '{"criteria": [{"id": null, "levels": [1]}]}', "criteria[0].id must be a string or a number"),
+        ("cat.json", '{"criteria": [{"id": true, "levels": [1]}]}', "criteria[0].id must be a string or a number"),
+        ("cat.json", '{"criteria": [{"id": "a", "levels": [[1]]}]}', "criteria[0].levels[0] must be a string or"),
+        ("cat.json", '{"criteria": [{"id": "a", "description": {}, "levels": [1]}]}', "criteria[0].description must be"),
+        ("cat.json", '{"criteria": [{"levels": [1]}]}', "criteria[0] must have 'id'"),
+        ("cat.json", '{"provenance": null, "criteria": []}', "provenance must be a string or a number"),
+        ("cat.json", '{"criteria": {}}', "criteria must be a list"),
+        ("lex.json", '{"verbs": [{"verb": "list", "levels": null}]}', "verbs[0].levels must be a list"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a|b"]}]}', "courses[0].criteria[0] must not contain '|'"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": null}]}', "courses[0].overrides must be an object"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a": "5|b:6"}}]}', "courses[0].overrides.a must not contain '|'"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "title": null, "criteria": ["a"]}]}', "courses[0].title must be"),
+        ("g.json", '{"courses": [{"course_code": null, "generations": []}]}', "courses[0].course_code must be"),
+        ("g.json", '{"courses": [{"generations": []}]}', "courses[0] must have 'course_code'"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": true}]}]}', "courses[0].generations[0].value must be"),
+        ("g.json", '[]', "expected an object with a 'courses' list"),
+    ], ids=[
+        "catalog", "lexicon", "curriculum", "grades", "grades-entry",
+        "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
+        "criteria-object", "null-levels", "pipe-in-criterion", "null-overrides", "pipe-in-points", "null-title",
+        "null-course-code", "missing-course-code", "bool-value", "top-level-list",
+    ])
     def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
         path = _write(tmp_path / name, text)
         load = {
@@ -187,6 +211,119 @@ class TestJsonListFields:
         with pytest.raises(DataFormatError) as exc:
             load(path)
         assert str(exc.value).startswith(f"{path}: {message}")
+
+
+# One defect per case, written once as CSV rows and once as JSON entries (a string is a
+# whole JSON document, for number literals json.dumps cannot write): the loader, the CSV
+# rows, the JSON entries, the error class, and where both forms must point.
+PARITY = {
+    "empty-id": ("catalog", [" ,d,1"], [{"id": " ", "levels": [1]}], DataFormatError, 2, "criteria[0]"),
+    "null-id": ("catalog", [",d,1"], [{"id": None, "levels": [1]}], DataFormatError, 2, "criteria[0]"),
+    "unknown-level": ("catalog", ["a,d,Think"], [{"id": "a", "levels": ["Think"]}], ValidationError, 2, "criteria[0]"),
+    "level-out-of-range": ("catalog", ["a,d,7"], [{"id": "a", "levels": [7]}], ValidationError, 2, "criteria[0]"),
+    "level-arabic-digit": ("catalog", ["a,d,\u0667"], [{"id": "a", "levels": ["\u0667"]}], DataFormatError, 2, "criteria[0]"),
+    "duplicate-id": (
+        "catalog", ["a,d,1", " a ,e,2"], [{"id": "a", "levels": [1]}, {"id": " a ", "levels": [2]}],
+        ValidationError, 3, "criteria[1]",
+    ),
+    "empty-verb": ("lexicon", [" ,1"], [{"verb": " ", "levels": [1]}], DataFormatError, 2, "verbs[0]"),
+    "null-verb": ("lexicon", [",1"], [{"verb": None, "levels": [1]}], DataFormatError, 2, "verbs[0]"),
+    "level-underscore": ("lexicon", ["list,1_0"], [{"verb": "list", "levels": ["1_0"]}], DataFormatError, 2, "verbs[0]"),
+    "empty-code": ("curriculum", [",,a,"], [{"course_code": "", "criteria": ["a"]}], ValidationError, 2, "courses[0]"),
+    "points-arabic-digit": (
+        "curriculum", ["X1,,a,a:\u0667"], [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": "\u0667"}}],
+        DataFormatError, 2, "courses[0]",
+    ),
+    "points-underscore": (
+        "curriculum", ["X1,,a,a:1_0"], [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": "1_0"}}],
+        DataFormatError, 2, "courses[0]",
+    ),
+    "override-without-id": (
+        "curriculum", ["X1,,a,:5"], [{"course_code": "X1", "criteria": ["a"], "overrides": {"": 5}}],
+        DataFormatError, 2, "courses[0]",
+    ),
+    "override-outside-course": (
+        "curriculum", ["X1,,a,b:5"], [{"course_code": "X1", "criteria": ["a"], "overrides": {"b": 5}}],
+        ValidationError, 2, "courses[0]",
+    ),
+    "unknown-criterion": (
+        "curriculum", ["X1,,a,", "X2,,a| z,"],
+        [{"course_code": "X1", "criteria": ["a"]}, {"course_code": "X2", "criteria": ["a", " z"]}],
+        UnresolvedCriterionError, 3, "courses[1]",
+    ),
+    "duplicate-code": (
+        "curriculum", ["X1,,a,", " X1,,b,"],
+        [{"course_code": "X1", "criteria": ["a"]}, {"course_code": " X1", "criteria": ["b"]}],
+        ValidationError, 3, "courses[1]",
+    ),
+    "empty-label": ("grades", ["C1,,di,1"], [{"course_code": "C1", "generations": [{"label": "", "kind": "di", "value": 1}]}], ValidationError, 2, "courses[0].generations[0]"),
+    "empty-kind": ("grades", ["C1,g,,1"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "", "value": 1}]}], ValidationError, 2, "courses[0].generations[0]"),
+    "unknown-kind": ("grades", ["C1,g,marks,1"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "marks", "value": 1}]}], ValidationError, 2, "courses[0].generations[0]"),
+    "empty-course-code": ("grades", [",g,di,1"], [{"course_code": "", "generations": [{"label": "g", "kind": "di", "value": 1}]}], ValidationError, 2, "courses[0].generations[0]"),
+    "value-fraction": ("grades", ["C1,g,di,100/3"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": "100/3"}]}], DataFormatError, 2, "courses[0].generations[0]"),
+    "value-exponent": ("grades", ["C1,g,di,1e2"], '{"courses": [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": 1e2}]}]}', DataFormatError, 2, "courses[0].generations[0]"),
+    "value-nan": ("grades", ["C1,g,di,nan"], '{"courses": [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": NaN}]}]}', DataFormatError, 2, "courses[0].generations[0]"),
+    "value-arabic-digit": ("grades", ["C1,g,di,\u0667"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": "\u0667"}]}], DataFormatError, 2, "courses[0].generations[0]"),
+    "value-underscore": ("grades", ["C1,g,di,1_0"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": "1_0"}]}], DataFormatError, 2, "courses[0].generations[0]"),
+    "value-null": ("grades", ["C1,g,di,"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": None}]}], DataFormatError, 2, "courses[0].generations[0]"),
+    "value-out-of-range": ("grades", ["C1,g,percent,135"], [{"course_code": "C1", "generations": [{"label": "g", "kind": "percent", "value": 135}]}], InvalidGradeError, 2, "courses[0].generations[0]"),
+}
+_FORMS = {  # loader -> (CSV header, JSON entry list key, CLI call with the file as its last argument)
+    "catalog": (data_io.CATALOG_COLUMNS, "criteria", ["estimate", "--curriculum", "worked_example.csv", "--catalog"]),
+    "lexicon": (data_io.LEXICON_COLUMNS, "verbs", ["map-outcomes", "--statements", "outcome_statements.csv", "--lexicon"]),
+    "curriculum": (data_io.CURRICULUM_COLUMNS, "courses", ["estimate", "--catalog", "table1.json", "--curriculum"]),
+    "grades": (data_io.GRADES_COLUMNS, "courses", ["grades", "--grades"]),
+}
+
+
+class TestInputParity:
+    """Each defect raises the same error class and exit code as CSV and as JSON, named at its record."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY))
+    def test_defect_is_reported_alike(self, catalog, fixture_dir, tmp_path, capsys, monkeypatch, name):
+        kind, rows, entries, error, line, entry = PARITY[name]
+        columns, key, argv = _FORMS[kind]
+        csv_path = _write(tmp_path / "bad.csv", "\n".join([",".join(columns), *rows]) + "\n")
+        json_path = _write(tmp_path / "bad.json", entries if isinstance(entries, str) else json.dumps({key: entries}))
+        load = {
+            "catalog": data_io.load_catalog,
+            "lexicon": data_io.load_lexicon,
+            "curriculum": lambda p: data_io.load_curriculum(p, catalog),
+            "grades": data_io.load_grades,
+        }[kind]
+        monkeypatch.chdir(fixture_dir)
+        raised, exits = [], []
+        for path, locator in ((csv_path, line), (json_path, entry)):
+            with pytest.raises(error) as exc:
+                load(path)
+            raised.append(type(exc.value))
+            # a record's own error reads path:locator:, a JSON value of the wrong type path: locator.key
+            where = re.escape(str(locator))
+            assert re.match(rf"{re.escape(str(path))}:( {where}\.|{where}: )", str(exc.value)), str(exc.value)
+            exits.append(main([*argv, str(path)]))
+            assert capsys.readouterr().err.startswith(f"error: {exc.value}")
+        assert raised[0] is raised[1]
+        assert exits[0] == exits[1] == error.exit_code
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name,data,message", [
+        ("cat.csv", "id,description,levels\na,caf\xe9,1\n".encode("latin-1"), "not UTF-8 text"),
+        ("cat.csv", b'id,description,levels\na,"' + b"x" * 200_000 + b'",1\n', "cat.csv:2: malformed CSV"),
+        ("cat.json", b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        ("g.csv", b"course_code,generation,kind,value\nC1,g,di,1" + b"0" * 5000 + b"\n", "g.csv:2: cannot parse grade value"),
+        ("cur.csv", b"course_code,title,criteria,overrides\nX1,,a,a:1" + b"0" * 5000 + b"\n", "cur.csv:2: cannot parse override points"),
+    ], ids=["latin-1", "huge-field", "deep-json", "long-value", "long-points"])
+    def test_is_format_error(self, catalog, tmp_path, name, data, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        load = data_io.load_grades if name == "g.csv" else data_io.load_catalog
+        if name == "cur.csv":
+            load = lambda p: data_io.load_curriculum(p, catalog)  # noqa: E731
+        with pytest.raises(DataFormatError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}")
+        assert message in str(exc.value)
 
 
 class TestReportWriting:
@@ -246,6 +383,14 @@ class TestRoundTrips:
         for name in ("g.csv", "g.json"):
             data_io.write_grades(grades, tmp_path / name)
             assert data_io.load_grades(tmp_path / name) == grades
+
+    @pytest.mark.parametrize("name", ["g.csv", "g.json"])
+    def test_grades_keep_every_digit(self, tmp_path, name):
+        value = Fraction("33.333333333333333333")
+        grades = {"C1": GradeHistory("C1", (GenerationRecord("g1", GradeKind.PERCENT, value),))}
+        data_io.write_grades(grades, tmp_path / name)
+        assert "33.333333333333333333" in (tmp_path / name).read_text(encoding="utf-8")
+        assert data_io.load_grades(tmp_path / name) == grades
 
     @pytest.mark.parametrize("name", ["lex.csv", "lex.json"])
     def test_lexicon(self, tmp_path, default_lexicon, name):

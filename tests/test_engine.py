@@ -17,12 +17,13 @@ from course_difficulty.engine import (
     grade_difficulty,
 )
 from course_difficulty.errors import (
+    DataFormatError,
     InsufficientDataError,
     InvalidGradeError,
     UnresolvedCriterionError,
     ValidationError,
 )
-from course_difficulty.rounding import format_fixed, round_half_away
+from course_difficulty.rounding import decimal_text, format_fixed, parse_decimal, parse_int, round_half_away
 
 
 def _di_history(code, *values):
@@ -156,6 +157,11 @@ class TestGradeDifficulty:
         with pytest.raises(InsufficientDataError):
             GradeHistory(course_code="X", generations=())
 
+    def test_empty_course_code_rejected(self):
+        record = GenerationRecord(label="g", kind=GradeKind.DI, value=Fraction(1))
+        with pytest.raises(ValidationError, match="course code"):
+            GradeHistory(course_code="", generations=(record,))
+
     def test_duplicate_generation_labels_rejected(self):
         records = (
             GenerationRecord(label="g", kind=GradeKind.DI, value=Fraction(1)),
@@ -208,3 +214,29 @@ class TestRounding:
     def test_round_half_away_is_exact(self):
         assert round_half_away(Fraction(25, 100)) == Fraction(3, 10)
         assert round_half_away(Fraction(-25, 100)) == Fraction(-3, 10)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("4.2", Fraction(21, 5)),
+        (" -.5 ", Fraction(-1, 2)),
+        ("+5.", Fraction(5)),
+        ("33.333333333333333333", Fraction(33333333333333333333, 10**18)),
+    ])
+    def test_parse_decimal_is_exact(self, text, expected):
+        assert parse_decimal(text, "value") == expected
+
+    @pytest.mark.parametrize("text", ["", ".", "-", "1e2", "100/3", "1_0", "nan", "inf", "\u0667", "0x1", "1.2.3"])
+    def test_parse_decimal_accepts_ascii_literals_only(self, text):
+        with pytest.raises(DataFormatError, match="cannot parse value"):
+            parse_decimal(text, "value")
+
+    @pytest.mark.parametrize("text", ["1.0", "1_0", "\u0667", "\u00b2", "", "+"])
+    def test_parse_int_accepts_ascii_digits_only(self, text):
+        with pytest.raises(DataFormatError, match="cannot parse points"):
+            parse_int(text, "points")
+        assert parse_int(" -7 ", "points") == -7
+
+    def test_decimal_text_is_exact_or_refuses(self):
+        for text in ("33.333333333333333333", "-0.05", "7"):
+            assert decimal_text(parse_decimal(text, "value")) == text
+        with pytest.raises(ValueError, match="no finite decimal"):
+            decimal_text(Fraction(1, 3))

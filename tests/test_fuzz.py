@@ -1,0 +1,139 @@
+"""Fuzz suites for the loaders.
+
+Per loader, hypothesis writes entries whose expected keys hold arbitrary JSON
+values, or rows whose cells hold arbitrary text. Every file must either load,
+and then round-trip exactly through its writer, or raise ``DataFormatError`` or
+``ValidationError`` naming the file. Nothing else may escape.
+"""
+
+import csv
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from course_difficulty import data_io
+from course_difficulty.errors import DataFormatError, ValidationError
+from course_difficulty.taxonomy import CriterionCatalog, canonical_catalog
+
+EXAMPLES = settings(max_examples=30, deadline=None)  # kept small for tier-1 wall time
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+CELLS = st.text(max_size=8)
+LEVELS = st.lists(st.integers(1, 6) | st.sampled_from(["Apply", "create", "7", "x"]), max_size=3)
+
+
+def _either(plausible):
+    return st.one_of(plausible, JSON_VALUES)
+
+
+def _entries(fields):
+    """JSON entries holding a random subset of ``fields``, each a plausible or an arbitrary value."""
+    return st.lists(st.fixed_dictionaries({}, optional={k: _either(v) for k, v in fields.items()}), max_size=4)
+
+
+def _csv_text(columns, plausible_cells):
+    rows = st.lists(st.tuples(*(st.one_of(p, CELLS) for p in plausible_cells)), max_size=4)
+    return rows.map(lambda rs: _render(columns, rs))
+
+
+def _render(columns, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    return buf.getvalue()
+
+
+def _check(load, write, name, text):
+    """Load ``text`` saved as ``name``: it loads and round-trips, or fails naming the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            loaded = load(path)
+        except (DataFormatError, ValidationError) as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)
+            return
+        again = Path(tmp) / f"again{path.suffix}"
+        write(loaded, again)
+        assert load(again) == loaded
+
+
+CATALOG = canonical_catalog()
+CODES = st.sampled_from(["C1", "C2", " C1", ""])
+LOADERS = {
+    # a CSV catalog's provenance is its path, so compare the criteria
+    "catalog": (lambda p: data_io.load_catalog(p).criteria, lambda c, p: data_io.write_catalog(CriterionCatalog(c), p)),
+    "lexicon": (data_io.load_lexicon, data_io.write_lexicon),
+    "curriculum": (lambda p: data_io.load_curriculum(p, CATALOG), data_io.write_curriculum),
+    "grades": (data_io.load_grades, data_io.write_grades),
+}
+
+
+@EXAMPLES
+@given(_entries({"id": st.sampled_from(["a", " b", ""]), "description": st.text(max_size=4), "levels": LEVELS}))
+def test_json_catalog(entries):
+    _check(*LOADERS["catalog"], "cat.json", json.dumps({"criteria": entries}))
+
+
+@EXAMPLES
+@given(_csv_text(data_io.CATALOG_COLUMNS, [st.sampled_from(["a", "b "]), st.text(max_size=4), st.just("1|Apply")]))
+def test_csv_catalog(text):
+    _check(*LOADERS["catalog"], "cat.csv", text)
+
+
+@EXAMPLES
+@given(_entries({"verb": st.sampled_from(["list", " Define", ""]), "levels": LEVELS}))
+def test_json_lexicon(entries):
+    _check(*LOADERS["lexicon"], "lex.json", json.dumps({"verbs": entries}))
+
+
+@EXAMPLES
+@given(_csv_text(data_io.LEXICON_COLUMNS, [st.sampled_from(["list", "Define "]), st.just("1|2|3|4|5|6")]))
+def test_csv_lexicon(text):
+    _check(*LOADERS["lexicon"], "lex.csv", text)
+
+
+@EXAMPLES
+@given(_entries({
+    "course_code": CODES,
+    "title": st.text(max_size=4),
+    "criteria": st.lists(st.sampled_from(["a", "h", " k", "z"]), max_size=3),
+    "overrides": st.dictionaries(st.sampled_from(["a", "h"]), st.integers(0, 22) | st.sampled_from(["5", "1_0"])),
+}))
+def test_json_curriculum(entries):
+    _check(*LOADERS["curriculum"], "cur.json", json.dumps({"courses": entries}))
+
+
+@EXAMPLES
+@given(_csv_text(data_io.CURRICULUM_COLUMNS, [CODES, st.text(max_size=4), st.just("a|h"), st.just("h:5")]))
+def test_csv_curriculum(text):
+    _check(*LOADERS["curriculum"], "cur.csv", text)
+
+
+GENERATION = st.fixed_dictionaries({}, optional={
+    "label": _either(st.sampled_from(["g1", "g2 ", ""])),
+    "kind": _either(st.sampled_from(["di", "Percent", ""])),
+    "value": _either(st.decimals(-1, 101, places=3, allow_nan=False).map(str) | st.integers(0, 5)),
+})
+
+
+@EXAMPLES
+@given(st.lists(
+    st.fixed_dictionaries({}, optional={"course_code": _either(CODES), "generations": _either(st.lists(GENERATION, max_size=3))}),
+    max_size=3,
+))
+def test_json_grades(entries):
+    _check(*LOADERS["grades"], "g.json", json.dumps({"courses": entries}))
+
+
+@EXAMPLES
+@given(_csv_text(data_io.GRADES_COLUMNS, [CODES, st.sampled_from(["g1", "g2"]), st.just("di"), st.just("4.25")]))
+def test_csv_grades(text):
+    _check(*LOADERS["grades"], "g.csv", text)

@@ -2,6 +2,10 @@
 
 Each case runs ``cli.main`` in a fresh directory holding a copy of the
 fixtures, so every path the output echoes is one of the relative names below.
+The ``*-json-input-*`` cases also get the JSON forms of the curriculum, the
+grades and the lexicon from ``tests/data/json_inputs/``: the shipped CSV
+fixtures in JSON form, with grade values as JSON numbers. They live outside
+the golden directory because regenerating empties it.
 The expected bytes live in ``tests/data/golden/``: ``<case>.stdout``,
 ``<case>.stderr`` when the call writes to stderr, and ``<case>.out.<name>``
 for each file the call leaves in its directory. Regenerate them only when an
@@ -26,6 +30,7 @@ from course_difficulty import data_io
 from course_difficulty.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+JSON_INPUTS = Path(__file__).parent / "data" / "json_inputs"
 
 # C1 graded, C2-C11 ungraded, plus a course the curriculum does not know
 PARTIAL_GRADES = "course_code,generation,kind,value\nC1,g1,di,4.0\nC1,g2,percent,35\nGHOST,g1,di,1.0\n"
@@ -35,6 +40,11 @@ VAL = ["validate", "--catalog", "table1.json", "--curriculum", "table2_asprinted
 FULL = [*VAL, "--grades", "table3_grades.csv"]
 PARTIAL = [*VAL, "--grades", "partial.csv"]
 MAP = ["map-outcomes", "--statements", "outcome_statements.csv"]
+EST_JSON = ["estimate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.json", "--mode", "as-printed"]
+VAL_JSON = [
+    "validate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.json",
+    "--grades", "table3_grades.json", "--mode", "as-printed",
+]
 
 CASES: dict[str, tuple[list[str], int]] = {}
 for fmt in ("table", "csv", "json"):
@@ -46,6 +56,9 @@ for fmt in ("table", "csv", "json"):
     CASES[f"validate-partial-{fmt}"] = ([*PARTIAL, "--format", fmt], 0)
     CASES[f"map-outcomes-{fmt}"] = ([*MAP, "--format", fmt], 0)
     CASES[f"map-outcomes-suffix-{fmt}"] = ([*MAP, "--suffix-rule", "--format", fmt], 0)
+    CASES[f"estimate-json-input-{fmt}"] = ([*EST_JSON, "--format", fmt], 0)
+    CASES[f"validate-json-input-{fmt}"] = ([*VAL_JSON, "--format", fmt], 0)
+    CASES[f"grades-json-input-{fmt}"] = (["grades", "--grades", "table3_grades.json", "--format", fmt], 0)
 for fmt in ("table", "json"):
     CASES[f"validate-mean-of-both-{fmt}"] = ([*FULL, "--policy", "mean-of-both", "--format", fmt], 0)
     CASES[f"validate-tolerance-{fmt}"] = ([*FULL, "--mode", "as-printed", "--tolerance", "0.3", "--format", fmt], 0)
@@ -56,6 +69,7 @@ CASES["validate-written-files"] = (
     0,
 )
 CASES["map-outcomes-lexicon"] = ([*MAP, "--lexicon", "default_lexicon.csv", "--format", "json"], 0)
+CASES["map-outcomes-json-input-lexicon"] = ([*MAP, "--lexicon", "default_lexicon.json", "--format", "json"], 0)
 CASES["map-outcomes-output"] = ([*MAP, "--format", "csv", "--output", "mapping.csv"], 0)
 CASES["fixtures"] = (["fixtures", "copy"], 0)
 
@@ -64,6 +78,8 @@ def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str, dict[str, b
     """Run one CLI call in ``workdir``; return exit code, stdout, stderr, new files."""
     data_io.copy_fixtures(workdir)
     (workdir / "partial.csv").write_text(PARTIAL_GRADES, encoding="utf-8")
+    for path in JSON_INPUTS.iterdir():
+        shutil.copyfile(path, workdir / path.name)
     before = set(os.listdir(workdir))
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
