@@ -22,7 +22,8 @@ they stand for; a grade course lists its records under ``generations``, with
 ``label`` for the generation column. ``levels`` and ``criteria`` are lists,
 ``overrides`` is an id -> points object, and every other value is a string
 or a number, kept as its literal text; ``null`` and any other type are
-rejected. Numbers are ASCII digits with an optional sign and decimal point:
+rejected, and so is a key given twice in one object. Numbers are ASCII
+digits with an optional sign and decimal point:
 no exponent, ``/``, ``_``, ``nan`` or ``inf``. An error in a record starts
 with ``path:line:`` (CSV) or ``path:courses[3].generations[1]:`` (JSON); a
 JSON value of the wrong type is named by its key path instead. Malformed
@@ -118,10 +119,20 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, d
         raise DataFormatError(f"malformed CSV: {exc}").locate(str(path), reader.line_num) from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's members; a repeated key is an error, never a silent overwrite."""
+    members: dict[str, object] = {}
+    for key, value in pairs:
+        if key in members:
+            raise DataFormatError(f"JSON object repeats key {key!r}")
+        members[key] = value
+    return members
+
+
 def _load_json(path: str | Path) -> object:
     text = _read_text(path)
     try:  # numbers stay literal text, so they parse exactly as CSV cells do
-        return json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
+        return json.loads(text, parse_int=str, parse_float=str, parse_constant=str, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc.msg}").locate(str(path), exc.lineno) from exc
     except RecursionError:
@@ -290,7 +301,10 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
         for file.line, row in file.rows:
             if not row["verb"].strip():
                 raise DataFormatError("verb is empty")
-            for level in _levels(row["levels"]):
+            levels = _levels(row["levels"])
+            if not levels:
+                raise ValidationError(f"verb {row['verb'].strip()!r} maps to no complexity levels")
+            for level in levels:
                 by_level[level].add(row["verb"])
         file.line = None  # a level without verbs is the whole file's problem
         return BloomLexicon(entries={level: frozenset(verbs) for level, verbs in by_level.items()})

@@ -4,7 +4,9 @@ The rubric path sums each mapped criterion's complexity rubric and
 normalizes onto the 0-5 index scale: ``di = 5 * raw_total / (21 * count)``.
 The grade path converts class performance to the same scale
 (``di = 5 - average/100 * 5`` for percent records) and averages one value
-per student generation. Everything is exact rational arithmetic; callers
+per student generation. The rubric path sums integers from the catalog's
+compiled rubric table, and a percent record converts with one integer
+expression; results are still returned as exact ``Fraction``s, and callers
 round at reporting time.
 """
 
@@ -22,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .rounding import Numeric, to_fraction
-from .taxonomy import CriterionCatalog, criterion_rubric, max_rubric
+from .taxonomy import MAX_RUBRIC, CriterionCatalog
 
 DI_SCALE = 5
 
@@ -55,9 +57,9 @@ class Course:
                 raise ValidationError(
                     f"course {self.code!r} overrides {cid!r} which is not among its criteria"
                 )
-            if not 1 <= points <= max_rubric():
+            if not 1 <= points <= MAX_RUBRIC:
                 raise ValidationError(
-                    f"course {self.code!r} override {cid!r}={points} outside 1..{max_rubric()}"
+                    f"course {self.code!r} override {cid!r}={points} outside 1..{MAX_RUBRIC}"
                 )
         object.__setattr__(self, "cell_overrides", overrides)
 
@@ -94,15 +96,11 @@ class GenerationRecord:
     def __post_init__(self):
         if not self.label:
             raise ValidationError("generation label must be non-empty")
-        object.__setattr__(self, "value", to_fraction(self.value))
-        if self.kind is GradeKind.PERCENT and not 0 <= self.value <= 100:
-            raise InvalidGradeError(
-                f"generation {self.label!r}: percent value {self.value} outside [0, 100]"
-            )
-        if self.kind is GradeKind.DI and not 0 <= self.value <= DI_SCALE:
-            raise InvalidGradeError(
-                f"generation {self.label!r}: difficulty value {self.value} outside [0, {DI_SCALE}]"
-            )
+        value = to_fraction(self.value)
+        object.__setattr__(self, "value", value)
+        name, top = ("percent", 100) if self.kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
+        if not 0 <= value.numerator <= top * value.denominator:
+            raise InvalidGradeError(f"generation {self.label!r}: {name} value {value} outside [0, {top}]")
 
     def di(self) -> Fraction:
         """The record on the 0-5 difficulty scale (percent records convert)."""
@@ -143,20 +141,21 @@ class FinalDifficulty:
 
 def course_raw_total(course: Course, catalog: CriterionCatalog) -> int:
     """Sum of rubric points over the course's criteria (overrides win per cell)."""
+    rubrics, overrides = catalog.rubrics, course.cell_overrides
+    total = 0
     for cid in course.criteria:
-        if cid not in catalog:
+        points = rubrics.get(cid)
+        if points is None:  # checked before the override, which may name an id the catalog lacks
             raise UnresolvedCriterionError(cid, course.code)
-    return sum(
-        course.cell_overrides.get(cid, criterion_rubric(catalog[cid]))
-        for cid in course.criteria
-    )
+        total += overrides.get(cid, points)
+    return total
 
 
 def bloom_difficulty(course: Course, catalog: CriterionCatalog) -> BloomDifficulty:
     """Normalize the raw rubric total onto the 0-5 difficulty index scale."""
     raw = course_raw_total(course, catalog)
     count = len(course.criteria)
-    max_total = count * max_rubric()
+    max_total = count * MAX_RUBRIC
     return BloomDifficulty(
         course_code=course.code,
         raw_total=raw,
@@ -169,15 +168,20 @@ def bloom_difficulty(course: Course, catalog: CriterionCatalog) -> BloomDifficul
 def class_average_to_di(average: Numeric) -> Fraction:
     """Map a 0-100 class average onto the inverted 0-5 difficulty scale."""
     value = to_fraction(average)
-    if not 0 <= value <= 100:
+    num, den = value.numerator, value.denominator
+    if not 0 <= num <= 100 * den:
         raise InvalidGradeError(f"class average {value} outside [0, 100]")
-    return DI_SCALE - (value / 100) * DI_SCALE
+    return Fraction(DI_SCALE * (100 * den - num), 100 * den)  # 5 - num/den/100*5
 
 
 def grade_difficulty(history: GradeHistory) -> Fraction:
     """Arithmetic mean of the per-generation difficulty values."""
-    values = [record.di() for record in history.generations]
-    return sum(values, Fraction(0)) / len(values)
+    num, den = 0, 1  # the running sum num/den, reduced once at the end
+    for record in history.generations:
+        value = record.di()
+        num = num * value.denominator + value.numerator * den
+        den *= value.denominator
+    return Fraction(num, den * len(history.generations))
 
 
 def final_difficulty(

@@ -1,8 +1,9 @@
 """Exact number parsing and rounding at the input and reporting boundaries.
 
-Difficulty indices are computed as ``fractions.Fraction`` so the documented
-identities hold exactly; rounding happens once, at the edge, half away from
-zero. All printed values use one decimal place. Numbers read from files and
+Difficulty indices are returned as exact ``fractions.Fraction``s so the
+documented identities hold exactly; rounding happens once, at the edge, half
+away from zero, as one integer ``divmod`` on the numerator and denominator.
+All printed values use one decimal place. Numbers read from files and
 flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
 """
 
@@ -54,22 +55,20 @@ def to_fraction(value: Numeric) -> Fraction:
 
 def round_half_away(value: Fraction, ndigits: int = 1) -> Fraction:
     """Round to ``ndigits`` decimals with ties going away from zero."""
-    sign = -1 if value < 0 else 1
+    num, den = value.numerator, value.denominator
     scale = 10**ndigits
-    scaled = abs(value) * scale
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
+    q, r = divmod(abs(num) * scale, den)
+    if 2 * r >= den:
         q += 1
-    return Fraction(sign * q, scale)
+    return Fraction(-q if num < 0 else q, scale)
 
 
 def format_fixed(value: Fraction, ndigits: int = 1) -> str:
     """Render with exactly ``ndigits`` decimals after half-away rounding."""
     scale = 10**ndigits
-    scaled = round_half_away(value, ndigits) * scale
-    units = scaled.numerator // scaled.denominator
-    sign = "-" if units < 0 else ""
-    units = abs(units)
+    rounded = round_half_away(value, ndigits)
+    units = abs(rounded.numerator) * (scale // rounded.denominator)  # the denominator divides scale
+    sign = "-" if rounded.numerator < 0 else ""
     return f"{sign}{units // scale}.{units % scale:0{ndigits}d}"
 
 

@@ -10,7 +10,7 @@ add further outcomes under any single-token id.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DataFormatError, InvalidCriterionError, ValidationError
@@ -60,9 +60,12 @@ class BloomLevel(Enum):
             raise ValidationError(f"complexity level out of range 1-6: {value}") from None
 
 
+MAX_RUBRIC = sum(level.weight for level in BloomLevel)  # 1+2+3+4+5+6 = 21
+
+
 def max_rubric() -> int:
     """Rubric of a criterion mapped to every level: 1+2+3+4+5+6 = 21."""
-    return sum(level.weight for level in BloomLevel)
+    return MAX_RUBRIC
 
 
 def _valid_id(criterion_id: str) -> bool:
@@ -95,16 +98,22 @@ def criterion_rubric(criterion: AbetCriterion) -> int:
 
 @dataclass(frozen=True)
 class CriterionCatalog:
-    """Immutable id -> criterion map with a provenance label."""
+    """Immutable id -> criterion map with a provenance label.
+
+    ``rubrics`` is the catalog compiled once into an id -> rubric points
+    table, so the rubric path sums plain integers.
+    """
 
     criteria: Mapping[str, AbetCriterion]
     provenance: str = ""
+    rubrics: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "criteria", dict(self.criteria))
         for key, criterion in self.criteria.items():
             if key != criterion.id:
                 raise ValidationError(f"catalog key {key!r} does not match criterion id {criterion.id!r}")
+        object.__setattr__(self, "rubrics", {key: criterion_rubric(c) for key, c in self.criteria.items()})
 
     def __contains__(self, criterion_id: str) -> bool:
         return criterion_id in self.criteria
@@ -130,7 +139,7 @@ class CriterionCatalog:
 
 def catalog_total(catalog: CriterionCatalog) -> int:
     """Sum of criterion rubrics over the whole catalog (157 for the canonical one)."""
-    return sum(criterion_rubric(c) for c in catalog.criteria.values())
+    return sum(catalog.rubrics.values())
 
 
 @dataclass(frozen=True)

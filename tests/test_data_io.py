@@ -194,11 +194,16 @@ class TestJsonListFields:
         ("g.json", '{"courses": [{"generations": []}]}', "courses[0] must have 'course_code'"),
         ("g.json", '{"courses": [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": true}]}]}', "courses[0].generations[0].value must be"),
         ("g.json", '[]', "expected an object with a 'courses' list"),
+        ("cat.json", '{"criteria": [{"id": "a", "id": "b", "levels": [1]}]}', "JSON object repeats key 'id'"),
+        ("cur.json", '{"courses": [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": 5, "a": 6}}]}', "JSON object repeats key 'a'"),
+        ("g.json", '{"courses": [], "courses": []}', "JSON object repeats key 'courses'"),
+        ("lex.json", '{"verbs": [{"verb": "list", "levels": [1], "levels": [2]}]}', "JSON object repeats key 'levels'"),
     ], ids=[
         "catalog", "lexicon", "curriculum", "grades", "grades-entry",
         "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
         "criteria-object", "null-levels", "pipe-in-criterion", "null-overrides", "pipe-in-points", "null-title",
         "null-course-code", "missing-course-code", "bool-value", "top-level-list",
+        "repeated-id", "repeated-override", "repeated-entry-list", "repeated-levels",
     ])
     def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
         path = _write(tmp_path / name, text)
@@ -229,6 +234,7 @@ PARITY = {
     "empty-verb": ("lexicon", [" ,1"], [{"verb": " ", "levels": [1]}], DataFormatError, 2, "verbs[0]"),
     "null-verb": ("lexicon", [",1"], [{"verb": None, "levels": [1]}], DataFormatError, 2, "verbs[0]"),
     "level-underscore": ("lexicon", ["list,1_0"], [{"verb": "list", "levels": ["1_0"]}], DataFormatError, 2, "verbs[0]"),
+    "verb-without-levels": ("lexicon", ["list,1", "zzverb, "], [{"verb": "list", "levels": [1]}, {"verb": "zzverb", "levels": []}], ValidationError, 3, "verbs[1]"),
     "empty-code": ("curriculum", [",,a,"], [{"course_code": "", "criteria": ["a"]}], ValidationError, 2, "courses[0]"),
     "points-arabic-digit": (
         "curriculum", ["X1,,a,a:\u0667"], [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": "\u0667"}}],
@@ -305,6 +311,21 @@ class TestInputParity:
         assert raised[0] is raised[1]
         assert exits[0] == exits[1] == error.exit_code
 
+    def test_repeated_override_is_reported_alike(self, catalog, fixture_dir, tmp_path, capsys, monkeypatch):
+        # JSON rejects the repeated key while parsing, before any entry has a locator
+        csv_path = _write(tmp_path / "cur.csv", "course_code,title,criteria,overrides\nX1,,a,a:5|a:6\n")
+        json_path = _write(
+            tmp_path / "cur.json",
+            '{"courses": [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": 5, "a": 6}}]}',
+        )
+        monkeypatch.chdir(fixture_dir)
+        for path in (csv_path, json_path):
+            with pytest.raises(DataFormatError) as exc:
+                data_io.load_curriculum(path, catalog)
+            assert str(exc.value).startswith(str(path)) and "'a'" in str(exc.value)
+            assert main(["estimate", "--catalog", "table1.json", "--curriculum", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("name,data,message", [
@@ -360,8 +381,11 @@ class TestReportWriting:
 from strategies import catalogs, curricula, grade_maps  # noqa: E402
 
 
+ROUND_TRIP = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestRoundTrips:
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @ROUND_TRIP
     @given(catalogs())
     def test_catalog(self, tmp_path, catalog):
         for name in ("cat.csv", "cat.json"):
@@ -369,7 +393,7 @@ class TestRoundTrips:
             loaded = data_io.load_catalog(tmp_path / name)
             assert loaded.criteria == catalog.criteria
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @ROUND_TRIP
     @given(curricula())
     def test_curriculum(self, tmp_path, data):
         catalog, courses = data
@@ -377,7 +401,7 @@ class TestRoundTrips:
             data_io.write_curriculum(courses, tmp_path / name)
             assert data_io.load_curriculum(tmp_path / name, catalog) == courses
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @ROUND_TRIP
     @given(grade_maps())
     def test_grades(self, tmp_path, grades):
         for name in ("g.csv", "g.json"):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from course_difficulty.engine import (
@@ -24,6 +24,32 @@ from course_difficulty.errors import (
     ValidationError,
 )
 from course_difficulty.rounding import decimal_text, format_fixed, parse_decimal, parse_int, round_half_away
+from course_difficulty.taxonomy import criterion_rubric
+from strategies import curricula, grade_histories as histories
+
+# the caps keep tier-1 wall time close to flat; composite strategies draw a whole curriculum per example
+KERNEL = settings(max_examples=100, deadline=None)
+COMPOSITE = settings(max_examples=30, deadline=None)
+
+
+def _reference_round(value, ndigits):
+    """Half-away rounding through Fraction arithmetic, the former implementation."""
+    sign = -1 if value < 0 else 1
+    scale = 10**ndigits
+    scaled = abs(value) * scale
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r >= scaled.denominator:
+        q += 1
+    return Fraction(sign * q, scale)
+
+
+def _reference_format(value, ndigits):
+    scale = 10**ndigits
+    scaled = _reference_round(value, ndigits) * scale
+    units = scaled.numerator // scaled.denominator
+    sign = "-" if units < 0 else ""
+    units = abs(units)
+    return f"{sign}{units // scale}.{units % scale:0{ndigits}d}"
 
 
 def _di_history(code, *values):
@@ -83,6 +109,24 @@ class TestCourseRawTotal:
         course = Course(code="C9", criteria=("a", "h", "k", "l"), cell_overrides={"h": 5})
         assert course_raw_total(course, catalog) == 38
 
+    @pytest.mark.parametrize("criteria", [("a", "zz"), ("zz",)])
+    def test_overridden_unknown_criterion_is_unresolved(self, catalog, criteria):
+        # the catalog lookup comes before the override lookup, so the override cannot hide the id
+        course = Course(code="C9", criteria=criteria, cell_overrides={"zz": 5})
+        with pytest.raises(UnresolvedCriterionError, match="'zz'"):
+            course_raw_total(course, catalog)
+
+    @COMPOSITE
+    @given(curricula())
+    def test_equals_plain_sum_of_criterion_rubrics(self, data):
+        catalog, courses = data
+        for course in courses:
+            expected = sum(
+                course.cell_overrides.get(cid, criterion_rubric(catalog[cid])) for cid in course.criteria
+            )
+            assert course_raw_total(course, catalog) == expected
+            assert bloom_difficulty(course, catalog).di == Fraction(5 * expected, 21 * len(course.criteria))
+
 
 class TestBloomDifficulty:
     def test_six_criteria_course_rounds_to_3_8(self, catalog):
@@ -133,6 +177,24 @@ class TestClassAverageToDi:
         if low < high:
             assert class_average_to_di(high) < class_average_to_di(low)
 
+    @KERNEL
+    @given(st.decimals(min_value=0, max_value=100, allow_nan=False, allow_infinity=False))
+    def test_matches_fraction_formula_on_decimals(self, average):
+        value = Fraction(average)
+        assert class_average_to_di(value) == 5 - value / 100 * 5
+        assert class_average_to_di(str(average)) == 5 - value / 100 * 5
+
+    @KERNEL
+    @given(st.fractions(min_value=-1, max_value=101, max_denominator=1000))
+    @example(Fraction(1001, 10))
+    @example(Fraction(-1, 1000))
+    def test_range_checked_exactly(self, value):
+        if 0 <= value <= 100:
+            assert class_average_to_di(value) == 5 - value / 100 * 5
+        else:
+            with pytest.raises(InvalidGradeError):
+                class_average_to_di(value)
+
 
 class TestGradeDifficulty:
     def test_three_generation_mean(self):
@@ -145,6 +207,12 @@ class TestGradeDifficulty:
 
     def test_single_generation_is_identity(self):
         assert grade_difficulty(_di_history("X", "3.7")) == Fraction("3.7")
+
+    @COMPOSITE
+    @given(histories())
+    def test_is_the_fraction_mean(self, history):
+        values = [record.di() for record in history.generations]
+        assert grade_difficulty(history) == sum(values, Fraction(0)) / len(values)
 
     def test_percent_records_convert_before_averaging(self):
         history = GradeHistory(
@@ -180,6 +248,16 @@ class TestGradeDifficulty:
         with pytest.raises(InvalidGradeError):
             GenerationRecord(label="g", kind=kind, value=Fraction(value))
 
+    @KERNEL
+    @given(st.sampled_from(list(GradeKind)), st.fractions(min_value=-1, max_value=101, max_denominator=1000))
+    def test_range_check_is_exact(self, kind, value):
+        top = 100 if kind is GradeKind.PERCENT else 5
+        if 0 <= value <= top:
+            assert GenerationRecord(label="g", kind=kind, value=value).value == value
+        else:
+            with pytest.raises(InvalidGradeError, match=f"outside \\[0, {top}\\]"):
+                GenerationRecord(label="g", kind=kind, value=value)
+
 
 class TestFinalDifficulty:
     def test_default_policy_keeps_rubric_estimate(self):
@@ -207,6 +285,11 @@ class TestRounding:
         (Fraction(13, 4), "3.3"),       # 3.25: tie goes away from zero
         (Fraction(5), "5.0"),
         (Fraction(0), "0.0"),
+        (Fraction(1, 4), "0.3"),
+        (Fraction(-1, 20), "-0.1"),
+        (Fraction(65, 28), "2.3"),
+        (Fraction(-1, 30), "0.0"),      # rounds to zero: no sign
+        (Fraction(-1, 4), "-0.3"),
     ])
     def test_format_fixed(self, value, expected):
         assert format_fixed(value) == expected
@@ -214,6 +297,27 @@ class TestRounding:
     def test_round_half_away_is_exact(self):
         assert round_half_away(Fraction(25, 100)) == Fraction(3, 10)
         assert round_half_away(Fraction(-25, 100)) == Fraction(-3, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(max_denominator=10**6), st.integers(min_value=0, max_value=4))
+    @example(Fraction(1, 4), 1)
+    @example(Fraction(-1, 20), 1)
+    @example(Fraction(65, 28), 1)
+    @example(Fraction(65, 28), 2)
+    @example(Fraction(-1, 4), 0)
+    @example(Fraction(1, 2), 0)
+    @example(Fraction(-1, 200), 2)
+    @example(Fraction(-1, 30), 1)
+    def test_kernel_matches_fraction_reference(self, value, ndigits):
+        rounded = round_half_away(value, ndigits)
+        assert rounded == _reference_round(value, ndigits)
+        assert type(rounded) is Fraction
+        assert format_fixed(value, ndigits) == _reference_format(value, ndigits)
+        # the tie rule itself: the distance to the result is at most half a step, and a tie moves away from zero
+        step = Fraction(1, 10**ndigits)
+        assert abs(rounded - value) <= step / 2
+        if abs(rounded - value) == step / 2:
+            assert abs(rounded) > abs(value)
 
     @pytest.mark.parametrize("text,expected", [
         ("4.2", Fraction(21, 5)),

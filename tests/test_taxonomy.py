@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from course_difficulty.errors import InvalidCriterionError, ValidationError
@@ -12,6 +12,7 @@ from course_difficulty.taxonomy import (
     criterion_rubric,
     max_rubric,
 )
+from strategies import catalogs
 
 # Per-criterion rubric of the canonical catalog, keyed by outcome letter.
 CANONICAL_RUBRICS = {
@@ -96,6 +97,22 @@ class TestMaxRubric:
 
     def test_equals_rubric_of_fully_mapped_criterion(self):
         assert max_rubric() == criterion_rubric(_criterion(range(1, 7)))
+
+
+class TestRubricTable:
+    def test_canonical_table_is_the_reference_column(self, catalog):
+        assert catalog.rubrics == CANONICAL_RUBRICS
+
+    @settings(max_examples=50, deadline=None)
+    @given(catalogs())
+    def test_table_holds_each_criterion_rubric(self, catalog):
+        assert catalog.rubrics == {cid: criterion_rubric(c) for cid, c in catalog.criteria.items()}
+        assert catalog_total(catalog) == sum(criterion_rubric(c) for c in catalog.criteria.values())
+
+    def test_table_is_not_part_of_equality(self, catalog):
+        again = CriterionCatalog(criteria=catalog.criteria, provenance=catalog.provenance)
+        assert again == catalog
+        assert "rubrics" not in repr(again)
 
 
 class TestCanonicalCatalog:
