@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
-from .rounding import format_fixed, parse_decimal, round_half_away
+from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away
 from .validation import compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -213,7 +213,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
     )
     rows = []
     for history in grades.values():
-        cells = [format_fixed(g.di()) for g in history.generations]
+        cells = [format_ratio(*g.di_pair()) for g in history.generations]  # no Fraction per cell
         cells += [""] * (max_generations - len(cells))
         rows.append(
             (history.course_code, *cells, str(len(history.generations)),

@@ -28,7 +28,11 @@ no exponent, ``/``, ``_``, ``nan`` or ``inf``. An error in a record starts
 with ``path:line:`` (CSV) or ``path:courses[3].generations[1]:`` (JSON); a
 JSON value of the wrong type is named by its key path instead. Malformed
 values are never coerced, and every written file loads back to the same
-objects.
+objects. Within one ``load_grades`` call, the first few thousand distinct
+value literals are each parsed once and their records share that one
+``Fraction``; later new literals are parsed per record, so a file whose
+values are all distinct holds no dict entry per record. Every record still
+has its own range check, so an error names the record's own line or entry.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -375,21 +380,33 @@ def write_curriculum(courses: Sequence[Course], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 _KINDS = {kind.value: kind for kind in GradeKind}
+# gradebooks repeat few values; the bound keeps a file of distinct values from
+# holding a dict entry per record
+_SHARED_LITERALS = 4096
 
 
 def load_grades(path: str | Path) -> dict[str, GradeHistory]:
-    """Load per-generation grade records grouped by course, preserving file order."""
+    """Load per-generation grade records grouped by course, preserving file order.
+
+    Records whose value cells hold the same text share one ``Fraction``, for
+    the first ``_SHARED_LITERALS`` distinct texts.
+    """
     grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
     histories: dict[str, GradeHistory] = {}
+    values: dict[str, Fraction] = {}  # value text -> its parse; a malformed literal never enters
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, row in file.rows:
             kind = _KINDS.get(row["kind"].strip().lower())
             if kind is None:
                 raise ValidationError(f"unknown kind {row['kind'].strip()!r}; expected " + " or ".join(_KINDS))
-            record = GenerationRecord(
-                label=row["generation"].strip(), kind=kind, value=parse_decimal(row["value"], "grade value")
-            )
+            text = row["value"]
+            value = values.get(text)
+            if value is None:
+                value = parse_decimal(text, "grade value")
+                if len(values) < _SHARED_LITERALS:
+                    values[text] = value
+            record = GenerationRecord(label=row["generation"].strip(), kind=kind, value=value)
             code = row["course_code"].strip()
             if code not in grouped:
                 grouped[code] = (file.line, [])

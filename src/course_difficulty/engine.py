@@ -5,9 +5,10 @@ normalizes onto the 0-5 index scale: ``di = 5 * raw_total / (21 * count)``.
 The grade path converts class performance to the same scale
 (``di = 5 - average/100 * 5`` for percent records) and averages one value
 per student generation. The rubric path sums integers from the catalog's
-compiled rubric table, and a percent record converts with one integer
-expression; results are still returned as exact ``Fraction``s, and callers
-round at reporting time.
+compiled rubric table. A grade record converts to an unreduced integer
+(numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
+builds one ``Fraction`` per history. Results are still returned as exact
+``Fraction``s, and callers round at reporting time.
 """
 
 from __future__ import annotations
@@ -104,9 +105,13 @@ class GenerationRecord:
 
     def di(self) -> Fraction:
         """The record on the 0-5 difficulty scale (percent records convert)."""
+        return Fraction(*self.di_pair())
+
+    def di_pair(self) -> tuple[int, int]:
+        """``di()`` as an unreduced (numerator, denominator) pair, for integer sums and rendering."""
         if self.kind is GradeKind.PERCENT:
-            return class_average_to_di(self.value)
-        return self.value
+            return _percent_pair(self.value)
+        return self.value.numerator, self.value.denominator
 
 
 @dataclass(frozen=True)
@@ -165,22 +170,27 @@ def bloom_difficulty(course: Course, catalog: CriterionCatalog) -> BloomDifficul
     )
 
 
+def _percent_pair(average: Fraction) -> tuple[int, int]:
+    """A 0-100 average on the inverted 0-5 scale, as an unreduced (numerator, denominator) pair."""
+    num, den = average.numerator, average.denominator
+    return DI_SCALE * (100 * den - num), 100 * den  # 5 - num/den/100*5
+
+
 def class_average_to_di(average: Numeric) -> Fraction:
     """Map a 0-100 class average onto the inverted 0-5 difficulty scale."""
     value = to_fraction(average)
-    num, den = value.numerator, value.denominator
-    if not 0 <= num <= 100 * den:
+    if not 0 <= value.numerator <= 100 * value.denominator:
         raise InvalidGradeError(f"class average {value} outside [0, 100]")
-    return Fraction(DI_SCALE * (100 * den - num), 100 * den)  # 5 - num/den/100*5
+    return Fraction(*_percent_pair(value))
 
 
 def grade_difficulty(history: GradeHistory) -> Fraction:
     """Arithmetic mean of the per-generation difficulty values."""
     num, den = 0, 1  # the running sum num/den, reduced once at the end
     for record in history.generations:
-        value = record.di()
-        num = num * value.denominator + value.numerator * den
-        den *= value.denominator
+        n, d = record.di_pair()
+        num = num * d + n * den
+        den *= d
     return Fraction(num, den * len(history.generations))
 
 

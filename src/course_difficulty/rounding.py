@@ -2,7 +2,9 @@
 
 Difficulty indices are returned as exact ``fractions.Fraction``s so the
 documented identities hold exactly; rounding happens once, at the edge, half
-away from zero, as one integer ``divmod`` on the numerator and denominator.
+away from zero, as one integer ``divmod`` on the numerator and denominator;
+``format_ratio`` renders a (numerator, denominator) pair the same way
+without building a ``Fraction``.
 All printed values use one decimal place. Numbers read from files and
 flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
 """
@@ -53,22 +55,38 @@ def to_fraction(value: Numeric) -> Fraction:
     return Fraction(str(value))
 
 
-def round_half_away(value: Fraction, ndigits: int = 1) -> Fraction:
-    """Round to ``ndigits`` decimals with ties going away from zero."""
-    num, den = value.numerator, value.denominator
-    scale = 10**ndigits
+def _round_units(num: int, den: int, scale: int) -> int:
+    """``num/den`` (``den > 0``) as a whole number of ``1/scale`` steps, ties away from zero."""
     q, r = divmod(abs(num) * scale, den)
     if 2 * r >= den:
         q += 1
-    return Fraction(-q if num < 0 else q, scale)
+    return -q if num < 0 else q
+
+
+def round_half_away(value: Fraction, ndigits: int = 1) -> Fraction:
+    """Round to ``ndigits`` decimals with ties going away from zero."""
+    scale = 10**ndigits
+    return Fraction(_round_units(value.numerator, value.denominator, scale), scale)
 
 
 def format_fixed(value: Fraction, ndigits: int = 1) -> str:
     """Render with exactly ``ndigits`` decimals after half-away rounding."""
     scale = 10**ndigits
     rounded = round_half_away(value, ndigits)
-    units = abs(rounded.numerator) * (scale // rounded.denominator)  # the denominator divides scale
-    sign = "-" if rounded.numerator < 0 else ""
+    return _units_text(rounded.numerator * (scale // rounded.denominator), ndigits)  # the denominator divides scale
+
+
+def format_ratio(num: int, den: int, ndigits: int = 1) -> str:
+    """``format_fixed(Fraction(num, den), ndigits)`` for ``den > 0``, in integers:
+    the pair need not be reduced, and no ``Fraction`` is built."""
+    return _units_text(_round_units(num, den, 10**ndigits), ndigits)
+
+
+def _units_text(units: int, ndigits: int) -> str:
+    """A signed whole number of ``10**-ndigits`` steps, written with ``ndigits`` decimals."""
+    scale = 10**ndigits
+    sign = "-" if units < 0 else ""
+    units = abs(units)
     return f"{sign}{units // scale}.{units % scale:0{ndigits}d}"
 
 

@@ -66,3 +66,25 @@ def grade_histories(draw, code="X"):
 def grade_maps(draw):
     codes = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
     return {code: draw(grade_histories(code=code)) for code in codes}
+
+
+@st.composite
+def repeating_histories(draw, code="X", pool=None):
+    """1-12 mixed-kind records whose values come from a small pool of 3-decimal literals, so they repeat."""
+    if pool is None:
+        pool = draw(st.lists(st.decimals(min_value=0, max_value=5, places=3), min_size=1, max_size=4))
+    scales = {GradeKind.DI: 1, GradeKind.PERCENT: draw(st.sampled_from([1, 10, 20]))}  # percents up to 100
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(list(GradeKind)))
+        value = Fraction(str(draw(st.sampled_from(pool)))) * scales[kind]
+        records.append(GenerationRecord(label=f"g{i}", kind=kind, value=value))
+    return GradeHistory(course_code=code, generations=tuple(records))
+
+
+@st.composite
+def repeating_grade_maps(draw):
+    """Several courses whose records share one small pool of values."""
+    pool = draw(st.lists(st.decimals(min_value=0, max_value=5, places=3), min_size=1, max_size=4))
+    codes = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    return {code: draw(repeating_histories(code=code, pool=pool)) for code in codes}

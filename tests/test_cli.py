@@ -1,11 +1,18 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from course_difficulty import data_io
 from course_difficulty.cli import main
+from course_difficulty.engine import grade_difficulty
+from course_difficulty.rounding import format_fixed, round_half_away
+from strategies import repeating_grade_maps
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -128,6 +135,32 @@ class TestGrades:
         record = payload["courses"][0]
         assert record["generations"][0]["di"] == 3.25
         assert record["grade_di"] == 3.3  # 1-decimal reporting, ties away from zero
+
+    @settings(max_examples=30, deadline=None)
+    @given(repeating_grade_maps())
+    def test_rows_match_per_record_rendering(self, grades):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            data_io.write_grades(grades, path)
+            outputs = {}
+            for fmt in ("csv", "json"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["grades", "--grades", str(path), "--format", fmt]) == 0
+                outputs[fmt] = out.getvalue()
+        width = max(len(h.generations) for h in grades.values())
+        expected = [
+            [code, *(format_fixed(g.di()) for g in h.generations), *[""] * (width - len(h.generations)),
+             str(len(h.generations)), format_fixed(grade_difficulty(h))]
+            for code, h in grades.items()
+        ]
+        assert list(csv.reader(io.StringIO(outputs["csv"])))[1:] == expected
+        courses = json.loads(outputs["json"])["courses"]
+        assert [[(g["kind"], g["value"], g["di"]) for g in c["generations"]] for c in courses] == [
+            [(g.kind.value, float(g.value), float(g.di())) for g in h.generations] for h in grades.values()
+        ]
+        means = [float(round_half_away(grade_difficulty(h))) for h in grades.values()]
+        assert [c["grade_di"] for c in courses] == means
 
 
 class TestValidate:

@@ -171,6 +171,91 @@ class TestLoadGrades:
         assert labels == ["late", "early"]
 
 
+def _grade_file(tmp_path, form, records):
+    """``records`` as (code, label, kind, value literal) in a CSV or JSON grade file;
+    returns the path and each record's locator."""
+    if form == "csv":
+        lines = ["course_code,generation,kind,value", *(",".join(r) for r in records)]
+        return _write(tmp_path / "g.csv", "\n".join(lines) + "\n"), [f"g.csv:{i + 2}:" for i in range(len(records))]
+    courses, locators = {}, []
+    for code, label, kind, value in records:
+        generations = courses.setdefault(code, [])
+        is_number = re.fullmatch(r"[0-9]+(\.[0-9]+)?(e[0-9]+)?", value)
+        literal = value if is_number else json.dumps(value)
+        generations.append(f'{{"label": {json.dumps(label)}, "kind": {json.dumps(kind)}, "value": {literal}}}')
+        locators.append(f"g.json:courses[{list(courses).index(code)}].generations[{len(generations) - 1}]:")
+    entries = [
+        f'{{"course_code": {json.dumps(code)}, "generations": [{", ".join(gs)}]}}' for code, gs in courses.items()
+    ]
+    return _write(tmp_path / "g.json", f'{{"courses": [{", ".join(entries)}]}}'), locators
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+class TestGradeLiterals:
+    """Within one load, each distinct value literal is parsed once and shared; errors stay per record."""
+
+    def test_same_literal_shares_one_value(self, tmp_path, form):
+        path, _ = _grade_file(tmp_path, form, [
+            ("C1", "g1", "percent", "67.125"), ("C2", "g1", "di", "4.5"),
+            ("C2", "g2", "percent", "67.125"), ("C1", "g2", "percent", "4.5"),
+        ])
+        grades = data_io.load_grades(path)
+        (c1_g1, c1_g2), (c2_g1, c2_g2) = grades["C1"].generations, grades["C2"].generations
+        assert c1_g1.value is c2_g2.value == Fraction("67.125")
+        assert c1_g2.value is c2_g1.value == Fraction("4.5")  # one literal, two kinds
+
+    def test_other_spelling_of_a_value_is_equal(self, tmp_path, form):
+        path, _ = _grade_file(tmp_path, form, [("C1", "g1", "percent", "35"), ("C1", "g2", "percent", "35.000")])
+        first, second = data_io.load_grades(path)["C1"].generations
+        assert first.value == second.value == 35
+
+    def test_repeated_malformed_literal_is_reported_at_its_first_line(self, tmp_path, form):
+        path, at = _grade_file(tmp_path, form, [
+            ("C1", "g1", "di", "4.5e0"), ("C1", "g2", "di", "4.5"),
+            ("C2", "g1", "di", "4.5"), ("C2", "g2", "di", "4.5e0"),
+        ])
+        with pytest.raises(DataFormatError, match="cannot parse grade value '4.5e0'") as exc:
+            data_io.load_grades(path)
+        assert str(exc.value).startswith(f"{tmp_path / at[0]}")
+
+    def test_malformed_literal_after_valid_ones_is_reported_at_its_line(self, tmp_path, form):
+        path, at = _grade_file(tmp_path, form, [("C1", "g1", "di", "4.5"), ("C1", "g2", "di", "4.5x")])
+        with pytest.raises(DataFormatError) as exc:
+            data_io.load_grades(path)
+        assert str(exc.value).startswith(f"{tmp_path / at[1]}")
+
+    def test_out_of_range_repeat_is_reported_at_its_own_line(self, tmp_path, form):
+        path, at = _grade_file(tmp_path, form, [
+            ("C1", "g1", "percent", "50"), ("C1", "g2", "percent", "50"), ("C2", "g1", "di", "50"),
+        ])
+        with pytest.raises(InvalidGradeError, match="difficulty value 50 outside") as exc:
+            data_io.load_grades(path)
+        assert str(exc.value).startswith(f"{tmp_path / at[2]}")
+
+    def test_literals_past_the_bound_load_unshared(self, tmp_path, form, monkeypatch):
+        monkeypatch.setattr(data_io, "_SHARED_LITERALS", 2)
+        path, at = _grade_file(tmp_path, form, [
+            ("C1", "g1", "di", "1.5"), ("C1", "g2", "di", "2.5"), ("C1", "g3", "di", "3.5"),
+            ("C2", "g1", "di", "3.5"), ("C2", "g2", "di", "1.5"), ("C2", "g3", "di", "9.5"),
+        ])
+        with pytest.raises(InvalidGradeError, match="difficulty value 19/2 outside") as exc:
+            data_io.load_grades(path)
+        assert str(exc.value).startswith(f"{tmp_path / at[5]}")
+        path, _ = _grade_file(tmp_path, form, [
+            ("C1", "g1", "di", "1.5"), ("C1", "g2", "di", "2.5"), ("C1", "g3", "di", "3.5"),
+            ("C2", "g1", "di", "3.5"), ("C2", "g2", "di", "1.5"),
+        ])
+        (g1, _, g3), (h1, h2) = (h.generations for h in data_io.load_grades(path).values())
+        assert h2.value is g1.value  # within the bound: shared
+        assert h1.value == g3.value == Fraction("3.5") and h1.value is not g3.value  # past it: parsed per record
+
+    def test_each_load_parses_afresh(self, tmp_path, form):
+        path, _ = _grade_file(tmp_path, form, [("C1", "g1", "di", "2.45")])
+        first, second = data_io.load_grades(path), data_io.load_grades(path)
+        assert first == second
+        assert first["C1"].generations[0].value is not second["C1"].generations[0].value
+
+
 class TestJsonListFields:
     @pytest.mark.parametrize("name,text,message", [
         ("cat.json", '{"criteria": [{"id": "a", "levels": 3}]}', "criteria[0].levels must be a list"),

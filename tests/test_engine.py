@@ -23,9 +23,16 @@ from course_difficulty.errors import (
     UnresolvedCriterionError,
     ValidationError,
 )
-from course_difficulty.rounding import decimal_text, format_fixed, parse_decimal, parse_int, round_half_away
+from course_difficulty.rounding import (
+    decimal_text,
+    format_fixed,
+    format_ratio,
+    parse_decimal,
+    parse_int,
+    round_half_away,
+)
 from course_difficulty.taxonomy import criterion_rubric
-from strategies import curricula, grade_histories as histories
+from strategies import curricula, grade_histories as histories, repeating_histories
 
 # the caps keep tier-1 wall time close to flat; composite strategies draw a whole curriculum per example
 KERNEL = settings(max_examples=100, deadline=None)
@@ -238,6 +245,22 @@ class TestGradeDifficulty:
         with pytest.raises(ValidationError, match="repeats"):
             GradeHistory(course_code="X", generations=records)
 
+    @KERNEL
+    @given(st.sampled_from(list(GradeKind)), st.integers(0, 6), st.data())
+    def test_integer_pair_is_di(self, kind, places, data):
+        top = 100 if kind is GradeKind.PERCENT else 5
+        value = Fraction(str(data.draw(st.decimals(min_value=0, max_value=top, places=places))))
+        record = GenerationRecord(label="g", kind=kind, value=value)
+        num, den = record.di_pair()
+        assert den > 0
+        assert Fraction(num, den) == record.di() == (5 - value / 100 * 5 if top == 100 else value)
+
+    @COMPOSITE
+    @given(repeating_histories())
+    def test_is_the_fraction_mean_on_repeating_histories(self, history):
+        values = [record.di() for record in history.generations]
+        assert grade_difficulty(history) == sum(values, Fraction(0)) / len(values)
+
     @pytest.mark.parametrize("kind,value", [
         (GradeKind.PERCENT, "135"),
         (GradeKind.PERCENT, "-2"),
@@ -318,6 +341,15 @@ class TestRounding:
         assert abs(rounded - value) <= step / 2
         if abs(rounded - value) == step / 2:
             assert abs(rounded) > abs(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 50), st.integers(0, 4))
+    @example(1, 4, 5, 1)       # 0.25, unreduced: a tie goes away from zero
+    @example(-5, 100, 1, 1)    # -0.05
+    @example(-1, 30, 1, 1)     # rounds to zero: no sign
+    @example(1, 2, 3, 0)
+    def test_format_ratio_is_format_fixed(self, num, den, factor, ndigits):
+        assert format_ratio(num * factor, den * factor, ndigits) == format_fixed(Fraction(num, den), ndigits)
 
     @pytest.mark.parametrize("text,expected", [
         ("4.2", Fraction(21, 5)),

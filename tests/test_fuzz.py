@@ -1,11 +1,16 @@
-"""Fuzz suites for the loaders.
+"""Fuzz suites for the loaders and the ``grades`` command.
 
 Per loader, hypothesis writes entries whose expected keys hold arbitrary JSON
 values, or rows whose cells hold arbitrary text. Every file must either load,
 and then round-trip exactly through its writer, or raise ``DataFormatError`` or
 ``ValidationError`` naming the file. Nothing else may escape.
+
+Per ``grades`` run on such a file, the exit code is 0, 1 or 2. A failing run
+prints nothing on stdout and leaves no ``--output`` file; a passing run writes
+the same bytes to ``--output`` as to stdout.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from course_difficulty import data_io
+from course_difficulty.cli import main
 from course_difficulty.errors import DataFormatError, ValidationError
 from course_difficulty.taxonomy import CriterionCatalog, canonical_catalog
 
@@ -137,3 +143,43 @@ def test_json_grades(entries):
 @given(_csv_text(data_io.GRADES_COLUMNS, [CODES, st.sampled_from(["g1", "g2"]), st.just("di"), st.just("4.25")]))
 def test_csv_grades(text):
     _check(*LOADERS["grades"], "g.csv", text)
+
+
+GRADE_CELLS = [
+    CODES,
+    st.sampled_from(["g1", "g2", "g2 "]),
+    st.sampled_from(["di", "percent", "DI"]),
+    st.decimals(-1, 101, places=3, allow_nan=False).map(str) | st.sampled_from(["4.25", "35", "1e1", "4.250"]),
+]
+GRADE_FILES = st.one_of(
+    st.tuples(st.just("g.csv"), _csv_text(data_io.GRADES_COLUMNS, GRADE_CELLS)),
+    st.tuples(st.just("g.json"), st.lists(
+        st.fixed_dictionaries({}, optional={
+            "course_code": _either(CODES), "generations": _either(st.lists(GENERATION, max_size=3)),
+        }),
+        max_size=3,
+    ).map(lambda entries: json.dumps({"courses": entries}))),
+    st.tuples(st.sampled_from(["g.csv", "g.json"]), st.text(max_size=40)),
+)
+
+
+def _grades_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@EXAMPLES
+@given(GRADE_FILES, st.sampled_from(["table", "csv", "json"]))
+def test_grades_cli(grade_file, fmt):
+    name, text = grade_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, output = Path(tmp) / name, Path(tmp) / "out.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        argv = ["grades", "--grades", str(path), "--format", fmt]
+        code, out, err = _grades_run(argv)
+        assert code in (0, 1, 2)
+        assert (code, out == "") in ((0, False), (1, True), (2, True)), err
+        assert _grades_run([*argv, "--output", str(output)]) == (code, "", err)
+        assert (output.read_text(encoding="utf-8") if output.exists() else None) == (out if code == 0 else None)

@@ -4,8 +4,15 @@ Each case runs ``cli.main`` in a fresh directory holding a copy of the
 fixtures, so every path the output echoes is one of the relative names below.
 The ``*-json-input-*`` cases also get the JSON forms of the curriculum, the
 grades and the lexicon from ``tests/data/json_inputs/``: the shipped CSV
-fixtures in JSON form, with grade values as JSON numbers. They live outside
-the golden directory because regenerating empties it.
+fixtures in JSON form, with grade values as JSON numbers. The ``*-synthetic-*``
+cases read ``tests/data/synthetic/``: a small seeded grade set of 30 courses
+with 12 generations each, in CSV and JSON form, plus a curriculum over the
+shipped catalog for ``validate``. Its values come from two small pools of
+literals, so they repeat, sometimes under another spelling (``35`` and
+``35.000``); they include 3-decimal percents, exact rounding ties on the
+difficulty scale (``di`` 2.45, ``percent`` 35) and values next to them. Both
+input directories live outside the golden directory because regenerating
+empties it.
 The expected bytes live in ``tests/data/golden/``: ``<case>.stdout``,
 ``<case>.stderr`` when the call writes to stderr, and ``<case>.out.<name>``
 for each file the call leaves in its directory. Regenerate them only when an
@@ -31,6 +38,7 @@ from course_difficulty.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 JSON_INPUTS = Path(__file__).parent / "data" / "json_inputs"
+SYNTHETIC = Path(__file__).parent / "data" / "synthetic"
 
 # C1 graded, C2-C11 ungraded, plus a course the curriculum does not know
 PARTIAL_GRADES = "course_code,generation,kind,value\nC1,g1,di,4.0\nC1,g2,percent,35\nGHOST,g1,di,1.0\n"
@@ -62,6 +70,13 @@ for fmt in ("table", "csv", "json"):
 for fmt in ("table", "json"):
     CASES[f"validate-mean-of-both-{fmt}"] = ([*FULL, "--policy", "mean-of-both", "--format", fmt], 0)
     CASES[f"validate-tolerance-{fmt}"] = ([*FULL, "--mode", "as-printed", "--tolerance", "0.3", "--format", fmt], 0)
+for fmt in ("table", "csv", "json"):
+    CASES[f"grades-synthetic-{fmt}"] = (["grades", "--grades", "grades.csv", "--format", fmt], 0)
+    CASES[f"grades-synthetic-json-input-{fmt}"] = (["grades", "--grades", "grades.json", "--format", fmt], 0)
+for grades in ("grades.csv", "grades.json"):
+    CASES[f"validate-synthetic-{Path(grades).suffix[1:]}-input-json"] = (
+        [*VAL[:3], "--curriculum", "curriculum.csv", "--grades", grades, "--format", "json"], 0
+    )
 CASES["validate-strict"] = ([*FULL, "--strict"], 0)
 CASES["validate-partial-strict"] = ([*PARTIAL, "--strict", "--format", "json"], 1)
 CASES["validate-written-files"] = (
@@ -78,7 +93,7 @@ def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str, dict[str, b
     """Run one CLI call in ``workdir``; return exit code, stdout, stderr, new files."""
     data_io.copy_fixtures(workdir)
     (workdir / "partial.csv").write_text(PARTIAL_GRADES, encoding="utf-8")
-    for path in JSON_INPUTS.iterdir():
+    for path in (*JSON_INPUTS.iterdir(), *SYNTHETIC.iterdir()):
         shutil.copyfile(path, workdir / path.name)
     before = set(os.listdir(workdir))
     out, err = io.StringIO(), io.StringIO()
