@@ -4,7 +4,6 @@ from .engine import (
     BloomDifficulty,
     CombinePolicy,
     Course,
-    FinalDifficulty,
     GenerationRecord,
     GradeHistory,
     GradeKind,
@@ -33,7 +32,6 @@ from .taxonomy import (
     canonical_catalog,
     catalog_total,
     criterion_rubric,
-    max_rubric,
 )
 from .validation import CourseComparison, ValidationReport, compare, summarize
 
@@ -50,7 +48,6 @@ __all__ = [
     "CourseDifficultyError",
     "CriterionCatalog",
     "DataFormatError",
-    "FinalDifficulty",
     "GenerationRecord",
     "GradeHistory",
     "GradeKind",
@@ -73,7 +70,6 @@ __all__ = [
     "final_difficulty",
     "grade_difficulty",
     "map_outcome",
-    "max_rubric",
     "suggest_criterion",
     "summarize",
     "tokenize",

@@ -245,7 +245,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _warn(f"grade history for unknown course {code}; not validated")
 
     comparisons = []
-    finals = {}
+    finals = []  # per comparison, in its order
     for course in bundle.courses:
         history = bundle.grades.get(course.code)
         if history is None:
@@ -256,7 +256,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             estimated = round_half_away(estimated)
             actual = round_half_away(actual)
         comparisons.append(compare(actual, estimated, course.code))
-        finals[course.code] = final_difficulty(estimated, actual, policy, course.code).final_di
+        finals.append(final_difficulty(estimated, actual, policy))
     report = summarize(comparisons, args.tolerance)
 
     if args.format == "csv":
@@ -281,9 +281,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
                     "estimated_di": float(c.estimated_di),
                     "abs_error": float(c.abs_error),
                     "squared_error": float(c.squared_error),
-                    "final_di": float(finals[c.course_code]),
+                    "final_di": float(final),
                 }
-                for c in report.comparisons
+                for c, final in zip(report.comparisons, finals)
             ],
             "excluded_courses": list(missing),
             "unmatched_grades": list(unmatched),
@@ -294,26 +294,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         }
         text = data_io.json_text(payload)
     else:
-        headers = ("course_code", "actual_di", "estimated_di", "abs_error", "final_di")
-        rows = [
-            (
-                c.course_code,
-                format_fixed(c.actual_di),
-                format_fixed(c.estimated_di),
-                format_fixed(c.abs_error),
-                format_fixed(finals[c.course_code]),
-            )
-            for c in report.comparisons
-        ]
-        rows.append(
-            (
-                data_io.AVERAGE_LABEL,
-                format_fixed(report.mean_actual),
-                format_fixed(report.mean_estimated),
-                format_fixed(report.mean_abs_error),
-                "",
-            )
-        )
+        headers = (*data_io.REPORT_COLUMNS, "final_di")
+        final_cells = [*map(format_fixed, finals), ""]  # the AVERAGE row has no final_di
+        rows = [(*row, final) for row, final in zip(data_io.report_rows(report), final_cells)]
         summary = (
             f"mode: {args.mode}  policy: {policy.value}\n"
             f"accuracy: {float(report.accuracy):.3f} at tolerance {format_fixed(report.tolerance)}"

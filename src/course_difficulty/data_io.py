@@ -43,7 +43,7 @@ import io
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -443,21 +443,20 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
 # reports
 # ---------------------------------------------------------------------------
 
-def render_report_csv(report: ValidationReport) -> str:
-    """Byte-stable CSV: one row per course, then the AVERAGE row, 1-decimal values."""
+def report_rows(report: ValidationReport) -> list[tuple[str, str, str, str]]:
+    """The ``REPORT_COLUMNS`` cells: one row per course, then the AVERAGE row, 1-decimal values."""
     rows = [
         (c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di), format_fixed(c.abs_error))
         for c in report.comparisons
     ]
-    rows.append(
-        (
-            AVERAGE_LABEL,
-            format_fixed(report.mean_actual),
-            format_fixed(report.mean_estimated),
-            format_fixed(report.mean_abs_error),
-        )
-    )
-    return csv_text(REPORT_COLUMNS, rows)
+    means = (report.mean_actual, report.mean_estimated, report.mean_abs_error)
+    rows.append((AVERAGE_LABEL, *map(format_fixed, means)))
+    return rows
+
+
+def render_report_csv(report: ValidationReport) -> str:
+    """Byte-stable CSV of ``report_rows``."""
+    return csv_text(REPORT_COLUMNS, report_rows(report))
 
 
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:
@@ -479,8 +478,8 @@ class DataBundle:
 
     catalog: CriterionCatalog
     courses: tuple[Course, ...]
-    grades: Mapping[str, GradeHistory] = field(default_factory=dict)
-    provenance: tuple[tuple[str, str, str], ...] = ()
+    grades: Mapping[str, GradeHistory]
+    provenance: tuple[tuple[str, str, str], ...]  # (role, path, SHA-256) per input file
 
     def courses_without_grades(self) -> tuple[str, ...]:
         return tuple(c.code for c in self.courses if c.code not in self.grades)
@@ -497,26 +496,17 @@ def _sha256(path: str | Path) -> str:
         raise DataFormatError(f"cannot read file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
-def load_bundle(
-    catalog_path: str | Path,
-    curriculum_path: str | Path,
-    grades_path: str | Path | None = None,
-) -> DataBundle:
+def load_bundle(catalog_path: str | Path, curriculum_path: str | Path, grades_path: str | Path) -> DataBundle:
     """Load and cross-validate a full input set."""
     catalog = load_catalog(catalog_path)
     courses = load_curriculum(curriculum_path, catalog)
-    grades = load_grades(grades_path) if grades_path else {}
-    provenance = [
-        ("catalog", str(catalog_path), _sha256(catalog_path)),
-        ("curriculum", str(curriculum_path), _sha256(curriculum_path)),
-    ]
-    if grades_path:
-        provenance.append(("grades", str(grades_path), _sha256(grades_path)))
+    grades = load_grades(grades_path)
+    paths = (("catalog", catalog_path), ("curriculum", curriculum_path), ("grades", grades_path))
     return DataBundle(
         catalog=catalog,
         courses=tuple(courses),
         grades=grades,
-        provenance=tuple(provenance),
+        provenance=tuple((role, str(path), _sha256(path)) for role, path in paths),
     )
 
 

@@ -7,8 +7,10 @@ The grade path converts class performance to the same scale
 per student generation. The rubric path sums integers from the catalog's
 compiled rubric table. A grade record converts to an unreduced integer
 (numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
-builds one ``Fraction`` per history. Results are still returned as exact
-``Fraction``s, and callers round at reporting time.
+builds one ``Fraction`` per history. Results are returned as exact
+``Fraction``s, and callers round at reporting time. Number arguments follow
+``rounding.to_fraction``: a ``Fraction``, an ``int`` or an ASCII decimal
+string, and nothing else.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     UnresolvedCriterionError,
     ValidationError,
 )
-from .rounding import Numeric, to_fraction
+from .rounding import to_fraction
 from .taxonomy import MAX_RUBRIC, CriterionCatalog
 
 DI_SCALE = 5
@@ -97,7 +99,7 @@ class GenerationRecord:
     def __post_init__(self):
         if not self.label:
             raise ValidationError("generation label must be non-empty")
-        value = to_fraction(self.value)
+        value = to_fraction(self.value, "grade value")
         object.__setattr__(self, "value", value)
         name, top = ("percent", 100) if self.kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
         if not 0 <= value.numerator <= top * value.denominator:
@@ -135,15 +137,6 @@ class CombinePolicy(Enum):
     MEAN_OF_BOTH = "mean_of_both"
 
 
-@dataclass(frozen=True)
-class FinalDifficulty:
-    course_code: str
-    bloom_di: Fraction
-    grade_di: Fraction
-    final_di: Fraction
-    policy: CombinePolicy
-
-
 def course_raw_total(course: Course, catalog: CriterionCatalog) -> int:
     """Sum of rubric points over the course's criteria (overrides win per cell)."""
     rubrics, overrides = catalog.rubrics, course.cell_overrides
@@ -176,9 +169,9 @@ def _percent_pair(average: Fraction) -> tuple[int, int]:
     return DI_SCALE * (100 * den - num), 100 * den  # 5 - num/den/100*5
 
 
-def class_average_to_di(average: Numeric) -> Fraction:
+def class_average_to_di(average: Fraction | int | str) -> Fraction:
     """Map a 0-100 class average onto the inverted 0-5 difficulty scale."""
-    value = to_fraction(average)
+    value = to_fraction(average, "class average")
     if not 0 <= value.numerator <= 100 * value.denominator:
         raise InvalidGradeError(f"class average {value} outside [0, 100]")
     return Fraction(*_percent_pair(value))
@@ -195,29 +188,20 @@ def grade_difficulty(history: GradeHistory) -> Fraction:
 
 
 def final_difficulty(
-    bloom_di: Numeric,
-    grade_di: Numeric,
+    bloom_di: Fraction | int | str,
+    grade_di: Fraction | int | str,
     policy: CombinePolicy = CombinePolicy.BLOOM_PRIMARY,
-    course_code: str = "",
-) -> FinalDifficulty:
-    """Combine the two estimates under the chosen policy.
+) -> Fraction:
+    """Combine the two estimates under the chosen policy into the course's difficulty index.
 
     The default keeps the rubric-based value as the course's difficulty and
     treats grades purely as validation data; ``MEAN_OF_BOTH`` averages them.
     """
-    bloom = to_fraction(bloom_di)
-    grade = to_fraction(grade_di)
+    bloom = to_fraction(bloom_di, "bloom_di")
+    grade = to_fraction(grade_di, "grade_di")
     for name, value in (("bloom_di", bloom), ("grade_di", grade)):
         if not 0 <= value <= DI_SCALE:
             raise ValidationError(f"{name} {value} outside [0, {DI_SCALE}]")
     if policy is CombinePolicy.MEAN_OF_BOTH:
-        final = (bloom + grade) / 2
-    else:
-        final = bloom
-    return FinalDifficulty(
-        course_code=course_code,
-        bloom_di=bloom,
-        grade_di=grade,
-        final_di=final,
-        policy=policy,
-    )
+        return (bloom + grade) / 2
+    return bloom

@@ -7,6 +7,8 @@ away from zero, as one integer ``divmod`` on the numerator and denominator;
 without building a ``Fraction``.
 All printed values use one decimal place. Numbers read from files and
 flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
+Library functions take numbers through ``to_fraction``: a ``Fraction``, an
+``int`` or an ASCII decimal string; floats, bools and ``None`` are refused.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import re
 from fractions import Fraction
 
 from .errors import DataFormatError
-
-Numeric = Fraction | int | float | str
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
@@ -41,18 +41,20 @@ def parse_decimal(text: str, what: str) -> Fraction:
     return Fraction(int(whole + decimals), 10 ** len(decimals))
 
 
-def to_fraction(value: Numeric) -> Fraction:
-    """Coerce a number to an exact Fraction.
+def to_fraction(value: Fraction | int | str, what: str) -> Fraction:
+    """A library argument as an exact ``Fraction``, under the same rule as file input.
 
-    Floats go through their shortest decimal repr, so ``0.3`` becomes 3/10
-    rather than the nearest binary fraction; this keeps tolerance comparisons
-    on the decimal grid users actually typed.
+    A ``Fraction`` comes back as the same object, an ``int`` converts exactly,
+    and a ``str`` must be an ASCII decimal literal (``parse_decimal``). Anything
+    else, such as a float, a bool or ``None``, raises ``DataFormatError``.
     """
-    if isinstance(value, Fraction):
+    if isinstance(value, Fraction):  # first: every loaded grade record passes one
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    return Fraction(str(value))
+    if isinstance(value, str):
+        return parse_decimal(value, what)
+    raise DataFormatError(f"{what} must be a Fraction, an int or a decimal string, got {value!r}")
 
 
 def _round_units(num: int, den: int, scale: int) -> int:

@@ -63,11 +63,6 @@ class BloomLevel(Enum):
 MAX_RUBRIC = sum(level.weight for level in BloomLevel)  # 1+2+3+4+5+6 = 21
 
 
-def max_rubric() -> int:
-    """Rubric of a criterion mapped to every level: 1+2+3+4+5+6 = 21."""
-    return MAX_RUBRIC
-
-
 def _valid_id(criterion_id: str) -> bool:
     # single token: the CSV formats use '|' and ':' as separators
     if not criterion_id:
@@ -124,9 +119,6 @@ class CriterionCatalog:
     def __len__(self) -> int:
         return len(self.criteria)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.criteria)
-
     @classmethod
     def from_criteria(cls, criteria: Iterable[AbetCriterion], provenance: str = "") -> "CriterionCatalog":
         mapping: dict[str, AbetCriterion] = {}
@@ -163,9 +155,6 @@ class BloomLexicon:
     def levels_for(self, verb: str) -> frozenset[BloomLevel]:
         token = verb.strip().lower()
         return frozenset(level for level, verbs in self.entries.items() if token in verbs)
-
-    def is_ambiguous(self, verb: str) -> bool:
-        return len(self.levels_for(verb)) > 1
 
 
 # Canonical catalog: outcome letter -> (mapped complexity levels, statement).

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .engine import DI_SCALE
 from .errors import InsufficientDataError, ValidationError
-from .rounding import Numeric, to_fraction
-
-_DI_MAX = 5
+from .rounding import to_fraction
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,13 @@ class ValidationReport:
     within_tolerance: int
 
 
-def compare(actual: Numeric, estimated: Numeric, course_code: str = "") -> CourseComparison:
+def compare(actual: Fraction | int | str, estimated: Fraction | int | str, course_code: str = "") -> CourseComparison:
     """Build one course comparison; abs_error is symmetric in its arguments."""
-    actual_f = to_fraction(actual)
-    estimated_f = to_fraction(estimated)
+    actual_f = to_fraction(actual, "actual difficulty")
+    estimated_f = to_fraction(estimated, "estimated difficulty")
     for name, value in (("actual", actual_f), ("estimated", estimated_f)):
-        if not 0 <= value <= _DI_MAX:
-            raise ValidationError(f"{name} difficulty {value} outside [0, {_DI_MAX}]")
+        if not 0 <= value <= DI_SCALE:
+            raise ValidationError(f"{name} difficulty {value} outside [0, {DI_SCALE}]")
     error = abs(actual_f - estimated_f)
     return CourseComparison(
         course_code=course_code,
@@ -55,11 +54,11 @@ def compare(actual: Numeric, estimated: Numeric, course_code: str = "") -> Cours
     )
 
 
-def summarize(comparisons: list[CourseComparison], tolerance: Numeric = Fraction(1, 2)) -> ValidationReport:
+def summarize(comparisons: list[CourseComparison], tolerance: Fraction | int | str = Fraction(1, 2)) -> ValidationReport:
     """Aggregate comparisons into means plus an accuracy ratio at the tolerance."""
     if not comparisons:
         raise InsufficientDataError("cannot summarize an empty comparison list")
-    tol = to_fraction(tolerance)
+    tol = to_fraction(tolerance, "tolerance")
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     n = len(comparisons)

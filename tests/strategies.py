@@ -28,7 +28,7 @@ def catalogs(draw):
 def curricula(draw):
     """A catalog plus coherent courses over it (some with cell overrides)."""
     catalog = draw(catalogs())
-    ids = list(catalog.ids())
+    ids = list(catalog.criteria)
     courses = []
     for i in range(draw(st.integers(min_value=1, max_value=5))):
         chosen = draw(

@@ -32,6 +32,7 @@ from course_difficulty.rounding import (
     round_half_away,
 )
 from course_difficulty.taxonomy import criterion_rubric
+from course_difficulty.validation import compare, summarize
 from strategies import curricula, grade_histories as histories, repeating_histories
 
 # the caps keep tier-1 wall time close to flat; composite strategies draw a whole curriculum per example
@@ -189,7 +190,7 @@ class TestClassAverageToDi:
     def test_matches_fraction_formula_on_decimals(self, average):
         value = Fraction(average)
         assert class_average_to_di(value) == 5 - value / 100 * 5
-        assert class_average_to_di(str(average)) == 5 - value / 100 * 5
+        assert class_average_to_di(format(average, "f")) == 5 - value / 100 * 5  # str() may give an exponent
 
     @KERNEL
     @given(st.fractions(min_value=-1, max_value=101, max_denominator=1000))
@@ -285,20 +286,56 @@ class TestGradeDifficulty:
 class TestFinalDifficulty:
     def test_default_policy_keeps_rubric_estimate(self):
         result = final_difficulty("3.8", "4.0")
-        assert result.policy is CombinePolicy.BLOOM_PRIMARY
-        assert result.final_di == Fraction("3.8")
+        assert type(result) is Fraction
+        assert result == Fraction("3.8")
 
     def test_mean_of_both(self):
         result = final_difficulty("3.8", "4.0", CombinePolicy.MEAN_OF_BOTH)
-        assert result.final_di == Fraction("3.9")
+        assert type(result) is Fraction
+        assert result == Fraction("3.9")
 
     @pytest.mark.parametrize("policy", list(CombinePolicy))
     def test_agreement_is_a_fixed_point(self, policy):
-        assert final_difficulty("2.5", "2.5", policy).final_di == Fraction("2.5")
+        assert final_difficulty("2.5", "2.5", policy) == Fraction("2.5")
 
     def test_out_of_scale_inputs_rejected(self):
         with pytest.raises(ValidationError):
             final_difficulty("5.1", "4.0")
+
+
+# Each library entry point that takes a number, reading ``v`` in one argument
+# and giving back the Fraction it read there.
+NUMBER_ARGUMENTS = {
+    "compare.actual": lambda v: compare(v, "4").actual_di,
+    "compare.estimated": lambda v: compare("4", v).estimated_di,
+    "summarize.tolerance": lambda v: summarize([compare("4", "4")], v).tolerance,
+    "final_difficulty.bloom_di": lambda v: final_difficulty(v, "4"),
+    "final_difficulty.grade_di": lambda v: 2 * final_difficulty("0", v, CombinePolicy.MEAN_OF_BOTH),
+    "class_average_to_di": lambda v: (5 - class_average_to_di(v)) * 20,
+    "GenerationRecord.value": lambda v: GenerationRecord("g", GradeKind.DI, v).value,
+}
+
+
+class TestNumberRule:
+    """Library arguments follow the file rule: a Fraction, an int or an ASCII decimal string."""
+
+    @pytest.mark.parametrize("entry", NUMBER_ARGUMENTS)
+    @pytest.mark.parametrize("value", ["1/3", "1e0", "\u0663.\u0665", "nan", 0.3, True, None])
+    def test_rejected(self, entry, value):
+        with pytest.raises(DataFormatError):
+            NUMBER_ARGUMENTS[entry](value)
+
+    @pytest.mark.parametrize("entry", NUMBER_ARGUMENTS)
+    @pytest.mark.parametrize("value", ["4.0", " 4 ", 4, Fraction(4)])
+    def test_accepted(self, entry, value):
+        result = NUMBER_ARGUMENTS[entry](value)
+        assert type(result) is Fraction
+        assert result == 4
+
+    def test_fraction_is_kept_as_is(self):
+        value = Fraction(7, 2)
+        assert GenerationRecord("g", GradeKind.DI, value).value is value
+        assert final_difficulty(value, "4") is value
 
 
 class TestRounding:

@@ -1,13 +1,15 @@
-"""Fuzz suites for the loaders and the ``grades`` command.
+"""Fuzz suites for the loaders and the ``grades`` and ``validate`` commands.
 
 Per loader, hypothesis writes entries whose expected keys hold arbitrary JSON
 values, or rows whose cells hold arbitrary text. Every file must either load,
 and then round-trip exactly through its writer, or raise ``DataFormatError`` or
 ``ValidationError`` naming the file. Nothing else may escape.
 
-Per ``grades`` run on such a file, the exit code is 0, 1 or 2. A failing run
-prints nothing on stdout and leaves no ``--output`` file; a passing run writes
-the same bytes to ``--output`` as to stdout.
+Per ``grades`` run on such a file, and per ``validate`` run on such a
+curriculum and grade file with the shipped catalog, the exit code is 0, 1 or 2.
+A failing run prints nothing on stdout and leaves no ``--output`` (or
+``--plot-data``) file; a passing run writes the same bytes to ``--output`` as
+to stdout.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from course_difficulty import data_io
@@ -106,19 +108,23 @@ def test_csv_lexicon(text):
     _check(*LOADERS["lexicon"], "lex.csv", text)
 
 
-@EXAMPLES
-@given(_entries({
+CURRICULUM_ENTRIES = _entries({
     "course_code": CODES,
     "title": st.text(max_size=4),
     "criteria": st.lists(st.sampled_from(["a", "h", " k", "z"]), max_size=3),
     "overrides": st.dictionaries(st.sampled_from(["a", "h"]), st.integers(0, 22) | st.sampled_from(["5", "1_0"])),
-}))
+})
+CURRICULUM_CSV = _csv_text(data_io.CURRICULUM_COLUMNS, [CODES, st.text(max_size=4), st.just("a|h"), st.just("h:5")])
+
+
+@EXAMPLES
+@given(CURRICULUM_ENTRIES)
 def test_json_curriculum(entries):
     _check(*LOADERS["curriculum"], "cur.json", json.dumps({"courses": entries}))
 
 
 @EXAMPLES
-@given(_csv_text(data_io.CURRICULUM_COLUMNS, [CODES, st.text(max_size=4), st.just("a|h"), st.just("h:5")]))
+@given(CURRICULUM_CSV)
 def test_csv_curriculum(text):
     _check(*LOADERS["curriculum"], "cur.csv", text)
 
@@ -163,7 +169,7 @@ GRADE_FILES = st.one_of(
 )
 
 
-def _grades_run(argv):
+def _cli_run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -178,8 +184,58 @@ def test_grades_cli(grade_file, fmt):
         path, output = Path(tmp) / name, Path(tmp) / "out.txt"
         path.write_text(text, encoding="utf-8", newline="")
         argv = ["grades", "--grades", str(path), "--format", fmt]
-        code, out, err = _grades_run(argv)
+        code, out, err = _cli_run(argv)
         assert code in (0, 1, 2)
         assert (code, out == "") in ((0, False), (1, True), (2, True)), err
-        assert _grades_run([*argv, "--output", str(output)]) == (code, "", err)
+        assert _cli_run([*argv, "--output", str(output)]) == (code, "", err)
         assert (output.read_text(encoding="utf-8") if output.exists() else None) == (out if code == 0 else None)
+
+
+VALIDATE_CODES = st.sampled_from(["C1", "C2", "C3"])
+CURRICULUM_FILES = st.one_of(
+    st.tuples(st.just("cur.csv"), st.lists(VALIDATE_CODES, min_size=1, unique=True).map(
+        lambda codes: _render(data_io.CURRICULUM_COLUMNS, [(code, "", "a|h", "h:5") for code in codes])
+    )),
+    st.tuples(st.just("cur.csv"), CURRICULUM_CSV),
+    st.tuples(st.just("cur.json"), CURRICULUM_ENTRIES.map(lambda entries: json.dumps({"courses": entries}))),
+    st.tuples(st.sampled_from(["cur.csv", "cur.json"]), st.text(max_size=40)),
+)
+VALIDATE_FLAGS = st.tuples(
+    st.sampled_from([["--format", "table"], ["--format", "csv"], ["--format", "json"]]),
+    st.sampled_from([[], ["--mode", "as-printed"]]),
+    st.sampled_from([[], ["--policy", "mean-of-both"]]),
+    st.sampled_from([[], ["--full-precision"]]),
+    st.sampled_from([[], ["--strict"]]),
+).map(lambda parts: [flag for part in parts for flag in part])
+
+
+# valid grade files, so that a run with a valid curriculum can pass
+VALIDATE_GRADE_FILES = st.one_of(
+    st.tuples(st.just("g.csv"), st.lists(st.tuples(VALIDATE_CODES, st.decimals(0, 5, places=2)), min_size=1, max_size=6).map(
+        lambda rows: _render(data_io.GRADES_COLUMNS, [(code, f"g{i}", "di", format(v, "f")) for i, (code, v) in enumerate(rows)])
+    )),
+    GRADE_FILES,
+)
+
+
+def _fixture_text(name):
+    return data_io.fixture_path(name).read_text(encoding="utf-8")
+
+
+@EXAMPLES
+@given(CURRICULUM_FILES, VALIDATE_GRADE_FILES, VALIDATE_FLAGS)
+@example(("cur.csv", _fixture_text("table2_asprinted.csv")), ("g.csv", _fixture_text("table3_grades.csv")), [])
+def test_validate_cli(curriculum_file, grade_file, flags):
+    files = {"table1.json": _fixture_text("table1.json"), **dict([curriculum_file, grade_file])}  # distinct names
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8", newline="")
+        catalog, curriculum, grades = (str(Path(tmp) / name) for name in files)
+        output, plot = Path(tmp) / "out.txt", Path(tmp) / "plot.csv"
+        argv = ["validate", "--catalog", catalog, "--curriculum", curriculum, "--grades", grades, *flags]
+        code, out, err = _cli_run(argv)
+        assert code in (0, 1, 2)
+        assert (code, out == "") in ((0, False), (1, True), (2, True)), err
+        assert _cli_run([*argv, "--output", str(output), "--plot-data", str(plot)]) == (code, "", err)
+        assert (output.read_text(encoding="utf-8") if output.exists() else None) == (out if code == 0 else None)
+        assert plot.exists() == (code == 0)
