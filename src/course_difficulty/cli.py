@@ -274,17 +274,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "mean_estimated": float(format_fixed(report.mean_estimated)),
             "mean_abs_error": float(format_fixed(report.mean_abs_error)),
             "mean_squared_error": float(report.mean_squared_error),
-            "courses": [
-                {
-                    "course_code": c.course_code,
-                    "actual_di": float(c.actual_di),
-                    "estimated_di": float(c.estimated_di),
-                    "abs_error": float(c.abs_error),
-                    "squared_error": float(c.squared_error),
-                    "final_di": float(final),
-                }
-                for c, final in zip(report.comparisons, finals)
-            ],
+            "courses": [],  # one entry per comparison, filled in by render_report_json
             "excluded_courses": list(missing),
             "unmatched_grades": list(unmatched),
             "inputs": [
@@ -292,7 +282,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 for role, path, digest in bundle.provenance
             ],
         }
-        text = data_io.json_text(payload)
+        text = data_io.render_report_json(payload, report, finals)
     else:
         headers = (*data_io.REPORT_COLUMNS, "final_di")
         final_cells = [*map(format_fixed, finals), ""]  # the AVERAGE row has no final_di

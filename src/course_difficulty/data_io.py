@@ -33,6 +33,11 @@ value literals are each parsed once and their records share that one
 ``Fraction``; later new literals are parsed per record, so a file whose
 values are all distinct holds no dict entry per record. Every record still
 has its own range check, so an error names the record's own line or entry.
+
+Reports render from the integers each comparison holds: the CSV and plot
+cells through ``format_ratio``, and each course entry of the JSON report
+from one fixed template that gives the text ``json.dumps(indent=2)`` would;
+``json_text`` renders the rest of the report.
 """
 
 from __future__ import annotations
@@ -46,13 +51,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
 from .engine import Course, GenerationRecord, GradeHistory, GradeKind
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .mapper import OutcomeStatement
-from .rounding import decimal_text, format_fixed, parse_decimal, parse_int
+from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, parse_int
 from .taxonomy import (
     AbetCriterion,
     BloomLevel,
@@ -446,7 +452,8 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
 def report_rows(report: ValidationReport) -> list[tuple[str, str, str, str]]:
     """The ``REPORT_COLUMNS`` cells: one row per course, then the AVERAGE row, 1-decimal values."""
     rows = [
-        (c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di), format_fixed(c.abs_error))
+        (c.course_code, format_ratio(c.actual_num, c.den), format_ratio(c.estimated_num, c.den),
+         format_ratio(abs(c.actual_num - c.estimated_num), c.den))
         for c in report.comparisons
     ]
     means = (report.mean_actual, report.mean_estimated, report.mean_abs_error)
@@ -459,10 +466,34 @@ def render_report_csv(report: ValidationReport) -> str:
     return csv_text(REPORT_COLUMNS, report_rows(report))
 
 
+def render_report_json(payload: dict[str, object], report: ValidationReport, finals: Sequence[Fraction]) -> str:
+    """``json_text(payload)`` with its top-level ``"courses": []`` holding one entry per comparison.
+
+    Each entry is rendered from one fixed template, as the text
+    ``json.dumps(indent=2)`` gives it there: the code through
+    ``encode_basestring_ascii``, and each value as the ``repr`` of
+    ``num / den``, which is correctly rounded and so equals
+    ``float(Fraction(num, den))``. ``finals`` holds each course's final
+    difficulty, in comparison order.
+    """
+    entries = []
+    for c, final in zip(report.comparisons, finals):
+        a, e, den = c.actual_num, c.estimated_num, c.den
+        diff = abs(a - e)
+        entries.append(
+            f'    {{\n      "course_code": {encode_basestring_ascii(c.course_code)},\n'
+            f'      "actual_di": {a / den!r},\n      "estimated_di": {e / den!r},\n'
+            f'      "abs_error": {diff / den!r},\n      "squared_error": {diff * diff / (den * den)!r},\n'
+            f'      "final_di": {final.numerator / final.denominator!r}\n    }}'
+        )
+    head, _, tail = json_text(payload).partition('\n  "courses": []')  # a top-level key: 2-space indent
+    return f'{head}\n  "courses": [\n' + ",\n".join(entries) + f"\n  ]{tail}"
+
+
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:
     """Two-series plot data: actual vs estimated difficulty per course."""
     rows = [
-        (c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di))
+        (c.course_code, format_ratio(c.actual_num, c.den), format_ratio(c.estimated_num, c.den))
         for c in report.comparisons
     ]
     _write_text(path, csv_text(PLOT_COLUMNS, rows))

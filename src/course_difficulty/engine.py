@@ -7,10 +7,12 @@ The grade path converts class performance to the same scale
 per student generation. The rubric path sums integers from the catalog's
 compiled rubric table. A grade record converts to an unreduced integer
 (numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
-builds one ``Fraction`` per history. Results are returned as exact
-``Fraction``s, and callers round at reporting time. Number arguments follow
-``rounding.to_fraction``: a ``Fraction``, an ``int`` or an ASCII decimal
-string, and nothing else.
+builds one ``Fraction`` per history. ``final_difficulty`` range-checks
+numerators against denominators and combines the two values into one
+``Fraction``. Results are returned as exact ``Fraction``s, and callers round
+at reporting time. Number arguments follow ``rounding.to_fraction``: a
+``Fraction``, an ``int`` or an ASCII decimal string, and nothing else;
+override points are a non-bool ``int``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (
+    DataFormatError,
     InsufficientDataError,
     InvalidGradeError,
     UnresolvedCriterionError,
@@ -59,6 +62,10 @@ class Course:
             if cid not in self.criteria:
                 raise ValidationError(
                     f"course {self.code!r} overrides {cid!r} which is not among its criteria"
+                )
+            if not isinstance(points, int) or isinstance(points, bool):
+                raise DataFormatError(
+                    f"course {self.code!r} override {cid!r} must be an int, got {points!r}"
                 )
             if not 1 <= points <= MAX_RUBRIC:
                 raise ValidationError(
@@ -200,8 +207,9 @@ def final_difficulty(
     bloom = to_fraction(bloom_di, "bloom_di")
     grade = to_fraction(grade_di, "grade_di")
     for name, value in (("bloom_di", bloom), ("grade_di", grade)):
-        if not 0 <= value <= DI_SCALE:
+        if not 0 <= value.numerator <= DI_SCALE * value.denominator:
             raise ValidationError(f"{name} {value} outside [0, {DI_SCALE}]")
     if policy is CombinePolicy.MEAN_OF_BOTH:
-        return (bloom + grade) / 2
+        b_den, g_den = bloom.denominator, grade.denominator
+        return Fraction(bloom.numerator * g_den + grade.numerator * b_den, 2 * b_den * g_den)
     return bloom

@@ -4,7 +4,9 @@ Difficulty indices are returned as exact ``fractions.Fraction``s so the
 documented identities hold exactly; rounding happens once, at the edge, half
 away from zero, as one integer ``divmod`` on the numerator and denominator;
 ``format_ratio`` renders a (numerator, denominator) pair the same way
-without building a ``Fraction``.
+without building a ``Fraction``. The validation report's per-course cells
+and plot data render that way, from the integer numerators and shared
+denominator that each ``validation.CourseComparison`` holds.
 All printed values use one decimal place. Numbers read from files and
 flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
 Library functions take numbers through ``to_fraction``: a ``Fraction``, an

@@ -88,3 +88,11 @@ def repeating_grade_maps(draw):
     pool = draw(st.lists(st.decimals(min_value=0, max_value=5, places=3), min_size=1, max_size=4))
     codes = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
     return {code: draw(repeating_histories(code=code, pool=pool)) for code in codes}
+
+
+# difficulty values in [0, 5]: any denominator (1/3, 1/7, ...), small ones, and the 1-decimal grid
+DIFFICULTIES = st.one_of(
+    st.fractions(min_value=0, max_value=5),
+    st.fractions(min_value=0, max_value=5, max_denominator=30),
+    st.integers(min_value=0, max_value=50).map(lambda tenths: Fraction(tenths, 10)),
+)

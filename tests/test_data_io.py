@@ -3,17 +3,26 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from course_difficulty import data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import GenerationRecord, GradeHistory, GradeKind, course_raw_total
+from course_difficulty.engine import (
+    CombinePolicy,
+    GenerationRecord,
+    GradeHistory,
+    GradeKind,
+    course_raw_total,
+    final_difficulty,
+)
 from course_difficulty.errors import (
     DataFormatError,
     InvalidGradeError,
     UnresolvedCriterionError,
     ValidationError,
 )
+from course_difficulty.rounding import round_half_away
 from course_difficulty.taxonomy import BloomLevel, canonical_catalog
 from course_difficulty.validation import compare, summarize
 
@@ -463,7 +472,47 @@ class TestReportWriting:
         assert len([l for l in lines if l]) == 12
 
 
-from strategies import catalogs, curricula, grade_maps  # noqa: E402
+from strategies import DIFFICULTIES, catalogs, curricula, grade_maps  # noqa: E402
+
+# codes a JSON encoder must escape: quotes, backslashes, control characters, non-ASCII text
+REPORT_CODES = st.one_of(
+    st.text(min_size=1, max_size=8),
+    st.text(alphabet='"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600{}[],: ', min_size=1, max_size=8),
+)
+
+
+class TestReportJsonTemplate:
+    """Each course entry of the validate JSON report, rendered from its template, reads as ``json.dumps``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(REPORT_CODES, DIFFICULTIES, DIFFICULTIES), min_size=1, max_size=5),
+        st.sampled_from(list(CombinePolicy)),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example([('\n  "courses": []', Fraction(1, 3), Fraction(7, 2))], CombinePolicy.MEAN_OF_BOTH, False, True)
+    def test_matches_json_dumps(self, rows, policy, rounded, courses_last):
+        if rounded:  # the default 1-decimal comparison; otherwise full precision
+            rows = [(code, round_half_away(a), round_half_away(e)) for code, a, e in rows]
+        report = summarize([compare(a, e, code) for code, a, e in rows])
+        finals = [final_difficulty(e, a, policy) for _, a, e in rows]
+        codes = [code for code, _, _ in rows]
+        head = {"mode": codes[0], "accuracy": float(report.accuracy)}
+        tail = {} if courses_last else {"excluded_courses": codes, "inputs": [{"path": codes[-1]}]}
+        entries = [
+            {
+                "course_code": code,
+                "actual_di": float(a),
+                "estimated_di": float(e),
+                "abs_error": float(abs(a - e)),
+                "squared_error": float((a - e) ** 2),
+                "final_di": float(final),
+            }
+            for (code, a, e), final in zip(rows, finals)
+        ]
+        text = data_io.render_report_json({**head, "courses": [], **tail}, report, finals)
+        assert text == json.dumps({**head, "courses": entries, **tail}, indent=2) + "\n"
 
 
 ROUND_TRIP = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

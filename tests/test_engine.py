@@ -88,6 +88,16 @@ class TestCourse:
         with pytest.raises(ValidationError):
             Course(code="C1", criteria=("a",), cell_overrides={"a": points})
 
+    @pytest.mark.parametrize("points", [True, False, 2.5, 5.0, "5", None, Fraction(5)])
+    def test_rejects_override_points_of_another_type(self, points):
+        # the number rule of to_fraction: a wrong type is a format error, not a bare TypeError
+        with pytest.raises(DataFormatError, match=r"course 'X' override 'a' must be an int"):
+            Course("X", ("a", "h"), cell_overrides={"a": points})
+
+    @pytest.mark.parametrize("points", [1, 21])
+    def test_accepts_override_points_at_the_bounds(self, points):
+        assert Course("X", ("a", "h"), cell_overrides={"a": points}).cell_overrides == {"a": points}
+
     def test_without_overrides_strips_them(self):
         course = Course(code="C1", criteria=("a", "h"), cell_overrides={"h": 5})
         stripped = course.without_overrides()

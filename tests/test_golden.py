@@ -77,6 +77,10 @@ for grades in ("grades.csv", "grades.json"):
     CASES[f"validate-synthetic-{Path(grades).suffix[1:]}-input-json"] = (
         [*VAL[:3], "--curriculum", "curriculum.csv", "--grades", grades, "--format", "json"], 0
     )
+VAL_SYNTHETIC = [*VAL[:3], "--curriculum", "curriculum.csv", "--grades", "grades.csv"]
+for fmt in ("table", "json"):
+    CASES[f"validate-synthetic-full-precision-{fmt}"] = ([*VAL_SYNTHETIC, "--full-precision", "--format", fmt], 0)
+CASES["validate-synthetic-mean-of-both-json"] = ([*VAL_SYNTHETIC, "--policy", "mean-of-both", "--format", "json"], 0)
 CASES["validate-strict"] = ([*FULL, "--strict"], 0)
 CASES["validate-partial-strict"] = ([*PARTIAL, "--strict", "--format", "json"], 1)
 CASES["validate-written-files"] = (
