@@ -15,6 +15,7 @@ flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .engine import (
 from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
 from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away
+from .taxonomy import BloomLexicon
 from .validation import compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -309,12 +311,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # map-outcomes
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _shipped_lexicon() -> BloomLexicon:
+    """``data_io.default_lexicon()``, loaded once per process; this copy is never handed out."""
+    return data_io.default_lexicon()
+
+
 def cmd_map_outcomes(args: argparse.Namespace) -> int:
     statements = data_io.load_statements(args.statements)
-    if args.lexicon is not None:
-        lexicon = data_io.load_lexicon(args.lexicon)
-    else:
-        lexicon = data_io.default_lexicon()
+    lexicon = _shipped_lexicon() if args.lexicon is None else data_io.load_lexicon(args.lexicon)
 
     entries = []
     for statement in statements:
@@ -381,9 +386,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:

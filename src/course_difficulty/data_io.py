@@ -28,11 +28,20 @@ no exponent, ``/``, ``_``, ``nan`` or ``inf``. An error in a record starts
 with ``path:line:`` (CSV) or ``path:courses[3].generations[1]:`` (JSON); a
 JSON value of the wrong type is named by its key path instead. Malformed
 values are never coerced, and every written file loads back to the same
-objects. Within one ``load_grades`` call, the first few thousand distinct
-value literals are each parsed once and their records share that one
-``Fraction``; later new literals are parsed per record, so a file whose
-values are all distinct holds no dict entry per record. Every record still
-has its own range check, so an error names the record's own line or entry.
+objects.
+
+Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
+provenance, and the text is decoded with text-mode newline translation. CSV
+and JSON reach the loaders as (locator, cells) pairs, the cells a tuple in
+the loader's column order: a CSV header is resolved to positions once per
+file (column order and extra columns do not matter), and a JSON entry is
+read by key (unknown keys are ignored). A loader checks each record once,
+with the rule functions of ``engine``, and builds it without checking again.
+Within one ``load_grades`` call, the first few thousand distinct value
+literals are each parsed once, sharing one ``Fraction``, and range-checked
+once per kind; later new literals are parsed and checked per record, so a
+file whose values are all distinct holds no dict entry per record. An error
+names the line or entry of the first record that breaks a rule.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
@@ -43,19 +52,30 @@ from one fixed template that gives the text ``json.dumps(indent=2)`` would;
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
-from .engine import Course, GenerationRecord, GradeHistory, GradeKind
+from .engine import (
+    Course,
+    GenerationRecord,
+    GradeHistory,
+    GradeKind,
+    check_course,
+    check_grade_value,
+    check_label,
+    unchecked_course,
+    unchecked_record,
+)
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .mapper import OutcomeStatement
 from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, parse_int
@@ -93,30 +113,49 @@ _JSON_SHAPES = {"levels": (list, "a list"), "criteria": (list, "a list"), "overr
 _JSON_REQUIRED = frozenset({"id", "verb", "levels", "course_code", "criteria"})  # other keys default to ""
 _JSON_KEYS = {"generation": "label"}  # CSV column -> JSON key, where they differ
 
+# while set (by load_bundle), each file read appends the SHA-256 of its bytes here
+_digests: ContextVar[list[str] | None] = ContextVar("_digests", default=None)
+
 
 # ---------------------------------------------------------------------------
-# reading: every file kind as (locator, CSV-shaped row) records
+# reading: every file kind as (locator, cells) records
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str | Path) -> str:
+    """A file's UTF-8 text from one read of its bytes; while ``load_bundle``
+    collects digests, the SHA-256 of those bytes goes to ``_digests`` as well.
+
+    Newlines are translated as text-mode reading does (``\\r\\n`` and a lone
+    ``\\r`` become ``\\n``), which CSV quoted fields and JSON line numbers rely on.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc.strerror or exc}") from exc
+    digests = _digests.get()
+    if digests is not None:
+        import hashlib  # here, so that the subcommands that never hash do not load OpenSSL at start-up
+
+        digests.append(hashlib.sha256(data).hexdigest())
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Parse a CSV file, checking the header, and yield (line, row) pairs."""
+def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Parse a CSV file, checking the header, and yield (line, cells) pairs, the cells in ``columns`` order."""
     reader = csv.reader(io.StringIO(_read_text(path)))
     try:
         header = next(reader, None)
         if header is None:
             raise DataFormatError("file is empty; a header row is required")
-        missing = [c for c in columns if c not in header]
+        position = {name: i for i, name in enumerate(header)}  # a column named twice reads its last cell
+        missing = [c for c in columns if c not in position]
         if missing:
             raise DataFormatError(f"header is missing column(s) {', '.join(missing)}; found {header}")
+        pick = itemgetter(*(position[c] for c in columns))  # every loader reads two or more columns
         width = len(header)
         for cells in reader:
             if len(cells) != width:
@@ -125,7 +164,7 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, d
                 more = "more" if len(cells) > width else "fewer"  # located here: the loader's line is the previous row's
                 raise DataFormatError(f"row has {more} fields than the header").locate(str(path), reader.line_num)
             # structural fields are stripped at their point of use; free text stays verbatim
-            yield reader.line_num, dict(zip(header, cells))
+            yield reader.line_num, pick(cells)
     except csv.Error as exc:  # such as a field over the csv module's size limit
         raise DataFormatError(f"malformed CSV: {exc}").locate(str(path), reader.line_num) from None
 
@@ -169,40 +208,41 @@ def _json_cell(value: object, key: str, where: str) -> str:
 
 
 def _json_rows(
-    entries: object, where: str, columns: Sequence[str], nested: Sequence[str], inherited: Mapping[str, str]
-) -> Iterator[tuple[str, dict[str, str]]]:
-    """Each JSON entry as an (entry path, CSV row) pair; with ``nested`` columns,
-    the entry's ``generations`` are the rows, each inheriting the entry's cells."""
+    entries: object, where: str, columns: Sequence[str], nested: Sequence[str], inherited: tuple[str, ...]
+) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each JSON entry as an (entry path, cells) pair, the cells in ``columns`` order;
+    with ``nested`` columns, the entry's ``generations`` are the rows, each after the entry's cells."""
     if not isinstance(entries, list):
         raise DataFormatError(f"{where} must be a list")
     for i, entry in enumerate(entries):
         at = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise DataFormatError(f"{at} must be an object")
-        row = dict(inherited)
+        cells = list(inherited)
         for column in columns:
             key = _JSON_KEYS.get(column, column)
             if key in entry:
-                row[column] = _json_cell(entry[key], key, f"{at}.{key}")
+                cells.append(_json_cell(entry[key], key, f"{at}.{key}"))
             elif key in _JSON_REQUIRED:
                 raise DataFormatError(f"{at} must have {key!r}")
             else:
-                row[column] = ""
+                cells.append("")
         if nested:
-            yield from _json_rows(entry.get("generations", []), f"{at}.generations", nested, (), row)
+            yield from _json_rows(entry.get("generations", []), f"{at}.generations", nested, (), tuple(cells))
         else:
-            yield at, row
+            yield at, tuple(cells)
 
 
 @contextmanager
 def _reading(
     path: str | Path, columns: Sequence[str], key: str | None, nested: Sequence[str] = ()
 ) -> Iterator[SimpleNamespace]:
-    """A file's records in CSV row shape, and the one place that names a failing record.
+    """A file's records as cell tuples, and the one place that names a failing record.
 
-    ``file.rows`` yields (locator, row) pairs: the CSV line number, or the path
-    of the JSON entry in the ``key`` list (no JSON form when ``key`` is None).
-    The loader keeps ``file.line`` current as it loops (``for file.line, row in
+    ``file.rows`` yields (locator, cells) pairs: the CSV line number, or the
+    path of the JSON entry in the ``key`` list (no JSON form when ``key`` is
+    None), and the cells of ``columns`` then ``nested``, in that order. The
+    loader keeps ``file.line`` current as it loops (``for file.line, (a, b) in
     file.rows``), and any package error raised inside ``with`` is prefixed with
     ``path:line:``. ``file.provenance`` is the path, or a JSON file's own
     ``provenance`` text.
@@ -214,7 +254,7 @@ def _reading(
             if not isinstance(payload, dict):
                 raise DataFormatError(f"expected an object with a '{key}' list")
             file.provenance = _json_cell(payload.get("provenance", ""), "provenance", "provenance")
-            file.rows = list(_json_rows(payload.get(key), key, columns, nested, {}))
+            file.rows = list(_json_rows(payload.get(key), key, columns, nested, ()))
         else:
             file.rows = _csv_rows(path, (*columns, *nested))
         yield file
@@ -286,13 +326,13 @@ def load_catalog(path: str | Path) -> CriterionCatalog:
     """Load a criterion catalog from CSV or JSON (chosen by file extension)."""
     criteria: dict[str, AbetCriterion] = {}
     with _reading(path, CATALOG_COLUMNS, "criteria") as file:
-        for file.line, row in file.rows:
-            cid = row["id"].strip()
+        for file.line, (cid, description, levels) in file.rows:
+            cid = cid.strip()
             if not cid:
                 raise DataFormatError("criterion id is empty")
             if cid in criteria:
                 raise ValidationError(f"duplicate criterion id {cid!r}")
-            criteria[cid] = AbetCriterion(id=cid, levels=_levels(row["levels"]), description=row["description"])
+            criteria[cid] = AbetCriterion(id=cid, levels=_levels(levels), description=description)
     return CriterionCatalog(criteria=criteria, provenance=file.provenance)
 
 
@@ -309,14 +349,14 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
     """Load an action-verb lexicon (verb -> level(s)) from CSV or JSON."""
     by_level: dict[BloomLevel, set[str]] = {level: set() for level in BloomLevel}
     with _reading(path, LEXICON_COLUMNS, "verbs") as file:
-        for file.line, row in file.rows:
-            if not row["verb"].strip():
+        for file.line, (verb, cell) in file.rows:
+            if not verb.strip():
                 raise DataFormatError("verb is empty")
-            levels = _levels(row["levels"])
+            levels = _levels(cell)
             if not levels:
-                raise ValidationError(f"verb {row['verb'].strip()!r} maps to no complexity levels")
+                raise ValidationError(f"verb {verb.strip()!r} maps to no complexity levels")
             for level in levels:
-                by_level[level].add(row["verb"])
+                by_level[level].add(verb)
         file.line = None  # a level without verbs is the whole file's problem
         return BloomLexicon(entries={level: frozenset(verbs) for level, verbs in by_level.items()})
 
@@ -342,6 +382,8 @@ def default_lexicon() -> BloomLexicon:
 
 def _overrides(cell: str) -> dict[str, int]:
     overrides: dict[str, int] = {}
+    if not cell:
+        return overrides
     for pair in (p for p in cell.split("|") if p.strip()):
         cid, sep, points = pair.partition(":")
         cid = cid.strip()
@@ -356,20 +398,21 @@ def _overrides(cell: str) -> dict[str, int]:
 def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]:
     """Load courses and validate every referenced criterion against the catalog."""
     courses: dict[str, Course] = {}
+    known = catalog.criteria
     with _reading(path, CURRICULUM_COLUMNS, "courses") as file:
-        for file.line, row in file.rows:
-            course = Course(
-                code=row["course_code"].strip(),
-                criteria=tuple(c.strip() for c in row["criteria"].split("|") if c.strip()),
-                title=row["title"] or None,
-                cell_overrides=_overrides(row["overrides"]),
-            )
-            if course.code in courses:
-                raise ValidationError(f"duplicate course code {course.code!r}")
-            for cid in course.criteria:
-                if cid not in catalog:
-                    raise UnresolvedCriterionError(cid, course.code)
-            courses[course.code] = course
+        for file.line, (code, title, cell, overrides) in file.rows:
+            code = code.strip()
+            criteria = tuple(map(str.strip, cell.split("|")))
+            if "" in criteria:
+                criteria = tuple(c for c in criteria if c)
+            overrides = _overrides(overrides)
+            check_course(code, criteria, overrides)
+            if code in courses:
+                raise ValidationError(f"duplicate course code {code!r}")
+            for cid in criteria:
+                if cid not in known:
+                    raise UnresolvedCriterionError(cid, code)
+            courses[code] = unchecked_course(code, criteria, title or None, overrides)
     return list(courses.values())
 
 
@@ -394,29 +437,37 @@ _SHARED_LITERALS = 4096
 def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     """Load per-generation grade records grouped by course, preserving file order.
 
-    Records whose value cells hold the same text share one ``Fraction``, for
-    the first ``_SHARED_LITERALS`` distinct texts.
+    Records whose value cells hold the same text share one ``Fraction``, and
+    each text is range-checked once per kind, for the first ``_SHARED_LITERALS``
+    distinct texts (of each kind, for the range check).
     """
     grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
     histories: dict[str, GradeHistory] = {}
     values: dict[str, Fraction] = {}  # value text -> its parse; a malformed literal never enters
+    in_range: dict[GradeKind, set[str]] = {kind: set() for kind in GradeKind}  # texts that passed the range check
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
-        for file.line, row in file.rows:
-            kind = _KINDS.get(row["kind"].strip().lower())
+        for file.line, (code, label, kind_text, text) in file.rows:
+            kind = _KINDS.get(kind_text.strip().lower())
             if kind is None:
-                raise ValidationError(f"unknown kind {row['kind'].strip()!r}; expected " + " or ".join(_KINDS))
-            text = row["value"]
+                raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
             value = values.get(text)
             if value is None:
                 value = parse_decimal(text, "grade value")
                 if len(values) < _SHARED_LITERALS:
                     values[text] = value
-            record = GenerationRecord(label=row["generation"].strip(), kind=kind, value=value)
-            code = row["course_code"].strip()
-            if code not in grouped:
-                grouped[code] = (file.line, [])
-            grouped[code][1].append(record)
+            label = label.strip()
+            check_label(label)
+            checked = in_range[kind]
+            if text not in checked:
+                check_grade_value(label, kind, value)
+                if len(checked) < _SHARED_LITERALS:
+                    checked.add(text)
+            code = code.strip()
+            group = grouped.get(code)
+            if group is None:
+                grouped[code] = group = (file.line, [])
+            group[1].append(unchecked_record(label, kind, value))
         for code, (file.line, records) in grouped.items():  # a course's problem names its first record
             histories[code] = GradeHistory(course_code=code, generations=tuple(records))
     return histories
@@ -438,10 +489,10 @@ def write_grades(grades: Mapping[str, GradeHistory], path: str | Path) -> None:
 def load_statements(path: str | Path) -> list[OutcomeStatement]:
     statements = []
     with _reading(path, STATEMENTS_COLUMNS, None) as file:
-        for file.line, row in file.rows:
-            if not row["text"].strip():
-                raise ValidationError(f"statement {row['criterion_id']!r} has empty text")
-            statements.append(OutcomeStatement(criterion_id=row["criterion_id"].strip(), text=row["text"]))
+        for file.line, (cid, text) in file.rows:
+            if not text.strip():
+                raise ValidationError(f"statement {cid!r} has empty text")
+            statements.append(OutcomeStatement(criterion_id=cid.strip(), text=text))
     return statements
 
 
@@ -520,24 +571,22 @@ class DataBundle:
         return tuple(code for code in self.grades if code not in known)
 
 
-def _sha256(path: str | Path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc.strerror or exc}").locate(str(path)) from exc
-
-
 def load_bundle(catalog_path: str | Path, curriculum_path: str | Path, grades_path: str | Path) -> DataBundle:
-    """Load and cross-validate a full input set."""
-    catalog = load_catalog(catalog_path)
-    courses = load_curriculum(curriculum_path, catalog)
-    grades = load_grades(grades_path)
+    """Load and cross-validate a full input set, hashing each file from the one read that parses it."""
+    digests: list[str] = []  # one per file read, in order
+    token = _digests.set(digests)
+    try:
+        catalog = load_catalog(catalog_path)
+        courses = load_curriculum(curriculum_path, catalog)
+        grades = load_grades(grades_path)
+    finally:
+        _digests.reset(token)
     paths = (("catalog", catalog_path), ("curriculum", curriculum_path), ("grades", grades_path))
     return DataBundle(
         catalog=catalog,
         courses=tuple(courses),
         grades=grades,
-        provenance=tuple((role, str(path), _sha256(path)) for role, path in paths),
+        provenance=tuple((role, str(path), digest) for (role, path), digest in zip(paths, digests)),
     )
 
 

@@ -13,6 +13,12 @@ numerators against denominators and combines the two values into one
 at reporting time. Number arguments follow ``rounding.to_fraction``: a
 ``Fraction``, an ``int`` or an ASCII decimal string, and nothing else;
 override points are a non-bool ``int``.
+
+``Course`` and ``GenerationRecord`` are frozen, slotted records (no
+``__dict__``). Each rule lives in one function (``check_course``,
+``check_label``, ``check_grade_value``) that the public constructor calls.
+The loaders call the same functions at the input boundary, then build each
+record with ``unchecked_course``/``unchecked_record``, which check nothing again.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .taxonomy import MAX_RUBRIC, CriterionCatalog
 DI_SCALE = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Course:
     """A course code plus the criterion ids it maps to.
 
@@ -50,33 +56,48 @@ class Course:
     cell_overrides: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.code:
-            raise ValidationError("course code must be non-empty")
-        if not self.criteria:
-            raise ValidationError(f"course {self.code!r} maps to no criteria")
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        if len(set(self.criteria)) != len(self.criteria):
-            raise ValidationError(f"course {self.code!r} lists a criterion more than once")
-        overrides = dict(self.cell_overrides)
-        for cid, points in overrides.items():
-            if cid not in self.criteria:
-                raise ValidationError(
-                    f"course {self.code!r} overrides {cid!r} which is not among its criteria"
-                )
-            if not isinstance(points, int) or isinstance(points, bool):
-                raise DataFormatError(
-                    f"course {self.code!r} override {cid!r} must be an int, got {points!r}"
-                )
-            if not 1 <= points <= MAX_RUBRIC:
-                raise ValidationError(
-                    f"course {self.code!r} override {cid!r}={points} outside 1..{MAX_RUBRIC}"
-                )
+        criteria, overrides = tuple(self.criteria), dict(self.cell_overrides)
+        check_course(self.code, criteria, overrides)
+        object.__setattr__(self, "criteria", criteria)
         object.__setattr__(self, "cell_overrides", overrides)
 
     def without_overrides(self) -> "Course":
         if not self.cell_overrides:
             return self
-        return Course(code=self.code, criteria=self.criteria, title=self.title)
+        return unchecked_course(self.code, self.criteria, self.title, {})
+
+
+def check_course(code: str, criteria: tuple[str, ...], overrides: Mapping[str, int]) -> None:
+    """The rules a ``Course`` keeps: a code, distinct criteria, and overrides of
+    listed criteria by ``int`` points within 1..MAX_RUBRIC."""
+    if not code:
+        raise ValidationError("course code must be non-empty")
+    if not criteria:
+        raise ValidationError(f"course {code!r} maps to no criteria")
+    if len(set(criteria)) != len(criteria):
+        raise ValidationError(f"course {code!r} lists a criterion more than once")
+    for cid, points in overrides.items():
+        if cid not in criteria:
+            raise ValidationError(f"course {code!r} overrides {cid!r} which is not among its criteria")
+        if not isinstance(points, int) or isinstance(points, bool):
+            raise DataFormatError(f"course {code!r} override {cid!r} must be an int, got {points!r}")
+        if not 1 <= points <= MAX_RUBRIC:
+            raise ValidationError(f"course {code!r} override {cid!r}={points} outside 1..{MAX_RUBRIC}")
+
+
+_new = object.__new__
+_COURSE_SLOTS = tuple(Course.__dict__[name].__set__ for name in ("code", "criteria", "title", "cell_overrides"))
+
+
+def unchecked_course(code: str, criteria: tuple[str, ...], title: str | None, overrides: dict[str, int]) -> Course:
+    """A ``Course`` of values that already passed ``check_course``, built without checking them again."""
+    course = _new(Course)
+    set_code, set_criteria, set_title, set_overrides = _COURSE_SLOTS
+    set_code(course, code)
+    set_criteria(course, criteria)
+    set_title(course, title)
+    set_overrides(course, overrides)
+    return course
 
 
 @dataclass(frozen=True)
@@ -95,7 +116,7 @@ class GradeKind(Enum):
     DI = "di"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationRecord:
     """Class performance of one student generation, tagged with its scale."""
 
@@ -104,13 +125,10 @@ class GenerationRecord:
     value: Fraction
 
     def __post_init__(self):
-        if not self.label:
-            raise ValidationError("generation label must be non-empty")
         value = to_fraction(self.value, "grade value")
+        check_label(self.label)
+        check_grade_value(self.label, self.kind, value)
         object.__setattr__(self, "value", value)
-        name, top = ("percent", 100) if self.kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
-        if not 0 <= value.numerator <= top * value.denominator:
-            raise InvalidGradeError(f"generation {self.label!r}: {name} value {value} outside [0, {top}]")
 
     def di(self) -> Fraction:
         """The record on the 0-5 difficulty scale (percent records convert)."""
@@ -121,6 +139,33 @@ class GenerationRecord:
         if self.kind is GradeKind.PERCENT:
             return _percent_pair(self.value)
         return self.value.numerator, self.value.denominator
+
+
+def check_label(label: str) -> None:
+    """A ``GenerationRecord`` rule: the generation label is non-empty."""
+    if not label:
+        raise ValidationError("generation label must be non-empty")
+
+
+def check_grade_value(label: str, kind: GradeKind, value: Fraction) -> None:
+    """A ``GenerationRecord`` rule: the value lies in its kind's range, [0, 100] or [0, 5]."""
+    name, top = ("percent", 100) if kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
+    if not 0 <= value.numerator <= top * value.denominator:
+        raise InvalidGradeError(f"generation {label!r}: {name} value {value} outside [0, {top}]")
+
+
+_RECORD_SLOTS = tuple(GenerationRecord.__dict__[name].__set__ for name in ("label", "kind", "value"))
+
+
+def unchecked_record(label: str, kind: GradeKind, value: Fraction) -> GenerationRecord:
+    """A ``GenerationRecord`` of values that already passed ``check_label`` and
+    ``check_grade_value``, built without checking them again."""
+    record = _new(GenerationRecord)
+    set_label, set_kind, set_value = _RECORD_SLOTS
+    set_label(record, label)
+    set_kind(record, kind)
+    set_value(record, value)
+    return record
 
 
 @dataclass(frozen=True)

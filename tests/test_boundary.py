@@ -1,0 +1,344 @@
+"""The input boundary: rows as cell tuples, records checked once and built once, each input read once.
+
+A loader builds each ``GenerationRecord`` and ``Course`` from values it has
+already checked, with the same rule functions the public constructors call.
+The property suites hold the two paths to one result: equal, equally hashed
+and equally printed records, or the same error, named at the record's line
+or entry. Column order and extra columns or keys change nothing, and a
+file's bytes are read once, hashed as they are and decoded as text-mode
+reading decodes them.
+"""
+
+import builtins
+import csv
+import dataclasses
+import hashlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from course_difficulty import data_io
+from course_difficulty.cli import main
+from course_difficulty.engine import Course, GenerationRecord, GradeHistory, GradeKind
+from course_difficulty.errors import CourseDifficultyError
+from course_difficulty.mapper import OutcomeStatement
+from course_difficulty.taxonomy import canonical_catalog
+
+EXAMPLES = settings(max_examples=60, deadline=None)
+CATALOG = canonical_catalog()
+
+# free text a CSV cell and a JSON string both carry verbatim (no control characters)
+TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=4)
+PADDED_IDS = st.sampled_from(["a", "b", "h", "k", " a", "h ", ""])  # in the catalog, once stripped
+POINTS = st.integers(min_value=-2, max_value=24)  # 1..21 is in range
+MALFORMED = ["", "x", "1e2", "1/2", "nan", "inf", "4_0", "--1", "٥"]
+
+
+def _decimal(units, places):
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), 10**places)
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+
+VALUE_TEXTS = st.one_of(
+    st.builds(_decimal, st.integers(min_value=-60, max_value=1100), st.integers(min_value=0, max_value=2)),
+    st.sampled_from(["0", "5", "5.0", "100", "100.00", ".5", "+3"]),  # repeated literals, at the bounds
+    st.sampled_from(MALFORMED),
+)
+
+
+def _write_csv(path, columns, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    path.write_text(buf.getvalue(), encoding="utf-8", newline="")
+    return path
+
+
+def _outcome(build):
+    """``build()``'s result, or the class and message of the package error it raised."""
+    try:
+        return build(), None
+    except CourseDifficultyError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_record(loaded, built):
+    assert loaded == built
+    assert repr(loaded) == repr(built)
+    try:
+        expected_hash = hash(built)
+    except TypeError:  # a Course holds its overrides in a dict
+        with pytest.raises(TypeError):
+            hash(loaded)
+    else:
+        assert hash(loaded) == expected_hash
+
+
+# ---------------------------------------------------------------------------
+# the loader path equals the checked path
+# ---------------------------------------------------------------------------
+
+GRADE_ROWS = st.lists(st.tuples(TEXT, st.sampled_from(list(GradeKind)), VALUE_TEXTS), min_size=1, max_size=4)
+
+
+class TestGradeRecordsBuiltOnce:
+    @EXAMPLES
+    @given(rows=GRADE_ROWS, form=st.sampled_from(["csv", "json"]))
+    @example(rows=[("g", GradeKind.PERCENT, "50"), ("g", GradeKind.DI, "50")], form="csv")
+    @example(rows=[(" ", GradeKind.DI, "x")], form="json")
+    @example(rows=[(" ", GradeKind.DI, "9")], form="csv")
+    def test_loader_matches_constructor(self, rows, form):
+        """One course per row, so only the record's own rules can fail it."""
+        built, error, failing = [], None, None
+        for i, (label, kind, text) in enumerate(rows):
+            record, error = _outcome(lambda: GenerationRecord(label=label.strip(), kind=kind, value=text))
+            if error is not None:
+                failing = i
+                break
+            built.append(record)
+        with tempfile.TemporaryDirectory() as tmp:
+            if form == "csv":
+                path = _write_csv(
+                    Path(tmp) / "g.csv", data_io.GRADES_COLUMNS,
+                    [(f"C{i}", label, kind.value, text) for i, (label, kind, text) in enumerate(rows)],
+                )
+                locator = f"{failing + 2}" if error else None
+            else:
+                path = Path(tmp) / "g.json"
+                courses = [
+                    {"course_code": f"C{i}", "generations": [{"label": label, "kind": kind.value, "value": text}]}
+                    for i, (label, kind, text) in enumerate(rows)
+                ]
+                path.write_text(json.dumps({"courses": courses}), encoding="utf-8")
+                locator = f"courses[{failing}].generations[0]" if error else None
+            histories, loaded_error = _outcome(lambda: data_io.load_grades(path))
+            if error is not None:
+                assert loaded_error == (error[0], f"{path}:{locator}: {error[1]}")
+                return
+        assert loaded_error is None
+        loaded = [history.generations[0] for history in histories.values()]
+        assert len(loaded) == len(built)
+        for record, expected in zip(loaded, built):
+            _assert_same_record(record, expected)
+
+
+COURSES = st.fixed_dictionaries({
+    "code": TEXT,
+    "title": TEXT,
+    "criteria": st.lists(PADDED_IDS, max_size=5),
+    "overrides": st.dictionaries(st.sampled_from(["a", "b", "h", "k", "z"]), POINTS, max_size=3),
+})
+
+
+class TestCoursesBuiltOnce:
+    @EXAMPLES
+    @given(course=COURSES, form=st.sampled_from(["csv", "json"]))
+    @example(course={"code": "X", "title": "", "criteria": ["a", "a"], "overrides": {}}, form="csv")
+    @example(course={"code": " ", "title": "", "criteria": [], "overrides": {}}, form="json")
+    @example(course={"code": "X", "title": "t", "criteria": ["a", "h"], "overrides": {"h": 22}}, form="json")
+    @example(course={"code": "X", "title": "t", "criteria": ["a", "h"], "overrides": {"z": 5}}, form="csv")
+    def test_loader_matches_constructor(self, course, form):
+        criteria = tuple(c.strip() for c in course["criteria"] if c.strip())
+        built, error = _outcome(lambda: Course(
+            code=course["code"].strip(), criteria=criteria,
+            title=course["title"] or None, cell_overrides=course["overrides"],
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            if form == "csv":
+                cell = "|".join(f"{cid}:{points}" for cid, points in course["overrides"].items())
+                row = (course["code"], course["title"], "|".join(course["criteria"]), cell)
+                path = _write_csv(Path(tmp) / "cur.csv", data_io.CURRICULUM_COLUMNS, [row])
+                locator = "2"
+            else:
+                entry = {"course_code": course["code"], "title": course["title"],
+                         "criteria": course["criteria"], "overrides": course["overrides"]}
+                path = Path(tmp) / "cur.json"
+                path.write_text(json.dumps({"courses": [entry]}), encoding="utf-8")
+                locator = "courses[0]"
+            courses, loaded_error = _outcome(lambda: data_io.load_curriculum(path, CATALOG))
+            if error is not None:
+                assert loaded_error == (error[0], f"{path}:{locator}: {error[1]}")
+                return
+        assert loaded_error is None
+        (loaded,) = courses
+        _assert_same_record(loaded, built)
+        canonical = Course(code=built.code, criteria=built.criteria, title=built.title)
+        _assert_same_record(loaded.without_overrides(), canonical)
+
+
+FROZEN = dataclasses.FrozenInstanceError
+NO_DICT = (AttributeError, TypeError)  # a new name has no __dict__ to go to (Python 3.11 raises TypeError)
+
+
+class TestRecordsStayImmutable:
+    @pytest.mark.parametrize("name,value,error", [("label", "h", FROZEN), ("value", Fraction(1), FROZEN),
+                                                  ("extra", 1, NO_DICT)])
+    def test_grade_record(self, fixture_dir, name, value, error):
+        built = GenerationRecord("g", GradeKind.DI, Fraction(2))
+        loaded = data_io.load_grades(fixture_dir / "table3_grades.csv")["C1"].generations[0]
+        for record in (built, loaded):
+            with pytest.raises(error):
+                setattr(record, name, value)
+            assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("name,value,error", [("code", "Y", FROZEN), ("criteria", ("a",), FROZEN),
+                                                  ("extra", 1, NO_DICT)])
+    def test_course(self, fixture_dir, name, value, error):
+        built = Course("X", ("a", "h"), cell_overrides={"h": 5})
+        loaded = data_io.load_curriculum(fixture_dir / "table2_asprinted.csv", CATALOG)[8]
+        for course in (built, loaded, loaded.without_overrides()):
+            with pytest.raises(error):
+                setattr(course, name, value)
+            assert not hasattr(course, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# rows as tuples: column order, extra columns and extra keys change nothing
+# ---------------------------------------------------------------------------
+
+CATALOG_ROWS = [("a", "first outcome", "1|2|3"), ("x1", "another", "Create|4")]
+LEXICON_ROWS = [(verb, str(level)) for level, verbs in enumerate(
+    [["list"], ["explain"], ["apply"], ["analyze"], ["judge", "list"], ["design"]], start=1) for verb in verbs]
+CURRICULUM_ROWS = [("C1", "Intro", "a|h", "h:5"), ("C2", "", " k | l ", "")]
+GRADE_ROWS_FIXED = [("C1", "g1", "percent", "62.5"), ("C1", "g2", "di", "3.1"), ("C2", "g1", "DI", " 4 ")]
+STATEMENT_ROWS = [("a", "Students apply and design systems."), ("b", "  Describe  ")]
+
+LOADERS = {  # name -> (columns, rows, load, a reordered header with an extra column)
+    "catalog": (data_io.CATALOG_COLUMNS, CATALOG_ROWS, data_io.load_catalog, ("levels", "note", "id", "description")),
+    "lexicon": (data_io.LEXICON_COLUMNS, LEXICON_ROWS, data_io.load_lexicon, ("note", "levels", "verb")),
+    "curriculum": (data_io.CURRICULUM_COLUMNS, CURRICULUM_ROWS, lambda p: data_io.load_curriculum(p, CATALOG),
+                   ("overrides", "criteria", "note", "title", "course_code")),
+    "grades": (data_io.GRADES_COLUMNS, GRADE_ROWS_FIXED, data_io.load_grades,
+               ("value", "kind", "note", "generation", "course_code")),
+    "statements": (data_io.STATEMENTS_COLUMNS, STATEMENT_ROWS, data_io.load_statements,
+                   ("text", "note", "criterion_id")),
+}
+
+EXPECTED = {
+    "catalog": lambda loaded: [(c.id, c.description, sorted(level.weight for level in c.levels))
+                               for c in loaded.criteria.values()]
+    == [("a", "first outcome", [1, 2, 3]), ("x1", "another", [4, 6])],
+    "lexicon": lambda loaded: {verb: sorted(level.weight for level in loaded.levels_for(verb))
+                               for verb, _ in LEXICON_ROWS}
+    == {"list": [1, 5], "explain": [2], "apply": [3], "analyze": [4], "judge": [5], "design": [6]},
+    "curriculum": lambda loaded: loaded == [
+        Course("C1", ("a", "h"), "Intro", {"h": 5}), Course("C2", ("k", "l"), None, {}),
+    ],
+    "grades": lambda loaded: loaded == {
+        "C1": GradeHistory("C1", (GenerationRecord("g1", GradeKind.PERCENT, Fraction("62.5")),
+                                  GenerationRecord("g2", GradeKind.DI, Fraction("3.1")))),
+        "C2": GradeHistory("C2", (GenerationRecord("g1", GradeKind.DI, Fraction(4)),)),
+    },
+    "statements": lambda loaded: loaded == [
+        OutcomeStatement("a", "Students apply and design systems."), OutcomeStatement("b", "  Describe  "),
+    ],
+}
+
+
+class TestColumnOrder:
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    def test_reordered_header_with_an_extra_column(self, tmp_path, name):
+        columns, rows, load, header = LOADERS[name]
+        plain = load(_write_csv(tmp_path / "plain.csv", columns, rows))
+        assert EXPECTED[name](plain)
+        shuffled = [tuple(dict(zip(columns, row), note="ignored")[c] for c in header) for row in rows]
+        loaded = load(_write_csv(tmp_path / "shuffled.csv", header, shuffled))
+        if name == "catalog":  # whose provenance is its path
+            loaded, plain = loaded.criteria, plain.criteria
+        assert loaded == plain
+
+    def test_a_column_named_twice_reads_its_last_cell(self, tmp_path):
+        path = _write_csv(tmp_path / "g.csv", (*data_io.GRADES_COLUMNS, "value"), [("C1", "g1", "di", "x", "2.5")])
+        assert data_io.load_grades(path)["C1"].generations[0].value == Fraction("2.5")
+
+
+JSON_FORMS = {  # name -> (entry list key, entries with an unknown key in each object)
+    "catalog": ("criteria", [{"id": "a", "description": "first outcome", "levels": [1, 2, 3], "colour": "red"},
+                             {"id": "x1", "description": "another", "levels": ["Create", 4], "n": 1}]),
+    "lexicon": ("verbs", [{"verb": verb, "levels": [int(level)], "note": None} for verb, level in LEXICON_ROWS]),
+    "curriculum": ("courses", [
+        {"course_code": "C1", "title": "Intro", "criteria": ["a", "h"], "overrides": {"h": 5}, "credits": 3},
+        {"course_code": "C2", "criteria": [" k ", "l"], "extra": {"nested": [1]}},
+    ]),
+    "grades": ("courses", [
+        {"course_code": "C1", "term": "fall", "generations": [
+            {"label": "g1", "kind": "percent", "value": 62.5, "students": 40},
+            {"label": "g2", "kind": "di", "value": "3.1", "note": None},
+        ]},
+        {"course_code": "C2", "generations": [{"label": "g1", "kind": "DI", "value": " 4 ", "x": []}]},
+    ]),
+}
+
+
+class TestJsonExtraKeys:
+    @pytest.mark.parametrize("name", sorted(JSON_FORMS))
+    def test_unknown_key_is_ignored(self, tmp_path, name):
+        key, entries = JSON_FORMS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({key: entries}), encoding="utf-8")
+        assert EXPECTED[name](LOADERS[name][2](path))
+
+
+# ---------------------------------------------------------------------------
+# each input read once: hashed as bytes, decoded as text-mode reading decodes
+# ---------------------------------------------------------------------------
+
+class TestReadOnce:
+    def test_crlf_csv_keeps_a_quoted_multiline_title(self, tmp_path):
+        path = tmp_path / "cur.csv"
+        path.write_bytes(
+            b'course_code,title,criteria,overrides\r\nC1,"Line one\r\nline two\rthree",a|h,h:5\r\nC2,plain,k,\r\n'
+        )
+        assert data_io.load_curriculum(path, CATALOG) == [
+            Course("C1", ("a", "h"), "Line one\nline two\nthree", {"h": 5}), Course("C2", ("k",), "plain"),
+        ]
+
+    def test_crlf_csv_error_names_its_line(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b'course_code,generation,kind,value\r\nC1,g1,di,1.5\r\nC1,"g\r\n2",di,x\r\n')
+        with pytest.raises(CourseDifficultyError) as exc:
+            data_io.load_grades(path)
+        assert str(exc.value) == f"{path}:4: cannot parse grade value 'x' as a decimal number"
+
+    def test_lone_cr_json_error_names_its_line(self, tmp_path):
+        path = tmp_path / "cur.json"
+        path.write_bytes(
+            b'{"courses": [\r{"course_code": "C1", "criteria": ["a"]},\r{"course_code": "C2",\r"criteria": ["a"],,\r}]}'
+        )
+        with pytest.raises(CourseDifficultyError) as exc:
+            data_io.load_curriculum(path, CATALOG)
+        assert str(exc.value) == f"{path}:4: invalid JSON: Expecting property name enclosed in double quotes"
+
+    def test_provenance_is_the_hash_of_the_raw_bytes(self, fixture_dir, tmp_path):
+        grades = tmp_path / "grades.csv"
+        grades.write_bytes((fixture_dir / "table3_grades.csv").read_bytes().replace(b"\n", b"\r\n"))
+        paths = (fixture_dir / "table1.json", fixture_dir / "table2_asprinted.csv", grades)
+        bundle = data_io.load_bundle(*paths)
+        assert bundle.provenance == tuple(
+            (role, str(path), hashlib.sha256(path.read_bytes()).hexdigest())
+            for role, path in zip(("catalog", "curriculum", "grades"), paths)
+        )
+        assert bundle.grades == data_io.load_grades(fixture_dir / "table3_grades.csv")
+
+    def test_validate_opens_each_input_once(self, fixture_dir, monkeypatch, capsys):
+        paths = [str(fixture_dir / n) for n in ("table1.json", "table2_asprinted.csv", "table3_grades.csv")]
+        opened = []
+        original = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        argv = ["validate", "--catalog", paths[0], "--curriculum", paths[1], "--grades", paths[2], "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [opened.count(p) for p in paths] == [1, 1, 1]
+        assert [entry["path"] for entry in report["inputs"]] == paths

@@ -2,13 +2,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from course_difficulty import data_io
+from course_difficulty import cli, data_io
 from course_difficulty.cli import main
 from course_difficulty.engine import grade_difficulty
 from course_difficulty.rounding import format_fixed, round_half_away
@@ -449,3 +452,63 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["estimate"])  # required flags missing
     assert exc.value.code == 2
+
+
+class TestOneProcess:
+    """``main`` reuses one parser and one shipped lexicon per process; no call's flags or inputs reach the next."""
+
+    def _calls(self, fixture_dir, tmp_path):
+        partial = tmp_path / "partial.csv"
+        partial.write_text("course_code,generation,kind,value\nC1,g1,di,4.0\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.csv"
+        verbs = ["recollect", "grasp", "wield", "dissect", "adjudge", "fashion"]
+        lexicon.write_text("verb,levels\n" + "".join(f"{v},{i + 1}\n" for i, v in enumerate(verbs)), encoding="utf-8")
+        statements = tmp_path / "s.csv"
+        statements.write_text("criterion_id,text\nx,students adjudge and list results\n", encoding="utf-8")
+        bundle = ["--catalog", str(fixture_dir / "table1.json"),
+                  "--curriculum", str(fixture_dir / "table2_asprinted.csv")]
+        calls = [
+            ["validate", *bundle, "--grades", str(partial), "--strict"],
+            ["validate", *bundle, "--grades", str(partial)],
+            ["map-outcomes", "--statements", str(statements), "--lexicon", str(lexicon)],
+            ["map-outcomes", "--statements", str(statements)],
+        ]
+        for fmt in ("table", "csv", "json"):
+            calls += [
+                ["estimate", *bundle, "--mode", "as-printed", "--format", fmt],
+                ["estimate", *bundle, "--format", fmt],
+                ["grades", "--grades", str(fixture_dir / "table3_grades.csv"), "--format", fmt],
+                ["validate", *bundle, "--grades", str(fixture_dir / "table3_grades.csv"), "--format", fmt,
+                 "--policy", "mean-of-both", "--full-precision"],
+                ["validate", *bundle, "--grades", str(fixture_dir / "table3_grades.csv"), "--format", fmt],
+                ["map-outcomes", "--statements", str(fixture_dir / "outcome_statements.csv"), "--format", fmt,
+                 "--suffix-rule"],
+                ["map-outcomes", "--statements", str(fixture_dir / "outcome_statements.csv"), "--format", fmt],
+            ]
+        return calls
+
+    def test_each_call_matches_a_fresh_process(self, fixture_dir, tmp_path, capsys):
+        """The calls run here in order, and in a new interpreter in reverse order:
+        a call whose output depends on an earlier one differs between the two."""
+        calls = self._calls(fixture_dir, tmp_path)
+        in_sequence = [list(run(capsys, *argv)) for argv in calls]
+        assert [code for code, _, _ in in_sequence[:2]] == [1, 0]
+        src = Path(cli.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-c", _RUN_CALLS], input=json.dumps(calls[::-1]), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert json.loads(fresh.stdout)[::-1] == in_sequence
+
+
+# Runs each JSON argv list read from stdin through ``main``; prints [exit code, stdout, stderr] per call.
+_RUN_CALLS = """
+import contextlib, io, json, sys
+from course_difficulty.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import course_difficulty
+from course_difficulty import cli
 from course_difficulty.cli import main
 
 _CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
@@ -37,25 +38,50 @@ def test_public_name_resolves(name):
     assert hasattr(course_difficulty, name)
 
 
-# What bench/workloads.py's validate-20k coverage guard requires a validate run to call.
-VALIDATE_REACHES = (
-    ("validation", "compare"),
-    ("validation", "summarize"),
-    ("engine", "final_difficulty"),
-    ("data_io", "write_plot_data"),
-)
+# What each bench/workloads.py coverage guard requires its workload's call to reach
+# (``cli.main`` aside, which every call enters).
+GUARDS = {
+    "validate": (
+        ["validate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
+         "--grades", "table3_grades.csv", "--mode", "as-printed", "--format", "json",
+         "--plot-data", "{tmp}/plot.csv", "--output", "{tmp}/report.json"],
+        (("data_io", "load_bundle"), ("data_io", "load_curriculum"), ("data_io", "load_grades"),
+         ("data_io", "write_plot_data"), ("json", "dumps"), ("engine", "bloom_difficulty"),
+         ("engine", "grade_difficulty"), ("engine", "final_difficulty"),
+         ("validation", "compare"), ("validation", "summarize")),
+    ),
+    "grades": (
+        ["grades", "--grades", "table3_grades.csv", "--format", "csv", "--output", "{tmp}/grades.csv"],
+        (("data_io", "load_grades"), ("engine", "grade_difficulty"),
+         ("rounding", "round_half_away"), ("rounding", "format_fixed")),
+    ),
+    "estimate": (
+        ["estimate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
+         "--mode", "canonical", "--format", "csv", "--output", "{tmp}/estimate.csv"],
+        (("data_io", "load_curriculum"), ("data_io", "csv_text"), ("engine", "bloom_difficulty"),
+         ("taxonomy", "criterion_rubric"), ("rounding", "round_half_away"), ("rounding", "format_fixed")),
+    ),
+    "map-outcomes": (
+        ["map-outcomes", "--statements", "outcome_statements.csv"],
+        (("data_io", "default_lexicon"), ("mapper", "map_outcome")),
+    ),
+}
 
 
-def test_validate_json_run_reaches_the_guarded_functions(fixture_dir, tmp_path, monkeypatch, capsys):
-    """A refactor that bypasses one of these fails here, not only in ``bench/run.py``.
+def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A refactor that bypasses one of ``GUARDS[command]`` fails here, not only in ``bench/run.py``.
 
     Each function is wrapped wherever the package binds it, as the bench's
-    tracer does, so a call through a ``from ... import`` name counts too.
+    tracer does, so a call through a ``from ... import`` name counts too. The
+    shipped lexicon is cached per process, so the cache is cleared first, as
+    a bench child starts without it.
     """
+    argv, reaches = GUARDS[command]
+    cli._shipped_lexicon.cache_clear()
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "course_difficulty"]
     calls = {}
-    targets = [(importlib.import_module(f"course_difficulty.{mod}"), mod, name) for mod, name in VALIDATE_REACHES]
-    for owner, mod, name in [*targets, (json, "json", "dumps")]:
+    for mod, name in reaches:
+        owner = json if mod == "json" else importlib.import_module(f"course_difficulty.{mod}")
         key = f"{mod}.{name}"
         original = getattr(owner, name)
         calls[key] = 0
@@ -68,12 +94,16 @@ def test_validate_json_run_reaches_the_guarded_functions(fixture_dir, tmp_path, 
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
-    argv = [
-        "validate", "--catalog", str(fixture_dir / "table1.json"),
-        "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
-        "--grades", str(fixture_dir / "table3_grades.csv"),
-        "--format", "json", "--plot-data", str(tmp_path / "plot.csv"),
-    ]
-    assert main(argv) == 0
+    monkeypatch.chdir(fixture_dir)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     capsys.readouterr()
     assert {key: count > 0 for key, count in calls.items()} == dict.fromkeys(calls, True)
+
+
+def test_validate_json_run_reaches_the_guarded_functions(fixture_dir, tmp_path, monkeypatch, capsys):
+    _assert_run_reaches("validate", fixture_dir, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["estimate", "grades", "map-outcomes"])
+def test_csv_and_map_runs_reach_the_guarded_functions(command, fixture_dir, tmp_path, monkeypatch, capsys):
+    _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys)
