@@ -31,7 +31,6 @@ from .engine import (
 from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
 from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away
-from .taxonomy import BloomLexicon
 from .validation import compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -311,57 +310,40 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # map-outcomes
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _shipped_lexicon() -> BloomLexicon:
-    """``data_io.default_lexicon()``, loaded once per process; this copy is never handed out."""
-    return data_io.default_lexicon()
-
-
 def cmd_map_outcomes(args: argparse.Namespace) -> int:
     statements = data_io.load_statements(args.statements)
-    lexicon = _shipped_lexicon() if args.lexicon is None else data_io.load_lexicon(args.lexicon)
+    lexicon = data_io.default_lexicon() if args.lexicon is None else data_io.load_lexicon(args.lexicon)
 
-    entries = []
+    entries = []  # one JSON record per statement; the table renders from the same values
     for statement in statements:
         result = map_outcome(statement, lexicon, suffix_rule=args.suffix_rule)
-        draft_rubric = None
-        if result.levels:
-            draft_rubric = sum(level.weight for level in result.levels)
-        entries.append((statement, result, draft_rubric))
+        levels = sorted(result.levels, key=lambda level: level.weight)
+        entries.append({
+            "criterion_id": statement.criterion_id,
+            "levels": [level.label for level in levels],
+            "matched": [{"verb": verb, "level": level.label} for verb, level in result.matched],
+            "ambiguous_verbs": list(result.ambiguous_verbs),
+            "unmatched_tokens": result.unmatched_tokens_count,
+            "draft_rubric": sum(level.weight for level in levels) if levels else None,
+            "status": "ok" if levels else "needs-review",
+        })
 
     if args.format == "json":
-        payload = {
-            "suffix_rule": args.suffix_rule,
-            "statements": [
-                {
-                    "criterion_id": stmt.criterion_id,
-                    "levels": [lvl.label for lvl in sorted(res.levels, key=lambda l: l.weight)],
-                    "matched": [
-                        {"verb": verb, "level": lvl.label} for verb, lvl in res.matched
-                    ],
-                    "ambiguous_verbs": list(res.ambiguous_verbs),
-                    "unmatched_tokens": res.unmatched_tokens_count,
-                    "draft_rubric": rubric,
-                    "status": "ok" if res.levels else "needs-review",
-                }
-                for stmt, res, rubric in entries
-            ],
-        }
-        _emit(data_io.json_text(payload), args.output)
+        _emit(data_io.json_text({"suffix_rule": args.suffix_rule, "statements": entries}), args.output)
         return 0
 
     headers = ("criterion_id", "levels", "matched", "draft_rubric", "unmatched_tokens", "ambiguous", "status")
     rows = [
         (
-            stmt.criterion_id,
-            "|".join(lvl.label for lvl in sorted(res.levels, key=lambda l: l.weight)),
-            "|".join(f"{verb}:{lvl.label}" for verb, lvl in res.matched),
-            "" if rubric is None else str(rubric),
-            str(res.unmatched_tokens_count),
-            "|".join(res.ambiguous_verbs),
-            "ok" if res.levels else "needs-review",
+            e["criterion_id"],
+            "|".join(e["levels"]),
+            "|".join(f"{m['verb']}:{m['level']}" for m in e["matched"]),
+            "" if e["draft_rubric"] is None else str(e["draft_rubric"]),
+            str(e["unmatched_tokens"]),
+            "|".join(e["ambiguous_verbs"]),
+            e["status"],
         )
-        for stmt, res, rubric in entries
+        for e in entries
     ]
     _emit_rows(args, headers, rows)
     return 0

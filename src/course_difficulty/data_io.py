@@ -52,6 +52,7 @@ from one fixed template that gives the text ``json.dumps(indent=2)`` would;
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -63,9 +64,10 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 from .engine import (
+    NO_OVERRIDES,
     Course,
     GenerationRecord,
     GradeHistory,
@@ -370,8 +372,10 @@ def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
     _write_records(path, LEXICON_COLUMNS, "verbs", rows)
 
 
+@functools.cache
 def default_lexicon() -> BloomLexicon:
-    """The shipped verb list. It is illustrative data, not a normative standard."""
+    """The shipped verb list, loaded once per process and shared: it is read-only.
+    It is illustrative data, not a normative standard."""
     with resources.as_file(fixture_path("default_lexicon.csv")) as path:
         return load_lexicon(path)
 
@@ -380,10 +384,10 @@ def default_lexicon() -> BloomLexicon:
 # curricula
 # ---------------------------------------------------------------------------
 
-def _overrides(cell: str) -> dict[str, int]:
-    overrides: dict[str, int] = {}
+def _overrides(cell: str) -> Mapping[str, int]:
     if not cell:
-        return overrides
+        return NO_OVERRIDES
+    overrides: dict[str, int] = {}
     for pair in (p for p in cell.split("|") if p.strip()):
         cid, sep, points = pair.partition(":")
         cid = cid.strip()
@@ -392,7 +396,7 @@ def _overrides(cell: str) -> dict[str, int]:
         if cid in overrides:
             raise DataFormatError(f"override {cid!r} is given twice")
         overrides[cid] = parse_int(points, "override points")
-    return overrides
+    return MappingProxyType(overrides) if overrides else NO_OVERRIDES
 
 
 def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]:

@@ -15,7 +15,9 @@ at reporting time. Number arguments follow ``rounding.to_fraction``: a
 override points are a non-bool ``int``.
 
 ``Course`` and ``GenerationRecord`` are frozen, slotted records (no
-``__dict__``). Each rule lives in one function (``check_course``,
+``__dict__``), and a course's ``cell_overrides`` is a read-only mapping, so a
+checked value cannot be replaced later; courses without overrides share
+``NO_OVERRIDES``. Each rule lives in one function (``check_course``,
 ``check_label``, ``check_grade_value``) that the public constructor calls.
 The loaders call the same functions at the input boundary, then build each
 record with ``unchecked_course``/``unchecked_record``, which check nothing again.
@@ -27,6 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     DataFormatError,
@@ -39,6 +42,7 @@ from .rounding import to_fraction
 from .taxonomy import MAX_RUBRIC, CriterionCatalog
 
 DI_SCALE = 5
+NO_OVERRIDES: Mapping[str, int] = MappingProxyType({})  # shared by every course without overrides
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +51,8 @@ class Course:
 
     ``cell_overrides`` pins individual criterion rubrics to given point
     values; the reference curriculum uses it to reproduce source data whose
-    printed cells deviate from the canonical catalog.
+    printed cells deviate from the canonical catalog. The course keeps a
+    read-only copy of the mapping it is given.
     """
 
     code: str
@@ -59,12 +64,12 @@ class Course:
         criteria, overrides = tuple(self.criteria), dict(self.cell_overrides)
         check_course(self.code, criteria, overrides)
         object.__setattr__(self, "criteria", criteria)
-        object.__setattr__(self, "cell_overrides", overrides)
+        object.__setattr__(self, "cell_overrides", MappingProxyType(overrides) if overrides else NO_OVERRIDES)
 
     def without_overrides(self) -> "Course":
         if not self.cell_overrides:
             return self
-        return unchecked_course(self.code, self.criteria, self.title, {})
+        return unchecked_course(self.code, self.criteria, self.title, NO_OVERRIDES)
 
 
 def check_course(code: str, criteria: tuple[str, ...], overrides: Mapping[str, int]) -> None:
@@ -89,8 +94,9 @@ _new = object.__new__
 _COURSE_SLOTS = tuple(Course.__dict__[name].__set__ for name in ("code", "criteria", "title", "cell_overrides"))
 
 
-def unchecked_course(code: str, criteria: tuple[str, ...], title: str | None, overrides: dict[str, int]) -> Course:
-    """A ``Course`` of values that already passed ``check_course``, built without checking them again."""
+def unchecked_course(code: str, criteria: tuple[str, ...], title: str | None, overrides: Mapping[str, int]) -> Course:
+    """A ``Course`` of values that already passed ``check_course``, built without checking them again;
+    ``overrides`` is read-only already (``NO_OVERRIDES`` or a ``MappingProxyType``)."""
     course = _new(Course)
     set_code, set_criteria, set_title, set_overrides = _COURSE_SLOTS
     set_code(course, code)
@@ -191,13 +197,15 @@ class CombinePolicy(Enum):
 
 def course_raw_total(course: Course, catalog: CriterionCatalog) -> int:
     """Sum of rubric points over the course's criteria (overrides win per cell)."""
+    # subscripts and ``in``: on a read-only mapping they reach the dict's own slots, where ``.get`` is a method call
     rubrics, overrides = catalog.rubrics, course.cell_overrides
     total = 0
     for cid in course.criteria:
-        points = rubrics.get(cid)
-        if points is None:  # checked before the override, which may name an id the catalog lacks
-            raise UnresolvedCriterionError(cid, course.code)
-        total += overrides.get(cid, points)
+        try:  # checked before the override, which may name an id the catalog lacks
+            points = rubrics[cid]
+        except KeyError:
+            raise UnresolvedCriterionError(cid, course.code) from None
+        total += overrides[cid] if cid in overrides else points
     return total
 
 

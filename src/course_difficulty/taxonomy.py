@@ -2,16 +2,24 @@
 
 The six cognitive levels carry integer complexity weights 1-6. A criterion
 maps an outcome letter to a subset of those levels; its rubric is the sum of
-the mapped weights (1..21). The shipped canonical catalog assigns the
-thirteen standard outcome letters (a-m) their level sets; custom catalogs may
-add further outcomes under any single-token id.
+the mapped weights (1..21). The canonical catalog, the paper's Table 1, is
+the shipped fixture ``table1.json``: it assigns the thirteen standard outcome
+letters (a-m) their level sets. Custom catalogs may add further outcomes under
+any single-token id.
+
+Catalogs and lexicons are frozen, and their mappings are read-only
+(``MappingProxyType``), so one loaded copy can be shared: ``canonical_catalog()``
+loads its fixture once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib import resources
+from types import MappingProxyType
 
 from .errors import DataFormatError, InvalidCriterionError, ValidationError
 from .rounding import parse_int
@@ -96,7 +104,8 @@ class CriterionCatalog:
     """Immutable id -> criterion map with a provenance label.
 
     ``rubrics`` is the catalog compiled once into an id -> rubric points
-    table, so the rubric path sums plain integers.
+    table, so the rubric path sums plain integers. Both mappings are
+    read-only, so the table cannot go stale.
     """
 
     criteria: Mapping[str, AbetCriterion]
@@ -104,11 +113,12 @@ class CriterionCatalog:
     rubrics: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "criteria", dict(self.criteria))
-        for key, criterion in self.criteria.items():
+        criteria = dict(self.criteria)
+        for key, criterion in criteria.items():
             if key != criterion.id:
                 raise ValidationError(f"catalog key {key!r} does not match criterion id {criterion.id!r}")
-        object.__setattr__(self, "rubrics", {key: criterion_rubric(c) for key, c in self.criteria.items()})
+        object.__setattr__(self, "criteria", MappingProxyType(criteria))
+        object.__setattr__(self, "rubrics", MappingProxyType({key: criterion_rubric(c) for key, c in criteria.items()}))
 
     def __contains__(self, criterion_id: str) -> bool:
         return criterion_id in self.criteria
@@ -150,62 +160,18 @@ class BloomLexicon:
             if not cleaned:
                 raise ValidationError(f"lexicon has no verbs for level {level.label}")
             normalized[level] = cleaned
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", MappingProxyType(normalized))
 
     def levels_for(self, verb: str) -> frozenset[BloomLevel]:
         token = verb.strip().lower()
         return frozenset(level for level, verbs in self.entries.items() if token in verbs)
 
 
-# Canonical catalog: outcome letter -> (mapped complexity levels, statement).
-_CANONICAL_ROWS: tuple[tuple[str, tuple[int, ...], str], ...] = (
-    ("a", (1, 2, 3),
-     "an ability to apply knowledge of mathematics, science, and engineering"),
-    ("b", (1, 2, 3, 4, 5, 6),
-     "an ability to design and conduct experiments, as well as to analyze and interpret data"),
-    ("c", (1, 2, 3, 4, 5, 6),
-     "an ability to design a system, component, or process to meet desired needs within "
-     "realistic constraints such as economic, environmental, social, political, ethical, "
-     "health and safety, manufacturability, and sustainability"),
-    ("d", (1, 2, 3),
-     "an ability to function on multidisciplinary teams"),
-    ("e", (1, 2, 3, 4, 5, 6),
-     "an ability to identify, formulate, and solve engineering problems"),
-    ("f", (1, 2),
-     "an understanding of professional and ethical responsibility"),
-    ("g", (1, 2),
-     "an ability to communicate effectively"),
-    ("h", (1, 2, 3),
-     "the broad education necessary to understand the impact of engineering solutions in "
-     "a global, economic, environmental, and societal context"),
-    ("i", (1, 2, 3, 4, 5, 6),
-     "a recognition of the need for, and an ability to engage in life-long learning"),
-    ("j", (1,),
-     "a knowledge of contemporary issues"),
-    ("k", (1, 2, 3),
-     "an ability to use the techniques, skills, and modern engineering tools necessary "
-     "for engineering practice"),
-    ("l", (1, 2, 3, 4, 5, 6),
-     "an ability to apply mathematical foundations, algorithmic principles and computer "
-     "science theory in modeling and design of computer-based systems (CBC)"),
-    ("m", (1, 2, 3, 4, 5, 6),
-     "an ability to apply design and development principles in the construction of "
-     "software systems (CS)"),
-)
-
-CANONICAL_PROVENANCE = "table1-canonical"
-
-
+@functools.cache
 def canonical_catalog() -> CriterionCatalog:
-    """The shipped thirteen-criterion catalog (rubric total 157)."""
-    return CriterionCatalog.from_criteria(
-        (
-            AbetCriterion(
-                id=cid,
-                levels=frozenset(BloomLevel(v) for v in values),
-                description=description,
-            )
-            for cid, values, description in _CANONICAL_ROWS
-        ),
-        provenance=CANONICAL_PROVENANCE,
-    )
+    """The shipped thirteen-criterion catalog (rubric total 157), the fixture
+    ``table1.json``, loaded once per process and shared: it is read-only."""
+    from . import data_io  # deferred: data_io imports this module
+
+    with resources.as_file(data_io.fixture_path("table1.json")) as path:
+        return data_io.load_catalog(path)

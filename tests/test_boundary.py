@@ -28,7 +28,7 @@ from course_difficulty.cli import main
 from course_difficulty.engine import Course, GenerationRecord, GradeHistory, GradeKind
 from course_difficulty.errors import CourseDifficultyError
 from course_difficulty.mapper import OutcomeStatement
-from course_difficulty.taxonomy import canonical_catalog
+from course_difficulty.taxonomy import BloomLevel, BloomLexicon, CriterionCatalog, canonical_catalog
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 CATALOG = canonical_catalog()
@@ -176,6 +176,16 @@ FROZEN = dataclasses.FrozenInstanceError
 NO_DICT = (AttributeError, TypeError)  # a new name has no __dict__ to go to (Python 3.11 raises TypeError)
 
 
+def _write(record, name, value):
+    """``setattr(record, name, value)``, or, for a ``name`` of the form ``attr[key]``,
+    an item assignment into the mapping ``record.attr``."""
+    attr, _, key = name.partition("[")
+    if key:
+        getattr(record, attr)[key.rstrip("]")] = value
+    else:
+        setattr(record, name, value)
+
+
 class TestRecordsStayImmutable:
     @pytest.mark.parametrize("name,value,error", [("label", "h", FROZEN), ("value", Fraction(1), FROZEN),
                                                   ("extra", 1, NO_DICT)])
@@ -188,14 +198,36 @@ class TestRecordsStayImmutable:
             assert not hasattr(record, "__dict__")
 
     @pytest.mark.parametrize("name,value,error", [("code", "Y", FROZEN), ("criteria", ("a",), FROZEN),
-                                                  ("extra", 1, NO_DICT)])
+                                                  ("extra", 1, NO_DICT),
+                                                  # a checked override cannot be replaced or added afterwards
+                                                  ("cell_overrides[a]", 99, TypeError),
+                                                  ("cell_overrides[h]", 99, TypeError)])
     def test_course(self, fixture_dir, name, value, error):
-        built = Course("X", ("a", "h"), cell_overrides={"h": 5})
+        overrides = {"h": 5}
+        built = Course("X", ("a", "h"), cell_overrides=overrides)
+        overrides["a"] = 99  # the course keeps its own copy
         loaded = data_io.load_curriculum(fixture_dir / "table2_asprinted.csv", CATALOG)[8]
         for course in (built, loaded, loaded.without_overrides()):
             with pytest.raises(error):
-                setattr(course, name, value)
+                _write(course, name, value)
             assert not hasattr(course, "__dict__")
+            assert dict(course.cell_overrides) in ({"h": 5}, {})  # the write changed nothing
+
+    def test_catalog_and_lexicon(self, fixture_dir):
+        """The shipped catalog and lexicon are loaded once and shared, so no caller may write into them."""
+        assert canonical_catalog() is canonical_catalog()
+        assert data_io.default_lexicon() is data_io.default_lexicon()
+        catalogs = (canonical_catalog(), data_io.load_catalog(fixture_dir / "table1.json"),
+                    CriterionCatalog.from_criteria([CATALOG["a"], CATALOG["j"]]))
+        lexicons = (data_io.default_lexicon(), BloomLexicon({level: {level.name} for level in BloomLevel}))
+        writes = [(c.criteria, "j", CATALOG["a"]) for c in catalogs] + [(c.rubrics, "j", 21) for c in catalogs]
+        writes += [(lexicon.entries, BloomLevel.CREATE, frozenset({"write"})) for lexicon in lexicons]
+        for mapping, key, value in writes:
+            with pytest.raises(TypeError):
+                mapping[key] = value
+        for catalog in catalogs:
+            assert catalog["j"].levels == {BloomLevel.REMEMBER} and catalog.rubrics["j"] == 1
+        assert "write" not in lexicons[1].entries[BloomLevel.CREATE]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Fuzz suites for the loaders and the ``grades`` and ``validate`` commands.
+"""Fuzz suites for the loaders and the ``grades``, ``validate``, ``estimate`` and ``map-outcomes`` commands.
 
 Per loader, hypothesis writes entries whose expected keys hold arbitrary JSON
 values, or rows whose cells hold arbitrary text. Every file must either load,
 and then round-trip exactly through its writer, or raise ``DataFormatError`` or
 ``ValidationError`` naming the file. Nothing else may escape.
 
-Per ``grades`` run on such a file, and per ``validate`` run on such a
-curriculum and grade file with the shipped catalog, the exit code is 0, 1 or 2.
-A failing run prints nothing on stdout and leaves no ``--output`` (or
-``--plot-data``) file; a passing run writes the same bytes to ``--output`` as
-to stdout.
+Per ``grades`` run on such a file, per ``validate`` or ``estimate`` run on such
+a curriculum (and grade file) with the shipped catalog, and per
+``map-outcomes`` run on such a statement file, mostly with the shipped lexicon,
+the exit code is 0, 1 or 2. A failing run prints nothing on stdout and leaves
+no ``--output`` (or ``--plot-data``) file; a passing run writes the same bytes
+to ``--output`` as to stdout.
 """
 
 import contextlib
@@ -239,3 +240,58 @@ def test_validate_cli(curriculum_file, grade_file, flags):
         assert _cli_run([*argv, "--output", str(output), "--plot-data", str(plot)]) == (code, "", err)
         assert (output.read_text(encoding="utf-8") if output.exists() else None) == (out if code == 0 else None)
         assert plot.exists() == (code == 0)
+
+
+FORMAT_FLAGS = st.sampled_from([["--format", "table"], ["--format", "csv"], ["--format", "json"]])
+
+
+def _assert_all_or_nothing(argv, output):
+    """Exit 0, 1 or 2; a failing run prints nothing on stdout and leaves no ``output``
+    file, and a passing run writes its stdout bytes there."""
+    code, out, err = _cli_run(argv)
+    assert (code, out == "") in ((0, False), (1, True), (2, True)), err
+    assert _cli_run([*argv, "--output", str(output)]) == (code, "", err)
+    assert (output.read_bytes() if output.exists() else None) == (out.encode("utf-8") if code == 0 else None)
+
+
+@EXAMPLES
+@given(CURRICULUM_FILES, FORMAT_FLAGS, st.sampled_from([[], ["--mode", "as-printed"]]))
+@example(("cur.csv", _fixture_text("table2_asprinted.csv")), ["--format", "table"], [])
+def test_estimate_cli(curriculum_file, fmt, mode):
+    files = {"table1.json": _fixture_text("table1.json"), curriculum_file[0]: curriculum_file[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8", newline="")
+        catalog, curriculum = (str(Path(tmp) / name) for name in files)
+        argv = ["estimate", "--catalog", catalog, "--curriculum", curriculum, *fmt, *mode]
+        _assert_all_or_nothing(argv, Path(tmp) / "out.txt")
+
+
+STATEMENT_TEXTS = st.sampled_from(["Students design and analyze systems.", "Describe", "  ", "list, apply; create"])
+STATEMENT_FILES = st.one_of(
+    st.tuples(st.just("st.csv"), _csv_text(data_io.STATEMENTS_COLUMNS, [st.sampled_from(["a", " b", ""]), STATEMENT_TEXTS])),
+    st.tuples(st.sampled_from(["st.csv", "st.json"]), st.text(max_size=40)),
+)
+LEXICON_FILES = st.one_of(
+    st.just(("lex.csv", _fixture_text("default_lexicon.csv"))),
+    st.tuples(st.just("lex.csv"), _csv_text(data_io.LEXICON_COLUMNS, [st.sampled_from(["list", "Define "]), LEVELS.map(
+        lambda levels: "|".join(map(str, levels)))])),
+    st.tuples(st.just("lex.json"), _entries({"verb": st.sampled_from(["list", ""]), "levels": LEVELS}).map(
+        lambda entries: json.dumps({"verbs": entries}))),
+)
+# one draw in four brings its own lexicon, so most calls share the shipped one, cached in this process
+MAP_LEXICONS = st.integers(0, 3).flatmap(lambda n: LEXICON_FILES if n == 0 else st.none())
+
+
+@EXAMPLES
+@given(STATEMENT_FILES, MAP_LEXICONS, FORMAT_FLAGS, st.sampled_from([[], ["--suffix-rule"]]))
+@example(("st.csv", _fixture_text("outcome_statements.csv")), None, ["--format", "json"], [])
+def test_map_outcomes_cli(statement_file, lexicon_file, fmt, suffix_rule):
+    files = dict(filter(None, [statement_file, lexicon_file]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8", newline="")
+        argv = ["map-outcomes", "--statements", str(Path(tmp) / statement_file[0]), *fmt, *suffix_rule]
+        if lexicon_file is not None:
+            argv += ["--lexicon", str(Path(tmp) / lexicon_file[0])]
+        _assert_all_or_nothing(argv, Path(tmp) / "out.txt")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import course_difficulty
-from course_difficulty import cli
+from course_difficulty import data_io
 from course_difficulty.cli import main
 
 _CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
@@ -73,11 +73,11 @@ def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
 
     Each function is wrapped wherever the package binds it, as the bench's
     tracer does, so a call through a ``from ... import`` name counts too. The
-    shipped lexicon is cached per process, so the cache is cleared first, as
-    a bench child starts without it.
+    shipped lexicon is cached per process on ``data_io.default_lexicon``, so
+    that cache is cleared first, as a bench child starts without it.
     """
     argv, reaches = GUARDS[command]
-    cli._shipped_lexicon.cache_clear()
+    data_io.default_lexicon.cache_clear()
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "course_difficulty"]
     calls = {}
     for mod, name in reaches:
