@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
 from . import data_io
 from .engine import (
+    BloomDifficulty,
     CombinePolicy,
     Course,
     bloom_difficulty,
@@ -141,6 +143,23 @@ def _apply_mode(course: Course, mode: str) -> Course:
     return course.without_overrides() if mode == MODE_CANONICAL else course
 
 
+def _once_per_pair(value: Callable[[BloomDifficulty], object]) -> Callable[[BloomDifficulty], object]:
+    """``value``, computed once per distinct ``(raw_total, max_total)`` pair and then reused.
+
+    The rubric domain bounds the cache: ``raw_total`` lies in ``count..21 * count``,
+    so a 13-criterion catalog gives at most 1,833 pairs, however many courses there are.
+    """
+    cache: dict[tuple[int, int], object] = {}
+
+    def cached(result: BloomDifficulty) -> object:
+        key = result.raw_total, result.max_total
+        if key not in cache:
+            cache[key] = value(result)
+        return cache[key]
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -151,6 +170,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     results = [bloom_difficulty(_apply_mode(c, args.mode), catalog) for c in courses]
 
     if args.format == "json":
+        index = _once_per_pair(lambda r: float(round_half_away(r.di)))
         payload = {
             "mode": args.mode,
             "courses": [
@@ -159,7 +179,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "raw_total": r.raw_total,
                     "criteria_count": r.criteria_count,
                     "max_total": r.max_total,
-                    "difficulty_index": float(round_half_away(r.di)),
+                    "difficulty_index": index(r),
                 }
                 for r in results
             ],
@@ -167,10 +187,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         _emit(data_io.json_text(payload), args.output)
         return 0
 
-    rows = [
-        (r.course_code, str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
-        for r in results
-    ]
+    cells = _once_per_pair(  # every cell after course_code follows from the pair
+        lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
+    )
+    rows = [(r.course_code, *cells(r)) for r in results]
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
     _emit_rows(args, headers, rows)
     return 0
@@ -245,16 +265,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for code in unmatched:
         _warn(f"grade history for unknown course {code}; not validated")
 
+    estimate = _once_per_pair((lambda r: r.di) if args.full_precision else (lambda r: round_half_away(r.di)))
     comparisons = []
     finals = []  # per comparison, in its order
     for course in bundle.courses:
         history = bundle.grades.get(course.code)
         if history is None:
             continue
-        estimated = bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog).di
+        estimated = estimate(bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog))
         actual = grade_difficulty(history)
         if not args.full_precision:
-            estimated = round_half_away(estimated)
             actual = round_half_away(actual)
         comparisons.append(compare(actual, estimated, course.code))
         finals.append(final_difficulty(estimated, actual, policy))

@@ -5,7 +5,8 @@ normalizes onto the 0-5 index scale: ``di = 5 * raw_total / (21 * count)``.
 The grade path converts class performance to the same scale
 (``di = 5 - average/100 * 5`` for percent records) and averages one value
 per student generation. The rubric path sums integers from the catalog's
-compiled rubric table. A grade record converts to an unreduced integer
+compiled rubric table into a ``BloomDifficulty`` of integers, whose ``di`` is
+computed when read. A grade record converts to an unreduced integer
 (numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
 builds one ``Fraction`` per history. ``final_difficulty`` range-checks
 numerators against denominators and combines the two values into one
@@ -17,7 +18,9 @@ override points are a non-bool ``int``.
 ``Course`` and ``GenerationRecord`` are frozen, slotted records (no
 ``__dict__``), and a course's ``cell_overrides`` is a read-only mapping, so a
 checked value cannot be replaced later; courses without overrides share
-``NO_OVERRIDES``. Each rule lives in one function (``check_course``,
+``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
+and deep-copies as a call to its public constructor with a plain ``dict``,
+checked again on load. Each rule lives in one function (``check_course``,
 ``check_label``, ``check_grade_value``) that the public constructor calls.
 The loaders call the same functions at the input boundary, then build each
 record with ``unchecked_course``/``unchecked_record``, which check nothing again.
@@ -66,6 +69,9 @@ class Course:
         object.__setattr__(self, "criteria", criteria)
         object.__setattr__(self, "cell_overrides", MappingProxyType(overrides) if overrides else NO_OVERRIDES)
 
+    def __reduce__(self):
+        return Course, (self.code, self.criteria, self.title, dict(self.cell_overrides))
+
     def without_overrides(self) -> "Course":
         if not self.cell_overrides:
             return self
@@ -106,15 +112,24 @@ def unchecked_course(code: str, criteria: tuple[str, ...], title: str | None, ov
     return course
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloomDifficulty:
-    """Rubric-path result for one course."""
+    """Rubric-path result for one course, in integers; ``di`` is computed when read."""
 
     course_code: str
     raw_total: int
     criteria_count: int
     max_total: int
-    di: Fraction
+
+    @property
+    def di(self) -> Fraction:
+        """The difficulty index ``DI_SCALE * raw_total / max_total``, exactly."""
+        return Fraction(DI_SCALE * self.raw_total, self.max_total)
+
+
+_BLOOM_SLOTS = tuple(
+    BloomDifficulty.__dict__[name].__set__ for name in ("course_code", "raw_total", "criteria_count", "max_total")
+)
 
 
 class GradeKind(Enum):
@@ -211,16 +226,14 @@ def course_raw_total(course: Course, catalog: CriterionCatalog) -> int:
 
 def bloom_difficulty(course: Course, catalog: CriterionCatalog) -> BloomDifficulty:
     """Normalize the raw rubric total onto the 0-5 difficulty index scale."""
-    raw = course_raw_total(course, catalog)
     count = len(course.criteria)
-    max_total = count * MAX_RUBRIC
-    return BloomDifficulty(
-        course_code=course.code,
-        raw_total=raw,
-        criteria_count=count,
-        max_total=max_total,
-        di=Fraction(DI_SCALE * raw, max_total),
-    )
+    result = _new(BloomDifficulty)  # built like ``unchecked_course``: four slot writes, no Fraction
+    set_code, set_raw, set_count, set_max = _BLOOM_SLOTS
+    set_code(result, course.code)
+    set_raw(result, course_raw_total(course, catalog))
+    set_count(result, count)
+    set_max(result, count * MAX_RUBRIC)
+    return result
 
 
 def _percent_pair(average: Fraction) -> tuple[int, int]:

@@ -9,7 +9,9 @@ any single-token id.
 
 Catalogs and lexicons are frozen, and their mappings are read-only
 (``MappingProxyType``), so one loaded copy can be shared: ``canonical_catalog()``
-loads its fixture once per process.
+loads its fixture once per process. Each pickles and deep-copies as a call to
+its public constructor with plain ``dict`` copies, so every rule is checked
+again on load.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ class CriterionCatalog:
         object.__setattr__(self, "criteria", MappingProxyType(criteria))
         object.__setattr__(self, "rubrics", MappingProxyType({key: criterion_rubric(c) for key, c in criteria.items()}))
 
+    def __reduce__(self):
+        return CriterionCatalog, (dict(self.criteria), self.provenance)
+
     def __contains__(self, criterion_id: str) -> bool:
         return criterion_id in self.criteria
 
@@ -161,6 +166,9 @@ class BloomLexicon:
                 raise ValidationError(f"lexicon has no verbs for level {level.label}")
             normalized[level] = cleaned
         object.__setattr__(self, "entries", MappingProxyType(normalized))
+
+    def __reduce__(self):
+        return BloomLexicon, (dict(self.entries),)
 
     def levels_for(self, verb: str) -> frozenset[BloomLevel]:
         token = verb.strip().lower()

@@ -51,6 +51,24 @@ def curricula(draw):
 
 
 @st.composite
+def repeating_curricula(draw):
+    """Courses over the canonical catalog whose ``(raw_total, criteria_count)`` pairs both repeat and vary.
+
+    Each course takes its criteria, in any order, from a small pool of sets,
+    and some cells are overridden to a few point values, so several courses
+    share a pair in each mode while others differ.
+    """
+    pool = draw(st.lists(st.lists(st.sampled_from("abcdefghijklm"), min_size=1, max_size=6, unique=True),
+                         min_size=1, max_size=4))
+    courses = []
+    for i in range(draw(st.integers(min_value=1, max_value=20))):
+        criteria = tuple(draw(st.permutations(draw(st.sampled_from(pool)))))
+        overrides = {cid: draw(st.sampled_from([1, 6, 21])) for cid in criteria if draw(st.integers(0, 3)) == 0}
+        courses.append(Course(code=f"K{i}", criteria=criteria, cell_overrides=overrides))
+    return courses
+
+
+@st.composite
 def grade_histories(draw, code="X"):
     labels = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
     records = []

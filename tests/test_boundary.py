@@ -6,18 +6,22 @@ The property suites hold the two paths to one result: equal, equally hashed
 and equally printed records, or the same error, named at the record's line
 or entry. Column order and extra columns or keys change nothing, and a
 file's bytes are read once, hashed as they are and decoded as text-mode
-reading decodes them.
+reading decodes them. A record with read-only mappings pickles and
+deep-copies through its public constructor, so its rules are checked again.
 """
 
 import builtins
+import copy
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import pickle
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +29,15 @@ from hypothesis import strategies as st
 
 from course_difficulty import data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import Course, GenerationRecord, GradeHistory, GradeKind
-from course_difficulty.errors import CourseDifficultyError
+from course_difficulty.engine import (
+    Course,
+    GenerationRecord,
+    GradeHistory,
+    GradeKind,
+    bloom_difficulty,
+    unchecked_course,
+)
+from course_difficulty.errors import CourseDifficultyError, ValidationError
 from course_difficulty.mapper import OutcomeStatement
 from course_difficulty.taxonomy import BloomLevel, BloomLexicon, CriterionCatalog, canonical_catalog
 
@@ -228,6 +239,44 @@ class TestRecordsStayImmutable:
         for catalog in catalogs:
             assert catalog["j"].levels == {BloomLevel.REMEMBER} and catalog.rubrics["j"] == 1
         assert "write" not in lexicons[1].entries[BloomLevel.CREATE]
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+ROUND_TRIPS = {  # name -> (build, slotted, the read-only mappings with a key and value to write into each)
+    "course": (lambda: Course("X", ("a", "h"), "T", cell_overrides={"h": 5}), True,
+               lambda course: [(course.cell_overrides, "a", 99)]),
+    "canonical_catalog": (canonical_catalog, False,
+                          lambda catalog: [(catalog.criteria, "j", CATALOG["a"]), (catalog.rubrics, "j", 21)]),
+    "default_lexicon": (data_io.default_lexicon, False,
+                        lambda lexicon: [(lexicon.entries, BloomLevel.CREATE, frozenset({"write"}))]),
+    "bloom_difficulty": (lambda: bloom_difficulty(Course("X", ("a", "h"), cell_overrides={"h": 5}), CATALOG), True,
+                         lambda result: []),
+}
+
+
+class TestPickleAndCopy:
+    """A record with read-only mappings pickles and deep-copies through its public constructor."""
+
+    @pytest.mark.parametrize("copy_with", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+    def test_round_trip(self, name, copy_with):
+        build, slotted, writes = ROUND_TRIPS[name]
+        original = build()
+        restored = copy_with(original)
+        assert restored == original and restored is not original
+        assert hasattr(restored, "__dict__") is not slotted
+        for (mapping, key, value), (before, _, _) in zip(writes(restored), writes(original), strict=True):
+            assert type(mapping) is MappingProxyType and mapping == before
+            with pytest.raises(TypeError):
+                mapping[key] = value
+
+    def test_a_pickled_course_is_checked_again_on_load(self):
+        data = pickle.dumps(unchecked_course("X", ("a",), None, MappingProxyType({"a": 99})))
+        with pytest.raises(ValidationError, match="outside 1..21"):
+            pickle.loads(data)
 
 
 # ---------------------------------------------------------------------------

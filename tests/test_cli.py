@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,12 @@ from hypothesis import given, settings
 
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import grade_difficulty
+from course_difficulty.engine import bloom_difficulty, grade_difficulty
 from course_difficulty.rounding import format_fixed, round_half_away
-from strategies import repeating_grade_maps
+from course_difficulty.taxonomy import canonical_catalog
+from strategies import repeating_curricula, repeating_grade_maps
+
+CATALOG = canonical_catalog()
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -102,6 +107,55 @@ class TestEstimate:
             "max_total": 126,
             "difficulty_index": 3.8,
         }
+
+
+class TestEstimateRubricPairs:
+    """Rendering once per distinct ``(raw_total, max_total)`` pair reads the same as rendering every course."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(repeating_curricula())
+    def test_rows_match_per_course_rendering(self, courses):
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog, curriculum = Path(tmp) / "catalog.json", Path(tmp) / "curriculum.csv"
+            data_io.write_catalog(CATALOG, catalog)
+            data_io.write_curriculum(courses, curriculum)
+            for mode in ("canonical", "as-printed"):
+                pairs = []
+                for course in courses:
+                    overrides = course.cell_overrides if mode == "as-printed" else {}
+                    raw = sum(overrides.get(cid, CATALOG.rubrics[cid]) for cid in course.criteria)
+                    pairs.append((course.code, raw, len(course.criteria)))
+                outputs = {}
+                for fmt in ("table", "csv", "json"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        argv = ["estimate", "--catalog", str(catalog), "--curriculum", str(curriculum),
+                                "--mode", mode, "--format", fmt]
+                        assert main(argv) == 0
+                    outputs[fmt] = out.getvalue()
+                expected = [
+                    [code, str(raw), str(count), str(21 * count), format_fixed(Fraction(5 * raw, 21 * count)), mode]
+                    for code, raw, count in pairs
+                ]
+                assert list(csv.reader(io.StringIO(outputs["csv"])))[1:] == expected
+                assert [line.split() for line in outputs["table"].splitlines()[2:]] == expected
+                assert json.loads(outputs["json"])["courses"] == [
+                    {"course_code": code, "raw_total": raw, "criteria_count": count, "max_total": 21 * count,
+                     "difficulty_index": float(round_half_away(Fraction(5 * raw, 21 * count)))}
+                    for code, raw, count in pairs
+                ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(repeating_curricula())
+    def test_result_is_an_integer_record(self, courses):
+        for course in courses:
+            for variant in (course, course.without_overrides()):
+                result = bloom_difficulty(variant, CATALOG)
+                assert result.di == Fraction(5 * result.raw_total, result.max_total)
+                assert (result.criteria_count, result.max_total) == (len(course.criteria), 21 * len(course.criteria))
+                assert not hasattr(result, "__dict__")
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    result.raw_total = 0
 
 
 class TestGrades:

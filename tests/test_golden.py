@@ -7,12 +7,12 @@ grades and the lexicon from ``tests/data/json_inputs/``: the shipped CSV
 fixtures in JSON form, with grade values as JSON numbers. The ``*-synthetic-*``
 cases read ``tests/data/synthetic/``: a small seeded grade set of 30 courses
 with 12 generations each, in CSV and JSON form, plus a curriculum over the
-shipped catalog for ``validate``. Its values come from two small pools of
-literals, so they repeat, sometimes under another spelling (``35`` and
-``35.000``); they include 3-decimal percents, exact rounding ties on the
-difficulty scale (``di`` 2.45, ``percent`` 35) and values next to them. Both
-input directories live outside the golden directory because regenerating
-empties it.
+shipped catalog for ``validate`` and ``estimate``. Its values come from two
+small pools of literals, so they repeat, sometimes under another spelling
+(``35`` and ``35.000``); they include 3-decimal percents, exact rounding ties
+on the difficulty scale (``di`` 2.45, ``percent`` 35) and values next to them.
+Both input directories live outside the golden directory because
+regenerating empties it.
 The expected bytes live in ``tests/data/golden/``: ``<case>.stdout``,
 ``<case>.stderr`` when the call writes to stderr, and ``<case>.out.<name>``
 for each file the call leaves in its directory. Regenerate them only when an
@@ -81,6 +81,11 @@ VAL_SYNTHETIC = [*VAL[:3], "--curriculum", "curriculum.csv", "--grades", "grades
 for fmt in ("table", "json"):
     CASES[f"validate-synthetic-full-precision-{fmt}"] = ([*VAL_SYNTHETIC, "--full-precision", "--format", fmt], 0)
 CASES["validate-synthetic-mean-of-both-json"] = ([*VAL_SYNTHETIC, "--policy", "mean-of-both", "--format", "json"], 0)
+for fmt in ("table", "csv", "json"):
+    for mode in ("canonical", "as-printed"):
+        CASES[f"estimate-synthetic-{mode}-{fmt}"] = (
+            [*EST[:3], "--curriculum", "curriculum.csv", "--mode", mode, "--format", fmt], 0
+        )
 CASES["validate-strict"] = ([*FULL, "--strict"], 0)
 CASES["validate-partial-strict"] = ([*PARTIAL, "--strict", "--format", "json"], 1)
 CASES["validate-written-files"] = (

@@ -3,11 +3,14 @@
 ``bench/child.py --trace 1`` wraps each function in its ``TRACED`` table by
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
 fails on a stale ``__all__`` entry. The benchmark's coverage guard also fails
-a run whose workload no longer calls a function it names.
+a run whose workload no longer calls a function it names. The same wrapping
+counts ``estimate``'s ``format_fixed`` calls: one per distinct rubric pair.
 """
 
+import csv
 import importlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from course_difficulty import data_io
 from course_difficulty.cli import main
 
 _CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+_SYNTHETIC_CURRICULUM = Path(__file__).resolve().parent / "data" / "synthetic" / "curriculum.csv"
 
 
 def _traced():
@@ -68,16 +72,12 @@ GUARDS = {
 }
 
 
-def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
-    """A refactor that bypasses one of ``GUARDS[command]`` fails here, not only in ``bench/run.py``.
+def _count_calls(reaches, monkeypatch):
+    """Count the calls of each ``(module, function)`` in ``reaches``, live, by ``module.function``.
 
     Each function is wrapped wherever the package binds it, as the bench's
-    tracer does, so a call through a ``from ... import`` name counts too. The
-    shipped lexicon is cached per process on ``data_io.default_lexicon``, so
-    that cache is cleared first, as a bench child starts without it.
+    tracer does, so a call through a ``from ... import`` name counts too.
     """
-    argv, reaches = GUARDS[command]
-    data_io.default_lexicon.cache_clear()
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "course_difficulty"]
     calls = {}
     for mod, name in reaches:
@@ -94,6 +94,18 @@ def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A refactor that bypasses one of ``GUARDS[command]`` fails here, not only in ``bench/run.py``.
+
+    The shipped lexicon is cached per process on ``data_io.default_lexicon``,
+    so that cache is cleared first, as a bench child starts without it.
+    """
+    argv, reaches = GUARDS[command]
+    data_io.default_lexicon.cache_clear()
+    calls = _count_calls(reaches, monkeypatch)
     monkeypatch.chdir(fixture_dir)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
     capsys.readouterr()
@@ -107,3 +119,20 @@ def test_validate_json_run_reaches_the_guarded_functions(fixture_dir, tmp_path, 
 @pytest.mark.parametrize("command", ["estimate", "grades", "map-outcomes"])
 def test_csv_and_map_runs_reach_the_guarded_functions(command, fixture_dir, tmp_path, monkeypatch, capsys):
     _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("curriculum,mode", [
+    ("table2_asprinted.csv", "canonical"),
+    ("table2_asprinted.csv", "as-printed"),
+    (str(_SYNTHETIC_CURRICULUM), "as-printed"),
+], ids=["table2-canonical", "table2-as-printed", "synthetic-as-printed"])
+def test_estimate_formats_each_rubric_pair_once(curriculum, mode, fixture_dir, monkeypatch, capsys):
+    """``estimate`` renders each distinct ``(raw_total, max_total)`` pair once, not once per course."""
+    calls = _count_calls([("rounding", "format_fixed")], monkeypatch)
+    monkeypatch.chdir(fixture_dir)
+    argv = ["estimate", "--catalog", "table1.json", "--curriculum", curriculum, "--mode", mode, "--format", "csv"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    pairs = {(row["raw_total"], row["max_total"]) for row in rows}
+    assert len(pairs) < len(rows)  # the fixtures repeat pairs, so a per-course path fails here
+    assert calls == {"rounding.format_fixed": len(pairs)}
