@@ -5,7 +5,9 @@ Subcommands: ``estimate`` (rubric-path difficulty per course), ``grades``
 metrics), ``map-outcomes`` (tag outcome statements with complexity levels),
 and ``fixtures`` (write the bundled reference dataset to a directory).
 
-Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure.
+Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure,
+70 internal error (a bug; ``EX_SOFTWARE`` in BSD ``sysexits.h``), reported
+on one stderr line.
 Output is rendered fully before anything is written, so a failing run never
 leaves partial output on the primary stream, and a ``validate`` run whose
 report cannot be written removes the plot data it wrote; identical inputs and
@@ -26,6 +28,8 @@ from .engine import (
     BloomDifficulty,
     CombinePolicy,
     Course,
+    GenerationRecord,
+    GradeHistory,
     bloom_difficulty,
     final_difficulty,
     grade_difficulty,
@@ -200,25 +204,46 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # grades
 # ---------------------------------------------------------------------------
 
+def _once_per_record(render: Callable[[GenerationRecord], object]) -> Callable[[GradeHistory], list[object]]:
+    """Each history's records through ``render``, which runs once per distinct record object.
+
+    ``load_grades`` shares one record among rows with the same cells, so a
+    record's ``id`` is its key; no id is reused while the cache lives, since
+    every record outlives the command. Like the loader's tables, the cache
+    fills up to ``data_io._SHARED_LITERALS`` records and then is only looked up.
+    """
+    cache: dict[int, object] = {}
+    bound = data_io._SHARED_LITERALS
+
+    def rendered(history: GradeHistory) -> list[object]:
+        results = []
+        for record in history.generations:
+            key = id(record)
+            result = cache.get(key)
+            if result is None:
+                result = render(record)
+                if len(cache) < bound:
+                    cache[key] = result
+            results.append(result)
+        return results
+
+    return rendered
+
+
 def cmd_grades(args: argparse.Namespace) -> int:
     grades = data_io.load_grades(args.grades)
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
+        entries = _once_per_record(  # one dict per distinct record, shared by its rows
+            lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": float(g.di())}
+        )
         payload = {
             "courses": [
                 {
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
-                    "generations": [
-                        {
-                            "label": g.label,
-                            "kind": g.kind.value,
-                            "value": float(g.value),
-                            "di": float(g.di()),
-                        }
-                        for g in history.generations
-                    ],
+                    "generations": entries(history),
                     "grade_di": float(round_half_away(grade_difficulty(history))),
                 }
                 for history in grades.values()
@@ -232,9 +257,10 @@ def cmd_grades(args: argparse.Namespace) -> int:
         + tuple(f"generation_{i + 1}" for i in range(max_generations))
         + ("generation_count", "grade_di")
     )
+    cells_of = _once_per_record(lambda g: format_ratio(*g.di_pair()))  # no Fraction per cell
     rows = []
     for history in grades.values():
-        cells = [format_ratio(*g.di_pair()) for g in history.generations]  # no Fraction per cell
+        cells = cells_of(history)
         cells += [""] * (max_generations - len(cells))
         rows.append(
             (history.course_code, *cells, str(len(history.generations)),
@@ -404,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, which must not pass for a domain failure
+        print(f"error: internal: {exc!r}", file=sys.stderr)  # the repr keeps it on one line
+        return 70  # EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -37,11 +37,14 @@ the loader's column order: a CSV header is resolved to positions once per
 file (column order and extra columns do not matter), and a JSON entry is
 read by key (unknown keys are ignored). A loader checks each record once,
 with the rule functions of ``engine``, and builds it without checking again.
-Within one ``load_grades`` call, the first few thousand distinct value
-literals are each parsed once, sharing one ``Fraction``, and range-checked
-once per kind; later new literals are parsed and checked per record, so a
-file whose values are all distinct holds no dict entry per record. An error
-names the line or entry of the first record that breaks a rule.
+Within one ``load_grades`` call, rows with the same raw generation, kind and
+value cells share one ``GenerationRecord``, built and checked once; records
+with the same value text share one ``Fraction``, and those with the same
+label text one checked label. Each table fills up to one bound,
+``_SHARED_LITERALS``, and then is only looked up: later new rows are parsed
+and checked per record, so a file whose cells are all distinct holds no dict
+entry per record. An error names the line or entry of the first record that
+breaks a rule.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
@@ -433,45 +436,56 @@ def write_curriculum(courses: Sequence[Course], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 _KINDS = {kind.value: kind for kind in GradeKind}
-# gradebooks repeat few values; the bound keeps a file of distinct values from
-# holding a dict entry per record
-_SHARED_LITERALS = 4096
+# gradebooks repeat few cells, but their distinct cells number terms x value grid,
+# and a 0.1 grid on 0-100 alone has 1,001 values; the bound (about 5 MB of tables
+# at worst) keeps a file of distinct cells from holding a dict entry per record
+_SHARED_LITERALS = 16384
 
 
 def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     """Load per-generation grade records grouped by course, preserving file order.
 
-    Records whose value cells hold the same text share one ``Fraction``, and
-    each text is range-checked once per kind, for the first ``_SHARED_LITERALS``
-    distinct texts (of each kind, for the range check).
+    Rows whose raw ``(generation, kind, value)`` cells have the same text share
+    one ``GenerationRecord``, built and checked once; records whose value cells
+    have the same text share one ``Fraction``, and those whose generation cells
+    do, one checked label. Each table holds the first ``_SHARED_LITERALS``
+    distinct texts and, once full, is only looked up: later rows are built and
+    checked per record.
     """
     grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
     histories: dict[str, GradeHistory] = {}
+    shared: dict[tuple[str, str, str], GenerationRecord] = {}  # raw cells -> their checked record
     values: dict[str, Fraction] = {}  # value text -> its parse; a malformed literal never enters
-    in_range: dict[GradeKind, set[str]] = {kind: set() for kind in GradeKind}  # texts that passed the range check
+    labels: dict[str, str] = {}  # label text -> its checked, stripped form
+    bound = _SHARED_LITERALS
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, (code, label, kind_text, text) in file.rows:
-            kind = _KINDS.get(kind_text.strip().lower())
-            if kind is None:
-                raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
-            value = values.get(text)
-            if value is None:
-                value = parse_decimal(text, "grade value")
-                if len(values) < _SHARED_LITERALS:
-                    values[text] = value
-            label = label.strip()
-            check_label(label)
-            checked = in_range[kind]
-            if text not in checked:
-                check_grade_value(label, kind, value)
-                if len(checked) < _SHARED_LITERALS:
-                    checked.add(text)
+            record = shared.get((label, kind_text, text))
+            if record is None:  # inline, not a helper: an all-distinct file pays no call per row
+                kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
+                if kind is None:
+                    raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
+                value = values.get(text)
+                if value is None:
+                    value = parse_decimal(text, "grade value")
+                    if len(values) < bound:
+                        values[text] = value
+                stripped = labels.get(label)
+                if stripped is None:
+                    stripped = label.strip()
+                    check_label(stripped)
+                    if len(labels) < bound:
+                        labels[label] = stripped
+                check_grade_value(stripped, kind, value)
+                record = unchecked_record(stripped, kind, value)
+                if len(shared) < bound:
+                    shared[label, kind_text, text] = record
             code = code.strip()
             group = grouped.get(code)
             if group is None:
                 grouped[code] = group = (file.line, [])
-            group[1].append(unchecked_record(label, kind, value))
+            group[1].append(record)
         for code, (file.line, records) in grouped.items():  # a course's problem names its first record
             histories[code] = GradeHistory(course_code=code, generations=tuple(records))
     return histories

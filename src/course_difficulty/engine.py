@@ -15,9 +15,9 @@ at reporting time. Number arguments follow ``rounding.to_fraction``: a
 ``Fraction``, an ``int`` or an ASCII decimal string, and nothing else;
 override points are a non-bool ``int``.
 
-``Course`` and ``GenerationRecord`` are frozen, slotted records (no
-``__dict__``), and a course's ``cell_overrides`` is a read-only mapping, so a
-checked value cannot be replaced later; courses without overrides share
+``Course``, ``GenerationRecord`` and ``GradeHistory`` are frozen, slotted
+records (no ``__dict__``), and a course's ``cell_overrides`` is a read-only
+mapping, so a checked value cannot be replaced later; courses without overrides share
 ``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
 and deep-copies as a call to its public constructor with a plain ``dict``,
 checked again on load. Each rule lives in one function (``check_course``,
@@ -189,7 +189,7 @@ def unchecked_record(label: str, kind: GradeKind, value: Fraction) -> Generation
     return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradeHistory:
     course_code: str
     generations: tuple[GenerationRecord, ...]

@@ -208,6 +208,17 @@ class TestRecordsStayImmutable:
                 setattr(record, name, value)
             assert not hasattr(record, "__dict__")
 
+    @pytest.mark.parametrize("name,value,error", [("course_code", "Y", FROZEN), ("generations", (), FROZEN),
+                                                  ("extra", 1, NO_DICT)])
+    def test_grade_history(self, fixture_dir, name, value, error):
+        built = GradeHistory("C1", (GenerationRecord("g", GradeKind.DI, Fraction(2)),))
+        loaded = data_io.load_grades(fixture_dir / "table3_grades.csv")["C1"]
+        for history in (built, loaded):
+            with pytest.raises(error):
+                setattr(history, name, value)
+            assert not hasattr(history, "__dict__")
+            assert _pickled(history) == history == copy.deepcopy(history)
+
     @pytest.mark.parametrize("name,value,error", [("code", "Y", FROZEN), ("criteria", ("a",), FROZEN),
                                                   ("extra", 1, NO_DICT),
                                                   # a checked override cannot be replaced or added afterwards

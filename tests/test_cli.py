@@ -508,6 +508,26 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,loader", [("grades", "load_grades"), ("validate", "load_bundle")])
+def test_internal_error_exits_70_on_one_line(command, loader, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A bug, which is neither bad input nor a failed read or write, exits 70 (``EX_SOFTWARE``)."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setattr(data_io, loader, broken)
+    monkeypatch.chdir(fixture_dir)
+    inputs = {
+        "grades": ["--grades", "table3_grades.csv"],
+        "validate": ["--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
+                     "--grades", "table3_grades.csv", "--plot-data", str(tmp_path / "plot.csv")],
+    }[command]
+    code, out, err = run(capsys, command, *inputs, "--output", str(tmp_path / "out.txt"))
+    assert code == 70
+    assert out == ""
+    assert err.splitlines() == ["error: internal: RuntimeError('injected\\nfault')"]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestOneProcess:
     """``main`` reuses one parser and one shipped lexicon per process; no call's flags or inputs reach the next."""
 

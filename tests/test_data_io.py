@@ -265,6 +265,58 @@ class TestGradeLiterals:
         assert first["C1"].generations[0].value is not second["C1"].generations[0].value
 
 
+# raw cell spellings: a few per value, so that rows repeat cells and also differ only in spelling
+_LABELS = {"g1": ["g1", " g1"], "g2": ["g2", "g2 "], "g3": ["g3"], "g4": ["g4", " g4 "]}
+_KIND_CELLS = {GradeKind.PERCENT: ["percent", "PERCENT", " percent"], GradeKind.DI: ["di", "DI"]}
+_VALUE_CELLS = {GradeKind.PERCENT: ["35", "35.0", "62.5", "100", "0.125"],
+                GradeKind.DI: ["4.5", "3", "3.00", "0", "5"]}
+
+
+@st.composite
+def _repeating_grade_rows(draw):
+    """Grade rows (code, label, kind, value cells), interleaved across courses, whose cells repeat and vary."""
+    courses = {code: draw(st.lists(st.sampled_from(sorted(_LABELS)), min_size=1, max_size=4, unique=True))
+               for code in draw(st.lists(st.sampled_from(["C1", "C2", "C3", "C4", "C5"]), min_size=1, unique=True))}
+    slots = [(code, label) for code, labels in courses.items() for label in labels]
+    rows = []
+    for code, label in draw(st.permutations(slots)):
+        kind = draw(st.sampled_from(list(GradeKind)))
+        cells = (draw(st.sampled_from(_LABELS[label])), draw(st.sampled_from(_KIND_CELLS[kind])),
+                 draw(st.sampled_from(_VALUE_CELLS[kind])))
+        rows.append((code, *cells))
+    return rows
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+@pytest.mark.parametrize("bound", [None, 2], ids=["default-bound", "bound-2"])
+class TestSharedGradeRecords:
+    """Rows with the same raw cells share one record, within the bound, and load as the public constructors build."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_repeating_grade_rows())
+    def test_load_equals_the_public_constructors(self, tmp_path, monkeypatch, form, bound, rows):
+        if bound is not None:
+            monkeypatch.setattr(data_io, "_SHARED_LITERALS", bound)
+        path, _ = _grade_file(tmp_path, form, rows)
+        loaded = data_io.load_grades(path)
+        codes = list(dict.fromkeys(code for code, *_ in rows))
+        by_course = sorted(rows, key=lambda row: codes.index(row[0]))  # the load's order, and a JSON file's
+        in_file = rows if form == "csv" else by_course
+        grouped = {}
+        for code, label, kind, value in rows:
+            record = GenerationRecord(label.strip(), GradeKind(kind.strip().lower()), Fraction(value.strip()))
+            grouped.setdefault(code, []).append(record)
+        assert loaded == {code: GradeHistory(code, tuple(records)) for code, records in grouped.items()}
+        assert list(loaded) == list(grouped)
+        shared = list(dict.fromkeys(tuple(cells) for _, *cells in in_file))[:data_io._SHARED_LITERALS]
+        by_cells = {}  # raw cells -> the loaded record of each row with them
+        for (_, *cells), record in zip(by_course, (g for h in loaded.values() for g in h.generations), strict=True):
+            by_cells.setdefault(tuple(cells), []).append(record)
+        for cells, records in by_cells.items():
+            identities = {id(record) for record in records}
+            assert len(identities) == (1 if cells in shared else len(records))  # past the bound: one per row
+
+
 class TestJsonListFields:
     @pytest.mark.parametrize("name,text,message", [
         ("cat.json", '{"criteria": [{"id": "a", "levels": 3}]}', "criteria[0].levels must be a list"),

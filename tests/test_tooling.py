@@ -4,7 +4,8 @@
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
 fails on a stale ``__all__`` entry. The benchmark's coverage guard also fails
 a run whose workload no longer calls a function it names. The same wrapping
-counts ``estimate``'s ``format_fixed`` calls: one per distinct rubric pair.
+counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair, and
+``grades``' ``format_ratio`` calls, one per distinct grade record.
 """
 
 import csv
@@ -23,6 +24,7 @@ from course_difficulty.cli import main
 
 _CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 _SYNTHETIC_CURRICULUM = Path(__file__).resolve().parent / "data" / "synthetic" / "curriculum.csv"
+_SYNTHETIC_GRADES = _SYNTHETIC_CURRICULUM.with_name("grades.csv")
 
 
 def _traced():
@@ -136,3 +138,16 @@ def test_estimate_formats_each_rubric_pair_once(curriculum, mode, fixture_dir, m
     pairs = {(row["raw_total"], row["max_total"]) for row in rows}
     assert len(pairs) < len(rows)  # the fixtures repeat pairs, so a per-course path fails here
     assert calls == {"rounding.format_fixed": len(pairs)}
+
+
+def test_grades_formats_each_distinct_record_once(monkeypatch, capsys):
+    """``grades`` renders each shared record's cell once, and still reaches ``grade_difficulty`` once per course."""
+    with _SYNTHETIC_GRADES.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    cells = {(row["generation"], row["kind"], row["value"]) for row in rows}
+    codes = {row["course_code"] for row in rows}
+    assert len(cells) < len(rows)  # the file repeats cells, so a per-row path fails here
+    calls = _count_calls([("rounding", "format_ratio"), ("engine", "grade_difficulty")], monkeypatch)
+    assert main(["grades", "--grades", str(_SYNTHETIC_GRADES), "--format", "csv"]) == 0
+    assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(codes) + 1
+    assert calls == {"rounding.format_ratio": len(cells), "engine.grade_difficulty": len(codes)}
