@@ -19,17 +19,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from . import data_io
 from .engine import (
-    BloomDifficulty,
     CombinePolicy,
     Course,
-    GenerationRecord,
-    GradeHistory,
     bloom_difficulty,
     final_difficulty,
     grade_difficulty,
@@ -147,21 +145,36 @@ def _apply_mode(course: Course, mode: str) -> Course:
     return course.without_overrides() if mode == MODE_CANONICAL else course
 
 
-def _once_per_pair(value: Callable[[BloomDifficulty], object]) -> Callable[[BloomDifficulty], object]:
-    """``value``, computed once per distinct ``(raw_total, max_total)`` pair and then reused.
+def _once_each(key: Callable[[object], Hashable], value: Callable[[object], object]) -> Callable[[Iterable], list]:
+    """A mapper of item sequences through ``value``, which runs once per distinct ``key(item)``.
 
-    The rubric domain bounds the cache: ``raw_total`` lies in ``count..21 * count``,
-    so a 13-criterion catalog gives at most 1,833 pairs, however many courses there are.
+    The cache lives as long as the mapper, across calls, and like the loader's
+    tables it fills up to ``data_io._SHARED_LITERALS`` keys and then is only
+    looked up. A key is a rubric result's ``_PAIR`` (a 13-criterion catalog
+    allows 1,833 pairs, however many courses there are), or the ``id`` of a
+    grade record that ``load_grades`` shares among rows (every record outlives
+    the command, so no id is reused). The loop runs here, so a run pays no
+    helper call per item.
     """
-    cache: dict[tuple[int, int], object] = {}
+    cache: dict[Hashable, object] = {}
+    bound = data_io._SHARED_LITERALS
 
-    def cached(result: BloomDifficulty) -> object:
-        key = result.raw_total, result.max_total
-        if key not in cache:
-            cache[key] = value(result)
-        return cache[key]
+    def each(items: Iterable) -> list:
+        results = []
+        for item in items:
+            k = key(item)
+            result = cache.get(k)
+            if result is None:
+                result = value(item)
+                if len(cache) < bound:
+                    cache[k] = result
+            results.append(result)
+        return results
 
-    return cached
+    return each
+
+
+_PAIR = attrgetter("raw_total", "max_total")  # a rubric result's key: every value but its code follows from it
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +187,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     results = [bloom_difficulty(_apply_mode(c, args.mode), catalog) for c in courses]
 
     if args.format == "json":
-        index = _once_per_pair(lambda r: float(round_half_away(r.di)))
+        indices = _once_each(_PAIR, lambda r: float(round_half_away(r.di)))(results)
         payload = {
             "mode": args.mode,
             "courses": [
@@ -183,18 +196,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "raw_total": r.raw_total,
                     "criteria_count": r.criteria_count,
                     "max_total": r.max_total,
-                    "difficulty_index": index(r),
+                    "difficulty_index": index,
                 }
-                for r in results
+                for r, index in zip(results, indices)
             ],
         }
         _emit(data_io.json_text(payload), args.output)
         return 0
 
-    cells = _once_per_pair(  # every cell after course_code follows from the pair
-        lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
-    )
-    rows = [(r.course_code, *cells(r)) for r in results]
+    cells = _once_each(
+        _PAIR, lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
+    )(results)
+    rows = [(r.course_code, *c) for r, c in zip(results, cells)]
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
     _emit_rows(args, headers, rows)
     return 0
@@ -204,46 +217,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # grades
 # ---------------------------------------------------------------------------
 
-def _once_per_record(render: Callable[[GenerationRecord], object]) -> Callable[[GradeHistory], list[object]]:
-    """Each history's records through ``render``, which runs once per distinct record object.
-
-    ``load_grades`` shares one record among rows with the same cells, so a
-    record's ``id`` is its key; no id is reused while the cache lives, since
-    every record outlives the command. Like the loader's tables, the cache
-    fills up to ``data_io._SHARED_LITERALS`` records and then is only looked up.
-    """
-    cache: dict[int, object] = {}
-    bound = data_io._SHARED_LITERALS
-
-    def rendered(history: GradeHistory) -> list[object]:
-        results = []
-        for record in history.generations:
-            key = id(record)
-            result = cache.get(key)
-            if result is None:
-                result = render(record)
-                if len(cache) < bound:
-                    cache[key] = result
-            results.append(result)
-        return results
-
-    return rendered
-
-
 def cmd_grades(args: argparse.Namespace) -> int:
     grades = data_io.load_grades(args.grades)
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
-        entries = _once_per_record(  # one dict per distinct record, shared by its rows
-            lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": float(g.di())}
+        entries = _once_each(  # one dict per distinct record, shared by its rows
+            id, lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": float(g.di())}
         )
         payload = {
             "courses": [
                 {
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
-                    "generations": entries(history),
+                    "generations": entries(history.generations),
                     "grade_di": float(round_half_away(grade_difficulty(history))),
                 }
                 for history in grades.values()
@@ -257,10 +244,10 @@ def cmd_grades(args: argparse.Namespace) -> int:
         + tuple(f"generation_{i + 1}" for i in range(max_generations))
         + ("generation_count", "grade_di")
     )
-    cells_of = _once_per_record(lambda g: format_ratio(*g.di_pair()))  # no Fraction per cell
+    cells_of = _once_each(id, lambda g: format_ratio(*g.di_pair()))  # no Fraction per cell
     rows = []
     for history in grades.values():
-        cells = cells_of(history)
+        cells = cells_of(history.generations)
         cells += [""] * (max_generations - len(cells))
         rows.append(
             (history.course_code, *cells, str(len(history.generations)),
@@ -291,17 +278,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for code in unmatched:
         _warn(f"grade history for unknown course {code}; not validated")
 
-    estimate = _once_per_pair((lambda r: r.di) if args.full_precision else (lambda r: round_half_away(r.di)))
+    rounded = (lambda di: di) if args.full_precision else round_half_away
+    graded = [course for course in bundle.courses if course.code in bundle.grades]
+    estimate = _once_each(_PAIR, lambda r: rounded(r.di))
+    estimates = estimate(bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
     comparisons = []
     finals = []  # per comparison, in its order
-    for course in bundle.courses:
-        history = bundle.grades.get(course.code)
-        if history is None:
-            continue
-        estimated = estimate(bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog))
-        actual = grade_difficulty(history)
-        if not args.full_precision:
-            actual = round_half_away(actual)
+    for course, estimated in zip(graded, estimates):
+        actual = rounded(grade_difficulty(bundle.grades[course.code]))
         comparisons.append(compare(actual, estimated, course.code))
         finals.append(final_difficulty(estimated, actual, policy))
     report = summarize(comparisons, args.tolerance)

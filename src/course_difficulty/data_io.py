@@ -1,55 +1,23 @@
 """On-disk formats: catalogs, lexicons, curricula, grade files, and reports.
 
-CSV is the primary interchange format (institutional gradebooks export CSV).
-Catalogs, lexicons, curricula and grade files also have a JSON form, chosen
-by a ``.json`` extension; the validation report's JSON form is the output of
-``validate --format json``. All files are UTF-8; CSV files need a header row.
-
-CSV schemas
------------
-catalog:     id,description,levels          levels = pipe-separated 1-6 or names
-lexicon:     verb,levels
-curriculum:  course_code,title,criteria,overrides
-             criteria = pipe-separated ids; overrides = optional id:points pairs
-grades:      course_code,generation,kind,value    kind = percent | di
-statements:  criterion_id,text
-report:      course_code,actual_di,estimated_di,abs_error   (+ AVERAGE row)
-plot data:   course_code,actual_di,estimated_di
-
-A JSON file is an object with one entry list (``criteria``, ``verbs`` or
-``courses``) whose entries are keyed by the CSV columns and read as the rows
-they stand for; a grade course lists its records under ``generations``, with
-``label`` for the generation column. ``levels`` and ``criteria`` are lists,
-``overrides`` is an id -> points object, and every other value is a string
-or a number, kept as its literal text; ``null`` and any other type are
-rejected, and so is a key given twice in one object. Numbers are ASCII
-digits with an optional sign and decimal point:
-no exponent, ``/``, ``_``, ``nan`` or ``inf``. An error in a record starts
-with ``path:line:`` (CSV) or ``path:courses[3].generations[1]:`` (JSON); a
-JSON value of the wrong type is named by its key path instead. Malformed
-values are never coerced, and every written file loads back to the same
-objects.
+README.md, "File formats", specifies the CSV columns, the JSON forms, the
+number syntax and the error locators; this module implements them, and every
+file a writer here writes loads back to the same objects.
 
 Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
 provenance, and the text is decoded with text-mode newline translation. CSV
 and JSON reach the loaders as (locator, cells) pairs, the cells a tuple in
-the loader's column order: a CSV header is resolved to positions once per
-file (column order and extra columns do not matter), and a JSON entry is
-read by key (unknown keys are ignored). A loader checks each record once,
-with the rule functions of ``engine``, and builds it without checking again.
-Within one ``load_grades`` call, rows with the same raw generation, kind and
-value cells share one ``GenerationRecord``, built and checked once; records
-with the same value text share one ``Fraction``, and those with the same
-label text one checked label. Each table fills up to one bound,
-``_SHARED_LITERALS``, and then is only looked up: later new rows are parsed
-and checked per record, so a file whose cells are all distinct holds no dict
-entry per record. An error names the line or entry of the first record that
-breaks a rule.
+the loader's column order. Every record is built through its constructor,
+which checks it, except a course: ``load_curriculum`` checks each one with
+``check_course`` and builds it with ``unchecked_course``. Within one
+``load_grades`` call, rows with the same raw generation, kind and value cells
+share one ``GenerationRecord``. Its tables of records, values and labels fill
+up to ``_SHARED_LITERALS`` entries and then are only looked up, so a file
+whose cells are all distinct holds no dict entry per record.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
-from one fixed template that gives the text ``json.dumps(indent=2)`` would;
-``json_text`` renders the rest of the report.
+from one fixed template that gives the text ``json.dumps(indent=2)`` would.
 """
 
 from __future__ import annotations
@@ -76,10 +44,7 @@ from .engine import (
     GradeHistory,
     GradeKind,
     check_course,
-    check_grade_value,
-    check_label,
     unchecked_course,
-    unchecked_record,
 )
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .mapper import OutcomeStatement
@@ -216,7 +181,7 @@ def _json_rows(
     entries: object, where: str, columns: Sequence[str], nested: Sequence[str], inherited: tuple[str, ...]
 ) -> Iterator[tuple[str, tuple[str, ...]]]:
     """Each JSON entry as an (entry path, cells) pair, the cells in ``columns`` order;
-    with ``nested`` columns, the entry's ``generations`` are the rows, each after the entry's cells."""
+    with ``nested`` columns, the entry's required ``generations`` are the rows, each after the entry's cells."""
     if not isinstance(entries, list):
         raise DataFormatError(f"{where} must be a list")
     for i, entry in enumerate(entries):
@@ -233,7 +198,11 @@ def _json_rows(
             else:
                 cells.append("")
         if nested:
-            yield from _json_rows(entry.get("generations", []), f"{at}.generations", nested, (), tuple(cells))
+            if "generations" not in entry:
+                raise DataFormatError(f"{at} must have 'generations'")
+            rows = list(_json_rows(entry["generations"], f"{at}.generations", nested, (), tuple(cells)))
+            # an empty list still names its course, as a row of None cells: a course with no records
+            yield from rows or [(at, (*cells, *[None] * len(nested)))]
         else:
             yield at, tuple(cells)
 
@@ -446,23 +415,26 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     """Load per-generation grade records grouped by course, preserving file order.
 
     Rows whose raw ``(generation, kind, value)`` cells have the same text share
-    one ``GenerationRecord``, built and checked once; records whose value cells
-    have the same text share one ``Fraction``, and those whose generation cells
-    do, one checked label. Each table holds the first ``_SHARED_LITERALS``
-    distinct texts and, once full, is only looked up: later rows are built and
-    checked per record.
+    one ``GenerationRecord``, built through its constructor once; records whose
+    value cells have the same text share one ``Fraction``, and those whose
+    generation cells do, one stripped label. Each table holds the first
+    ``_SHARED_LITERALS`` distinct texts and, once full, is only looked up: later
+    rows are built per record.
     """
     grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
     histories: dict[str, GradeHistory] = {}
     shared: dict[tuple[str, str, str], GenerationRecord] = {}  # raw cells -> their checked record
     values: dict[str, Fraction] = {}  # value text -> its parse; a malformed literal never enters
-    labels: dict[str, str] = {}  # label text -> its checked, stripped form
+    labels: dict[str, str] = {}  # label text -> its stripped form, shared by the records
     bound = _SHARED_LITERALS
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, (code, label, kind_text, text) in file.rows:
             record = shared.get((label, kind_text, text))
             if record is None:  # inline, not a helper: an all-distinct file pays no call per row
+                if label is None:  # a JSON course with no records, which its GradeHistory refuses below
+                    grouped.setdefault(code.strip(), (file.line, []))
+                    continue
                 kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
                 if kind is None:
                     raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
@@ -474,11 +446,9 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
                 stripped = labels.get(label)
                 if stripped is None:
                     stripped = label.strip()
-                    check_label(stripped)
                     if len(labels) < bound:
                         labels[label] = stripped
-                check_grade_value(stripped, kind, value)
-                record = unchecked_record(stripped, kind, value)
+                record = GenerationRecord(stripped, kind, value)  # checks the label, then the range
                 if len(shared) < bound:
                     shared[label, kind_text, text] = record
             code = code.strip()

@@ -20,10 +20,10 @@ records (no ``__dict__``), and a course's ``cell_overrides`` is a read-only
 mapping, so a checked value cannot be replaced later; courses without overrides share
 ``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
 and deep-copies as a call to its public constructor with a plain ``dict``,
-checked again on load. Each rule lives in one function (``check_course``,
-``check_label``, ``check_grade_value``) that the public constructor calls.
-The loaders call the same functions at the input boundary, then build each
-record with ``unchecked_course``/``unchecked_record``, which check nothing again.
+checked again on load. Every record is built through its constructor, which
+checks its rules, except a course: ``load_curriculum`` checks each one with
+``check_course``, the rule function its constructor calls, and then builds it
+with ``unchecked_course``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -127,11 +127,6 @@ class BloomDifficulty:
         return Fraction(DI_SCALE * self.raw_total, self.max_total)
 
 
-_BLOOM_SLOTS = tuple(
-    BloomDifficulty.__dict__[name].__set__ for name in ("course_code", "raw_total", "criteria_count", "max_total")
-)
-
-
 class GradeKind(Enum):
     PERCENT = "percent"
     DI = "di"
@@ -146,10 +141,16 @@ class GenerationRecord:
     value: Fraction
 
     def __post_init__(self):
-        value = to_fraction(self.value, "grade value")
-        check_label(self.label)
-        check_grade_value(self.label, self.kind, value)
-        object.__setattr__(self, "value", value)
+        # kept lean, as a grade file of distinct rows builds a record per row; a Fraction is kept as it is
+        value = self.value
+        if not isinstance(value, Fraction):
+            value = to_fraction(value, "grade value")
+            object.__setattr__(self, "value", value)
+        if not self.label:
+            raise ValidationError("generation label must be non-empty")
+        name, top = ("percent", 100) if self.kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
+        if not 0 <= value.numerator <= top * value.denominator:
+            raise InvalidGradeError(f"generation {self.label!r}: {name} value {value} outside [0, {top}]")
 
     def di(self) -> Fraction:
         """The record on the 0-5 difficulty scale (percent records convert)."""
@@ -160,33 +161,6 @@ class GenerationRecord:
         if self.kind is GradeKind.PERCENT:
             return _percent_pair(self.value)
         return self.value.numerator, self.value.denominator
-
-
-def check_label(label: str) -> None:
-    """A ``GenerationRecord`` rule: the generation label is non-empty."""
-    if not label:
-        raise ValidationError("generation label must be non-empty")
-
-
-def check_grade_value(label: str, kind: GradeKind, value: Fraction) -> None:
-    """A ``GenerationRecord`` rule: the value lies in its kind's range, [0, 100] or [0, 5]."""
-    name, top = ("percent", 100) if kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
-    if not 0 <= value.numerator <= top * value.denominator:
-        raise InvalidGradeError(f"generation {label!r}: {name} value {value} outside [0, {top}]")
-
-
-_RECORD_SLOTS = tuple(GenerationRecord.__dict__[name].__set__ for name in ("label", "kind", "value"))
-
-
-def unchecked_record(label: str, kind: GradeKind, value: Fraction) -> GenerationRecord:
-    """A ``GenerationRecord`` of values that already passed ``check_label`` and
-    ``check_grade_value``, built without checking them again."""
-    record = _new(GenerationRecord)
-    set_label, set_kind, set_value = _RECORD_SLOTS
-    set_label(record, label)
-    set_kind(record, kind)
-    set_value(record, value)
-    return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,13 +201,7 @@ def course_raw_total(course: Course, catalog: CriterionCatalog) -> int:
 def bloom_difficulty(course: Course, catalog: CriterionCatalog) -> BloomDifficulty:
     """Normalize the raw rubric total onto the 0-5 difficulty index scale."""
     count = len(course.criteria)
-    result = _new(BloomDifficulty)  # built like ``unchecked_course``: four slot writes, no Fraction
-    set_code, set_raw, set_count, set_max = _BLOOM_SLOTS
-    set_code(result, course.code)
-    set_raw(result, course_raw_total(course, catalog))
-    set_count(result, count)
-    set_max(result, count * MAX_RUBRIC)
-    return result
+    return BloomDifficulty(course.code, course_raw_total(course, catalog), count, count * MAX_RUBRIC)
 
 
 def _percent_pair(average: Fraction) -> tuple[int, int]:

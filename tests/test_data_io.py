@@ -18,6 +18,7 @@ from course_difficulty.engine import (
 )
 from course_difficulty.errors import (
     DataFormatError,
+    InsufficientDataError,
     InvalidGradeError,
     UnresolvedCriterionError,
     ValidationError,
@@ -338,6 +339,9 @@ class TestJsonListFields:
         ("cur.json", '{"courses": [{"course_code": "C1", "title": null, "criteria": ["a"]}]}', "courses[0].title must be"),
         ("g.json", '{"courses": [{"course_code": null, "generations": []}]}', "courses[0].course_code must be"),
         ("g.json", '{"courses": [{"generations": []}]}', "courses[0] must have 'course_code'"),
+        ("g.json", '{"courses": [{"course_code": "C1"}]}', "courses[0] must have 'generations'"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generation": [{"label": "g", "kind": "di", "value": 1}]}]}',
+         "courses[0] must have 'generations'"),
         ("g.json", '{"courses": [{"course_code": "C1", "generations": [{"label": "g", "kind": "di", "value": true}]}]}', "courses[0].generations[0].value must be"),
         ("g.json", '[]', "expected an object with a 'courses' list"),
         ("cat.json", '{"criteria": [{"id": "a", "id": "b", "levels": [1]}]}', "JSON object repeats key 'id'"),
@@ -348,7 +352,8 @@ class TestJsonListFields:
         "catalog", "lexicon", "curriculum", "grades", "grades-entry",
         "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
         "criteria-object", "null-levels", "pipe-in-criterion", "null-overrides", "pipe-in-points", "null-title",
-        "null-course-code", "missing-course-code", "bool-value", "top-level-list",
+        "null-course-code", "missing-course-code", "missing-generations", "misspelled-generations",
+        "bool-value", "top-level-list",
         "repeated-id", "repeated-override", "repeated-entry-list", "repeated-levels",
     ])
     def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
@@ -362,6 +367,25 @@ class TestJsonListFields:
         with pytest.raises(DataFormatError) as exc:
             load(path)
         assert str(exc.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("courses,at", [
+        ([{"course_code": " C1 ", "generations": []}], "courses[0]"),
+        ([{"course_code": "C0", "generations": [{"label": "g", "kind": "di", "value": 1}]},
+          {"course_code": "C1", "generations": []}], "courses[1]"),
+    ], ids=["only-course", "second-course"])
+    def test_empty_generations_is_a_course_without_records(self, tmp_path, capsys, courses, at):
+        """A course with an empty ``generations`` list fails as ``GradeHistory`` fails it, at its entry."""
+        path = _write(tmp_path / "g.json", json.dumps({"courses": courses}))
+        with pytest.raises(InsufficientDataError) as exc:
+            data_io.load_grades(path)
+        assert str(exc.value) == f"{path}:{at}: course 'C1' has no generation records"
+        assert main(["grades", "--grades", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_missing_generations_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path / "g.json", '{"courses": [{"course_code": "C1"}]}')
+        assert main(["grades", "--grades", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: courses[0] must have 'generations'\n"
 
 
 # One defect per case, written once as CSV rows and once as JSON entries (a string is a

@@ -133,6 +133,11 @@ class TestCanonicalCatalog:
         subset = CriterionCatalog.from_criteria([catalog[c] for c in "ahk"])
         assert catalog_total(subset) == 18
 
+    def test_membership_is_by_criterion_id(self, catalog):
+        """``in`` reads the id table; without ``__contains__`` it would fall back to ``__getitem__(0)``."""
+        assert "a" in catalog and "m" in catalog
+        assert "n" not in catalog and 0 not in catalog
+
     def test_duplicate_ids_rejected(self, catalog):
         with pytest.raises(ValidationError, match="duplicate"):
             CriterionCatalog.from_criteria([catalog["a"], catalog["a"]])

@@ -4,8 +4,10 @@
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
 fails on a stale ``__all__`` entry. The benchmark's coverage guard also fails
 a run whose workload no longer calls a function it names. The same wrapping
-counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair, and
-``grades``' ``format_ratio`` calls, one per distinct grade record.
+counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair,
+``validate``'s ``round_half_away`` calls, and ``grades``' ``format_ratio``
+calls, one per distinct grade record. ``tools/src_lines.py``'s line kinds sum
+to each module's line count.
 """
 
 import csv
@@ -21,8 +23,11 @@ import pytest
 import course_difficulty
 from course_difficulty import data_io
 from course_difficulty.cli import main
+from course_difficulty.engine import bloom_difficulty
+from course_difficulty.taxonomy import canonical_catalog
 
-_CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_CHILD = _ROOT / "bench" / "child.py"
 _SYNTHETIC_CURRICULUM = Path(__file__).resolve().parent / "data" / "synthetic" / "curriculum.csv"
 _SYNTHETIC_GRADES = _SYNTHETIC_CURRICULUM.with_name("grades.csv")
 
@@ -151,3 +156,54 @@ def test_grades_formats_each_distinct_record_once(monkeypatch, capsys):
     assert main(["grades", "--grades", str(_SYNTHETIC_GRADES), "--format", "csv"]) == 0
     assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(codes) + 1
     assert calls == {"rounding.format_ratio": len(cells), "engine.grade_difficulty": len(codes)}
+
+
+@pytest.mark.parametrize("mode", ["canonical", "as-printed"])
+def test_validate_rounds_each_rubric_pair_once(mode, fixture_dir, monkeypatch, capsys):
+    """``validate`` rounds each graded course's grade value, each distinct rubric pair once, and the three means."""
+    with _SYNTHETIC_GRADES.open(newline="") as f:
+        graded_codes = {row["course_code"] for row in csv.DictReader(f)}
+    catalog = canonical_catalog()
+    courses = [c for c in data_io.load_curriculum(_SYNTHETIC_CURRICULUM, catalog) if c.code in graded_codes]
+    results = [bloom_difficulty(c if mode == "as-printed" else c.without_overrides(), catalog) for c in courses]
+    pairs = {(r.raw_total, r.max_total) for r in results}
+    assert len(pairs) < len(courses)  # the pairs repeat, so a per-course path fails here
+    calls = _count_calls([("rounding", "round_half_away")], monkeypatch)
+    monkeypatch.chdir(fixture_dir)
+    argv = ["validate", "--catalog", "table1.json", "--curriculum", str(_SYNTHETIC_CURRICULUM),
+            "--grades", str(_SYNTHETIC_GRADES), "--mode", mode, "--format", "csv"]
+    assert main(argv) == 0
+    assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(courses) + 2  # header, AVERAGE
+    assert calls == {"rounding.round_half_away": len(courses) + len(pairs) + 3}
+
+
+def _src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", _ROOT / "tools" / "src_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("path", sorted((_ROOT / "src").rglob("*.py")), ids=lambda p: p.name)
+def test_src_line_kinds_sum_to_the_line_count(path):
+    text = path.read_text(encoding="utf-8")
+    counts = _src_lines().count_lines(text)
+    assert set(counts) == {"code", "docstring", "comment", "blank"}
+    assert sum(counts.values()) == len(text.splitlines())
+    assert counts["docstring"] > 0 and counts["code"] > 0
+
+
+def test_src_line_kinds_classify_each_line():
+    text = '''"""Module.
+
+Docstring."""
+import os  # a trailing comment makes a code line
+
+# a comment line
+
+
+def f():
+    """One line."""
+    return os.sep
+'''
+    assert _src_lines().count_lines(text) == {"code": 3, "docstring": 4, "comment": 1, "blank": 3}
