@@ -114,7 +114,7 @@ def _emit(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        output.write_text(text, encoding="utf-8", newline="")
+        data_io._write_text(output, text)
 
 
 def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
@@ -329,7 +329,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         data_io.write_plot_data(report, args.plot_data)
     try:
         _emit(text, args.output)
-    except OSError:
+    except (DataFormatError, OSError):  # a failed --output write, or one to stdout
         if args.plot_data is not None:  # a failed run leaves no output file behind
             args.plot_data.unlink(missing_ok=True)
         raise

@@ -7,13 +7,12 @@ file a writer here writes loads back to the same objects.
 Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
 provenance, and the text is decoded with text-mode newline translation. CSV
 and JSON reach the loaders as (locator, cells) pairs, the cells a tuple in
-the loader's column order. Every record is built through its constructor,
-which checks it, except a course: ``load_curriculum`` checks each one with
-``check_course`` and builds it with ``unchecked_course``. Within one
-``load_grades`` call, rows with the same raw generation, kind and value cells
-share one ``GenerationRecord``. Its tables of records, values and labels fill
-up to ``_SHARED_LITERALS`` entries and then are only looked up, so a file
-whose cells are all distinct holds no dict entry per record.
+the loader's column order, and each record is built through its constructor,
+which checks it. Within one ``load_grades`` call, rows with the same raw
+generation, kind and value cells share one ``GenerationRecord``. Its tables of
+records, values and labels fill up to ``_SHARED_LITERALS`` entries and then
+are only looked up, so a file whose cells are all distinct holds no dict entry
+per record.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
@@ -35,7 +34,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType, SimpleNamespace
+from types import SimpleNamespace
 
 from .engine import (
     NO_OVERRIDES,
@@ -43,8 +42,6 @@ from .engine import (
     GenerationRecord,
     GradeHistory,
     GradeKind,
-    check_course,
-    unchecked_course,
 )
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .mapper import OutcomeStatement
@@ -368,7 +365,7 @@ def _overrides(cell: str) -> Mapping[str, int]:
         if cid in overrides:
             raise DataFormatError(f"override {cid!r} is given twice")
         overrides[cid] = parse_int(points, "override points")
-    return MappingProxyType(overrides) if overrides else NO_OVERRIDES
+    return overrides
 
 
 def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]:
@@ -381,14 +378,13 @@ def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]
             criteria = tuple(map(str.strip, cell.split("|")))
             if "" in criteria:
                 criteria = tuple(c for c in criteria if c)
-            overrides = _overrides(overrides)
-            check_course(code, criteria, overrides)
+            course = Course(code, criteria, title or None, _overrides(overrides))
             if code in courses:
                 raise ValidationError(f"duplicate course code {code!r}")
             for cid in criteria:
                 if cid not in known:
                     raise UnresolvedCriterionError(cid, code)
-            courses[code] = unchecked_course(code, criteria, title or None, overrides)
+            courses[code] = course
     return list(courses.values())
 
 
@@ -592,6 +588,6 @@ def copy_fixtures(dest: str | Path) -> list[Path]:
     written = []
     for name in FIXTURE_NAMES:
         target = dest_dir / name
-        target.write_bytes(fixture_path(name).read_bytes())
+        _write_text(target, fixture_path(name).read_bytes().decode("utf-8"))  # no newline is translated
         written.append(target)
     return written

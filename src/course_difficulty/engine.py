@@ -21,15 +21,13 @@ mapping, so a checked value cannot be replaced later; courses without overrides 
 ``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
 and deep-copies as a call to its public constructor with a plain ``dict``,
 checked again on load. Every record is built through its constructor, which
-checks its rules, except a course: ``load_curriculum`` checks each one with
-``check_course``, the rule function its constructor calls, and then builds it
-with ``unchecked_course``, which checks nothing again.
+checks its rules.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -48,7 +46,7 @@ DI_SCALE = 5
 NO_OVERRIDES: Mapping[str, int] = MappingProxyType({})  # shared by every course without overrides
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Course:
     """A course code plus the criterion ids it maps to.
 
@@ -63,56 +61,48 @@ class Course:
     title: str | None = None
     cell_overrides: Mapping[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        criteria, overrides = tuple(self.criteria), dict(self.cell_overrides)
-        check_course(self.code, criteria, overrides)
-        object.__setattr__(self, "criteria", criteria)
-        object.__setattr__(self, "cell_overrides", MappingProxyType(overrides) if overrides else NO_OVERRIDES)
-
     def __reduce__(self):
         return Course, (self.code, self.criteria, self.title, dict(self.cell_overrides))
 
     def without_overrides(self) -> "Course":
         if not self.cell_overrides:
             return self
-        return unchecked_course(self.code, self.criteria, self.title, NO_OVERRIDES)
+        return Course(self.code, self.criteria, self.title)
 
 
-def check_course(code: str, criteria: tuple[str, ...], overrides: Mapping[str, int]) -> None:
-    """The rules a ``Course`` keeps: a code, distinct criteria, and overrides of
-    listed criteria by ``int`` points within 1..MAX_RUBRIC."""
-    if not code:
-        raise ValidationError("course code must be non-empty")
-    if not criteria:
-        raise ValidationError(f"course {code!r} maps to no criteria")
-    if len(set(criteria)) != len(criteria):
-        raise ValidationError(f"course {code!r} lists a criterion more than once")
-    for cid, points in overrides.items():
-        if cid not in criteria:
-            raise ValidationError(f"course {code!r} overrides {cid!r} which is not among its criteria")
-        if not isinstance(points, int) or isinstance(points, bool):
-            raise DataFormatError(f"course {code!r} override {cid!r} must be an int, got {points!r}")
-        if not 1 <= points <= MAX_RUBRIC:
-            raise ValidationError(f"course {code!r} override {cid!r}={points} outside 1..{MAX_RUBRIC}")
+def _course_init(set_code, set_criteria, set_title, set_overrides):
+    """``Course.__init__``, given each slot's ``__set__``: the slots exist only once the class is built."""
+    def __init__(self, code: str, criteria: Iterable[str], title: str | None = None,
+                 cell_overrides: Mapping[str, int] = NO_OVERRIDES) -> None:
+        """Check the rules of a course: a code, distinct criteria, and overrides
+        of listed criteria by ``int`` points within 1..MAX_RUBRIC."""
+        # the shared empty mapping needs no copy, and ``dict()`` of a read-only mapping iterates its keys
+        criteria, overrides = tuple(criteria), {} if cell_overrides is NO_OVERRIDES else dict(cell_overrides)
+        if not code:
+            raise ValidationError("course code must be non-empty")
+        if not criteria:
+            raise ValidationError(f"course {code!r} maps to no criteria")
+        if len(set(criteria)) != len(criteria):
+            raise ValidationError(f"course {code!r} lists a criterion more than once")
+        for cid, points in overrides.items():
+            if cid not in criteria:
+                raise ValidationError(f"course {code!r} overrides {cid!r} which is not among its criteria")
+            if not isinstance(points, int) or isinstance(points, bool):
+                raise DataFormatError(f"course {code!r} override {cid!r} must be an int, got {points!r}")
+            if not 1 <= points <= MAX_RUBRIC:
+                raise ValidationError(f"course {code!r} override {cid!r}={points} outside 1..{MAX_RUBRIC}")
+        set_code(self, code)
+        set_criteria(self, criteria)
+        set_title(self, title)
+        set_overrides(self, MappingProxyType(overrides) if overrides else NO_OVERRIDES)
+    __init__.__qualname__ = "Course.__init__"
+    return __init__
 
 
-_new = object.__new__
-_COURSE_SLOTS = tuple(Course.__dict__[name].__set__ for name in ("code", "criteria", "title", "cell_overrides"))
+Course.__init__ = _course_init(*(Course.__dict__[f.name].__set__ for f in fields(Course)))
 
 
-def unchecked_course(code: str, criteria: tuple[str, ...], title: str | None, overrides: Mapping[str, int]) -> Course:
-    """A ``Course`` of values that already passed ``check_course``, built without checking them again;
-    ``overrides`` is read-only already (``NO_OVERRIDES`` or a ``MappingProxyType``)."""
-    course = _new(Course)
-    set_code, set_criteria, set_title, set_overrides = _COURSE_SLOTS
-    set_code(course, code)
-    set_criteria(course, criteria)
-    set_title(course, title)
-    set_overrides(course, overrides)
-    return course
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BloomDifficulty:
     """Rubric-path result for one course, in integers; ``di`` is computed when read."""
 
@@ -125,6 +115,19 @@ class BloomDifficulty:
     def di(self) -> Fraction:
         """The difficulty index ``DI_SCALE * raw_total / max_total``, exactly."""
         return Fraction(DI_SCALE * self.raw_total, self.max_total)
+
+
+def _bloom_init(set_code, set_raw_total, set_criteria_count, set_max_total):
+    def __init__(self, course_code: str, raw_total: int, criteria_count: int, max_total: int) -> None:
+        set_code(self, course_code)
+        set_raw_total(self, raw_total)
+        set_criteria_count(self, criteria_count)
+        set_max_total(self, max_total)
+    __init__.__qualname__ = "BloomDifficulty.__init__"
+    return __init__
+
+
+BloomDifficulty.__init__ = _bloom_init(*(BloomDifficulty.__dict__[f.name].__set__ for f in fields(BloomDifficulty)))
 
 
 class GradeKind(Enum):

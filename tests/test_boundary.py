@@ -1,12 +1,11 @@
 """The input boundary: rows as cell tuples, records checked once and built once, each input read once.
 
-A loader builds each ``GenerationRecord`` and ``Course`` from values it has
-already checked, with the same rule functions the public constructors call.
-The property suites hold the two paths to one result: equal, equally hashed
-and equally printed records, or the same error, named at the record's line
-or entry. Column order and extra columns or keys change nothing, and a
-file's bytes are read once, hashed as they are and decoded as text-mode
-reading decodes them. A record with read-only mappings pickles and
+A loader builds each ``GenerationRecord`` and ``Course`` through its public
+constructor. The property suites hold the loader and the constructor to one
+result: equal, equally hashed and equally printed records, or the same error,
+named at the record's line or entry. Column order and extra columns or keys
+change nothing, and a file's bytes are read once, hashed as they are and
+decoded as text-mode reading decodes them. A record with read-only mappings pickles and
 deep-copies through its public constructor, so its rules are checked again.
 """
 
@@ -35,7 +34,6 @@ from course_difficulty.engine import (
     GradeHistory,
     GradeKind,
     bloom_difficulty,
-    unchecked_course,
 )
 from course_difficulty.errors import CourseDifficultyError, ValidationError
 from course_difficulty.mapper import OutcomeStatement
@@ -285,7 +283,11 @@ class TestPickleAndCopy:
                 mapping[key] = value
 
     def test_a_pickled_course_is_checked_again_on_load(self):
-        data = pickle.dumps(unchecked_course("X", ("a",), None, MappingProxyType({"a": 99})))
+        course = object.__new__(Course)  # out of range, so only its slots can hold it
+        for name, value in [("code", "X"), ("criteria", ("a",)), ("title", None),
+                            ("cell_overrides", MappingProxyType({"a": 99}))]:
+            Course.__dict__[name].__set__(course, value)
+        data = pickle.dumps(course)
         with pytest.raises(ValidationError, match="outside 1..21"):
             pickle.loads(data)
 

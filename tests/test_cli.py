@@ -476,6 +476,8 @@ class TestFixturesCommand:
             ]
         )
         assert str(dest / "table1.json") in out
+        for name in names:  # written back byte for byte
+            assert (dest / name).read_bytes() == data_io.fixture_path(name).read_bytes()
 
 
 class TestDeterminism:
@@ -525,6 +527,26 @@ def test_internal_error_exits_70_on_one_line(command, loader, fixture_dir, tmp_p
     assert code == 70
     assert out == ""
     assert err.splitlines() == ["error: internal: RuntimeError('injected\\nfault')"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "grades", "validate", "map-outcomes"])
+def test_output_into_a_missing_directory_exits_2_naming_it(command, fixture_dir, tmp_path, capsys):
+    """An ``--output`` write fails as a ``--plot-data`` write does, on one located line."""
+    catalog, curriculum, grades = (
+        fixture_dir / name for name in ("table1.json", "table2_asprinted.csv", "table3_grades.csv")
+    )
+    inputs = {
+        "estimate": ["--catalog", catalog, "--curriculum", curriculum],
+        "grades": ["--grades", grades],
+        "validate": ["--catalog", catalog, "--curriculum", curriculum, "--grades", grades],
+        "map-outcomes": ["--statements", fixture_dir / "outcome_statements.csv"],
+    }[command]
+    target = tmp_path / "nodir" / "out.txt"
+    code, out, err = run(capsys, command, *map(str, inputs), "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {target}: cannot write file: No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
 
 

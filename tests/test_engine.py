@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from course_difficulty.engine import (
+    NO_OVERRIDES,
+    BloomDifficulty,
     CombinePolicy,
     Course,
     GenerationRecord,
@@ -104,6 +107,20 @@ class TestCourse:
         assert stripped.cell_overrides == {}
         assert stripped.criteria == course.criteria
 
+    def test_replace_goes_through_the_constructor(self):
+        """``dataclasses.replace``, which README offers in place of assignment, checks and copies as ``Course`` does."""
+        course = Course(code="X", criteria=("a", "h"), title="T", cell_overrides={"h": 5})
+        replaced = dataclasses.replace(course, criteria=["a", "h", "k"], cell_overrides={"k": 7})
+        assert replaced == Course("X", ("a", "h", "k"), "T", {"k": 7})
+        assert type(replaced.criteria) is tuple
+        with pytest.raises(TypeError):
+            replaced.cell_overrides["k"] = 9
+        assert dataclasses.replace(course, title="U") == Course(code="X", criteria=("a", "h"), title="U",
+                                                                cell_overrides={"h": 5})
+        assert dataclasses.replace(course, cell_overrides={}).cell_overrides is NO_OVERRIDES
+        with pytest.raises(ValidationError, match=r"^course 'X' override 'a'=99 outside 1\.\.21$"):
+            dataclasses.replace(course, cell_overrides={"a": 99})
+
 
 class TestCourseRawTotal:
     def test_worked_example_four_criteria(self, catalog):
@@ -164,6 +181,12 @@ class TestBloomDifficulty:
     def test_fully_mapped_course_hits_exactly_5(self, catalog):
         course = Course(code="TOP", criteria=("b", "c", "e", "i", "l", "m"))
         assert bloom_difficulty(course, catalog).di == 5
+
+    def test_keywords_and_replace_go_through_the_constructor(self, catalog):
+        result = bloom_difficulty(Course("X", ("a", "h")), catalog)
+        assert result == BloomDifficulty(course_code="X", raw_total=result.raw_total, criteria_count=2, max_total=42)
+        assert dataclasses.replace(result, raw_total=42) == BloomDifficulty("X", 42, 2, 42)
+        assert dataclasses.replace(result, raw_total=42).di == 5
 
     def test_propagates_unresolved_criterion(self, catalog):
         with pytest.raises(UnresolvedCriterionError):

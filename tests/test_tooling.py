@@ -7,7 +7,7 @@ a run whose workload no longer calls a function it names. The same wrapping
 counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair,
 ``validate``'s ``round_half_away`` calls, and ``grades``' ``format_ratio``
 calls, one per distinct grade record. ``tools/src_lines.py``'s line kinds sum
-to each module's line count.
+to each module's line count, and README's "Library use" block runs as written.
 """
 
 import csv
@@ -16,6 +16,7 @@ import importlib.util
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -207,3 +208,14 @@ def f():
     return os.sep
 '''
     assert _src_lines().count_lines(text) == {"code": 3, "docstring": 4, "comment": 1, "blank": 3}
+
+
+def test_readme_library_use_block_states_what_it_computes():
+    section = (_ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    result = namespace["result"]
+    assert (result.raw_total, result.max_total) == (39, 84)
+    assert result.di == Fraction(65, 28)
+    assert namespace["hard"] == Fraction(13, 4)
