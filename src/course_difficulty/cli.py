@@ -185,9 +185,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     catalog = data_io.load_catalog(args.catalog)
     courses = data_io.load_curriculum(args.curriculum, catalog)
     results = [bloom_difficulty(_apply_mode(c, args.mode), catalog) for c in courses]
+    cells = _once_each(
+        _PAIR, lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
+    )(results)
 
     if args.format == "json":
-        indices = _once_each(_PAIR, lambda r: float(round_half_away(r.di)))(results)
         payload = {
             "mode": args.mode,
             "courses": [
@@ -196,17 +198,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "raw_total": r.raw_total,
                     "criteria_count": r.criteria_count,
                     "max_total": r.max_total,
-                    "difficulty_index": index,
+                    "difficulty_index": float(c[3]),  # the double nearest the rounded value, as float() of its Fraction
                 }
-                for r, index in zip(results, indices)
+                for r, c in zip(results, cells)
             ],
         }
         _emit(data_io.json_text(payload), args.output)
         return 0
 
-    cells = _once_each(
-        _PAIR, lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
-    )(results)
     rows = [(r.course_code, *c) for r, c in zip(results, cells)]
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
     _emit_rows(args, headers, rows)

@@ -241,11 +241,18 @@ def _levels(cell: str) -> frozenset[BloomLevel]:
 # writing
 # ---------------------------------------------------------------------------
 
-def _write_text(path: str | Path, text: str) -> None:
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Turn an ``OSError`` raised inside ``with`` into a ``DataFormatError`` naming ``path``."""
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        yield
     except OSError as exc:
         raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    with _writing(path):
+        Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -295,16 +302,15 @@ def _write_records(
 
 def load_catalog(path: str | Path) -> CriterionCatalog:
     """Load a criterion catalog from CSV or JSON (chosen by file extension)."""
-    criteria: dict[str, AbetCriterion] = {}
     with _reading(path, CATALOG_COLUMNS, "criteria") as file:
-        for file.line, (cid, description, levels) in file.rows:
-            cid = cid.strip()
-            if not cid:
-                raise DataFormatError("criterion id is empty")
-            if cid in criteria:
-                raise ValidationError(f"duplicate criterion id {cid!r}")
-            criteria[cid] = AbetCriterion(id=cid, levels=_levels(levels), description=description)
-    return CriterionCatalog(criteria=criteria, provenance=file.provenance)
+        def criteria() -> Iterator[AbetCriterion]:  # keeps file.line on the row that from_criteria checks
+            for file.line, (cid, description, levels) in file.rows:
+                cid = cid.strip()
+                if not cid:
+                    raise DataFormatError("criterion id is empty")
+                yield AbetCriterion(id=cid, levels=_levels(levels), description=description)
+
+        return CriterionCatalog.from_criteria(criteria(), file.provenance)
 
 
 def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
@@ -474,8 +480,6 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
     statements = []
     with _reading(path, STATEMENTS_COLUMNS, None) as file:
         for file.line, (cid, text) in file.rows:
-            if not text.strip():
-                raise ValidationError(f"statement {cid!r} has empty text")
             statements.append(OutcomeStatement(criterion_id=cid.strip(), text=text))
     return statements
 
@@ -584,7 +588,8 @@ def fixture_path(name: str):
 def copy_fixtures(dest: str | Path) -> list[Path]:
     """Write all shipped fixture files into ``dest`` and return their paths."""
     dest_dir = Path(dest)
-    dest_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(dest_dir):
+        dest_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name in FIXTURE_NAMES:
         target = dest_dir / name

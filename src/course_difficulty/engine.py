@@ -9,11 +9,11 @@ compiled rubric table into a ``BloomDifficulty`` of integers, whose ``di`` is
 computed when read. A grade record converts to an unreduced integer
 (numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
 builds one ``Fraction`` per history. ``final_difficulty`` range-checks
-numerators against denominators and combines the two values into one
-``Fraction``. Results are returned as exact ``Fraction``s, and callers round
-at reporting time. Number arguments follow ``rounding.to_fraction``: a
-``Fraction``, an ``int`` or an ASCII decimal string, and nothing else;
-override points are a non-bool ``int``.
+both values with ``check_difficulty``, which ``validation.compare`` shares,
+and combines them into one ``Fraction``. Results are returned as exact
+``Fraction``s, and callers round at reporting time. Number arguments follow
+``rounding.to_fraction``: a ``Fraction``, an ``int`` or an ASCII decimal
+string, and nothing else; override points are a non-bool ``int``.
 
 ``Course``, ``GenerationRecord`` and ``GradeHistory`` are frozen, slotted
 records (no ``__dict__``), and a course's ``cell_overrides`` is a read-only
@@ -231,6 +231,12 @@ def grade_difficulty(history: GradeHistory) -> Fraction:
     return Fraction(num, den * len(history.generations))
 
 
+def check_difficulty(name: str, value: Fraction) -> None:
+    """Raise ``ValidationError`` naming ``name`` unless ``value`` lies on the 0-5 index scale."""
+    if not 0 <= value.numerator <= DI_SCALE * value.denominator:
+        raise ValidationError(f"{name} {value} outside [0, {DI_SCALE}]")
+
+
 def final_difficulty(
     bloom_di: Fraction | int | str,
     grade_di: Fraction | int | str,
@@ -243,9 +249,8 @@ def final_difficulty(
     """
     bloom = to_fraction(bloom_di, "bloom_di")
     grade = to_fraction(grade_di, "grade_di")
-    for name, value in (("bloom_di", bloom), ("grade_di", grade)):
-        if not 0 <= value.numerator <= DI_SCALE * value.denominator:
-            raise ValidationError(f"{name} {value} outside [0, {DI_SCALE}]")
+    check_difficulty("bloom_di", bloom)
+    check_difficulty("grade_di", grade)
     if policy is CombinePolicy.MEAN_OF_BOTH:
         b_den, g_den = bloom.denominator, grade.denominator
         return Fraction(bloom.numerator * g_den + grade.numerator * b_den, 2 * b_den * g_den)

@@ -8,7 +8,9 @@ without building a ``Fraction``. The validation report's per-course cells
 and plot data render that way, from the integer numerators and shared
 denominator that each ``validation.CourseComparison`` holds.
 All printed values use one decimal place. Numbers read from files and
-flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``.
+flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``;
+the writers render a value back with ``decimal_text``, one exact ``decimal``
+division that refuses a value with no finite decimal expansion.
 Library functions take numbers through ``to_fraction``: a ``Fraction``, an
 ``int`` or an ASCII decimal string; floats, bools and ``None`` are refused.
 """
@@ -16,6 +18,7 @@ Library functions take numbers through ``to_fraction``: a ``Fraction``, an
 from __future__ import annotations
 
 import re
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 
 from .errors import DataFormatError
@@ -97,23 +100,15 @@ def _units_text(units: int, ndigits: int) -> str:
 def decimal_text(value: Fraction) -> str:
     """Exact decimal rendering, the inverse of ``parse_decimal``.
 
-    A value with no finite decimal expansion (a denominator with a prime
-    factor other than 2 and 5, such as 1/3) raises ``ValueError``.
+    One ``decimal`` division, with room for every digit and every exponent,
+    under a context that traps only ``Inexact``: a value with no finite
+    decimal expansion (a denominator with a prime factor other than 2 and 5,
+    such as 1/3) raises ``ValueError``.
     """
     num, den = value.numerator, value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        raise ValueError(f"{value} has no finite decimal expansion")
-    digits = max(twos, fives)
-    scaled = abs(num) * 10**digits // value.denominator
-    sign = "-" if num < 0 else ""
-    if digits == 0:
-        return f"{sign}{scaled}"
-    text = f"{sign}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}"
-    return text.rstrip("0").rstrip(".") if "." in text else text
+    ctx = Context(prec=num.bit_length() + den.bit_length() + 1, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[Inexact])
+    try:
+        exact = ctx.divide(Decimal(num), Decimal(den))
+    except Inexact:
+        raise ValueError(f"{value} has no finite decimal expansion") from None
+    return format(exact.normalize(ctx), "f")

@@ -11,17 +11,18 @@ over one shared denominator, the least common denominator of the two values
 ``abs_error`` and ``squared_error`` are exact ``Fraction``s computed from
 them. Two comparisons that ``compare`` built are equal when their codes and
 both values are equal, and the repr shows the integers. ``summarize`` sums
-numerators per distinct denominator and builds each mean, the mean squared
-error and the accuracy as one ``Fraction``.
+numerators in integers per distinct denominator; each mean and the mean
+squared error is the ``Fraction`` sum of those few per-denominator sums,
+divided by the course count, and the accuracy is one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .engine import DI_SCALE
+from .engine import check_difficulty
 from .errors import InsufficientDataError, ValidationError
 from .rounding import to_fraction
 
@@ -30,8 +31,9 @@ from .rounding import to_fraction
 class CourseComparison:
     """One course's actual and estimated difficulty, ``actual_num / den`` and ``estimated_num / den``.
 
-    ``compare`` builds it: it range-checks both values and picks their least
-    common denominator. The constructor itself checks nothing.
+    ``compare`` builds it: it range-checks both values with
+    ``engine.check_difficulty`` and picks their least common denominator.
+    The constructor itself checks nothing.
     """
 
     course_code: str
@@ -73,23 +75,12 @@ def compare(actual: Fraction | int | str, estimated: Fraction | int | str, cours
     """Build one course comparison; abs_error is symmetric in its arguments."""
     actual_f = to_fraction(actual, "actual difficulty")
     estimated_f = to_fraction(estimated, "estimated difficulty")
-    for name, value in (("actual", actual_f), ("estimated", estimated_f)):
-        if not 0 <= value.numerator <= DI_SCALE * value.denominator:
-            raise ValidationError(f"{name} difficulty {value} outside [0, {DI_SCALE}]")
+    check_difficulty("actual difficulty", actual_f)
+    check_difficulty("estimated difficulty", estimated_f)
     a_den, e_den = actual_f.denominator, estimated_f.denominator
     den = lcm(a_den, e_den)  # the least common denominator, so equal values give equal comparisons
     a, e = actual_f.numerator * (den // a_den), estimated_f.numerator * (den // e_den)
     return CourseComparison(course_code, a, e, den)
-
-
-def _mean(sums: list[tuple[int, int]], n: int) -> Fraction:
-    """``sum(num/den for num, den in sums) / n`` as one ``Fraction``, summed over the running lcm."""
-    total, lcd = 0, 1
-    for num, den in sums:
-        g = gcd(lcd, den)
-        total = total * (den // g) + num * (lcd // g)
-        lcd = lcd // g * den
-    return Fraction(total, lcd * n)
 
 
 def summarize(comparisons: list[CourseComparison], tolerance: Fraction | int | str = Fraction(1, 2)) -> ValidationReport:
@@ -113,13 +104,15 @@ def summarize(comparisons: list[CourseComparison], tolerance: Fraction | int | s
         group[2] += diff
         group[3] += diff * diff
     n = len(comparisons)
-    groups = sums.items()
+    mean_actual, mean_estimated, mean_abs_error = (
+        sum(Fraction(group[i], den) for den, group in sums.items()) / n for i in range(3)
+    )
     return ValidationReport(
         comparisons=tuple(comparisons),
-        mean_actual=_mean([(group[0], den) for den, group in groups], n),
-        mean_estimated=_mean([(group[1], den) for den, group in groups], n),
-        mean_abs_error=_mean([(group[2], den) for den, group in groups], n),
-        mean_squared_error=_mean([(group[3], den * den) for den, group in groups], n),
+        mean_actual=mean_actual,
+        mean_estimated=mean_estimated,
+        mean_abs_error=mean_abs_error,
+        mean_squared_error=sum(Fraction(group[3], den * den) for den, group in sums.items()) / n,
         accuracy=Fraction(within, n),
         tolerance=tol,
         within_tolerance=within,

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -479,6 +480,18 @@ class TestFixturesCommand:
         for name in names:  # written back byte for byte
             assert (dest / name).read_bytes() == data_io.fixture_path(name).read_bytes()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_into_a_file_exits_2_naming_it(self, tmp_path, capsys, below):
+        """The directory is made as every file is written: a failure is one located line."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n", encoding="utf-8")
+        dest, reason = (blocker / "sub", "Not a directory") if below else (blocker, "File exists")
+        code, out, err = run(capsys, "fixtures", str(dest))
+        assert (code, out) == (2, "")
+        assert err == f"error: {dest}: cannot write file: {reason}\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, fixture_dir, tmp_path, capsys):
@@ -548,6 +561,21 @@ def test_output_into_a_missing_directory_exits_2_naming_it(command, fixture_dir,
     assert out == ""
     assert err == f"error: {target}: cannot write file: No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+class _FullDevice:
+    """A stream whose every write fails as a write to a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_stdout_write_exits_2_on_one_line(fixture_dir, monkeypatch, capsys):
+    monkeypatch.chdir(fixture_dir)
+    with contextlib.redirect_stdout(_FullDevice()):
+        code = main(["estimate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
 
 class TestOneProcess:

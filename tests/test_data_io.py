@@ -59,6 +59,13 @@ class TestLoadCatalog:
         with pytest.raises(ValidationError, match="duplicate"):
             data_io.load_catalog(path)
 
+    def test_duplicate_id_is_named_at_its_own_line(self, tmp_path):
+        """The duplicate is reported before a later row is read, even a malformed one."""
+        path = _write(tmp_path / "cat.csv", "id,description,levels\na,one,1\nb,two,2\n a ,three,3\nc,bad,x7\n")
+        with pytest.raises(ValidationError) as exc:
+            data_io.load_catalog(path)
+        assert str(exc.value) == f"{path}:4: duplicate criterion id 'a'"
+
     def test_unparseable_level_has_line_diagnostic(self, tmp_path):
         for cell in ("x7", "1|\u00b2"):  # superscript two passes str.isdigit but is no ASCII digit
             path = _write(tmp_path / "cat.csv", f"id,description,levels\na,ok,1\nb,bad,{cell}\n")
@@ -122,6 +129,18 @@ class TestLoadCurriculum:
         path = _write(tmp_path / "cur.csv", "course_code,title,criteria,overrides\nX1,,a,a=5\n")
         with pytest.raises(DataFormatError, match="id:points"):
             data_io.load_curriculum(path, catalog)
+
+    def test_blank_line_between_rows_loads_the_same_courses(self, catalog, tmp_path):
+        rows = "course_code,title,criteria,overrides\nX1,,a,\n{}X2,,b|c,c:5\n"
+        plain = data_io.load_curriculum(_write(tmp_path / "plain.csv", rows.format("")), catalog)
+        assert data_io.load_curriculum(_write(tmp_path / "blank.csv", rows.format("\n")), catalog) == plain
+        assert len(plain) == 2
+
+    def test_error_after_a_blank_line_names_its_own_line(self, catalog, tmp_path):
+        path = _write(tmp_path / "cur.csv", "course_code,title,criteria,overrides\nX1,,a,\n\nX2,,zz,\n")
+        with pytest.raises(UnresolvedCriterionError) as exc:
+            data_io.load_curriculum(path, catalog)
+        assert str(exc.value) == f"{path}:4: unknown criterion id 'zz' (course X2)"
 
     def test_duplicate_course_code(self, catalog, tmp_path):
         path = _write(
@@ -688,3 +707,10 @@ class TestDataBundle:
         )
         assert bundle.unmatched_grade_codes() == ()
         assert bundle.courses_without_grades() == ()
+
+
+def test_blank_statement_text_names_the_stripped_id_at_its_line(tmp_path):
+    path = _write(tmp_path / "s.csv", "criterion_id,text\na,apply knowledge\n b , \n")
+    with pytest.raises(ValidationError) as exc:
+        data_io.load_statements(path)
+    assert str(exc.value) == f"{path}:3: statement 'b' has empty text"

@@ -446,3 +446,26 @@ class TestRounding:
             assert decimal_text(parse_decimal(text, "value")) == text
         with pytest.raises(ValueError, match="no finite decimal"):
             decimal_text(Fraction(1, 3))
+
+    @given(n=st.integers(-10**40, 10**40), twos=st.integers(0, 80), fives=st.integers(0, 80))
+    @example(n=0, twos=3, fives=0)
+    @example(n=-7, twos=0, fives=0)
+    @example(n=3 * 10**30, twos=30, fives=30)
+    def test_decimal_text_is_the_canonical_inverse_of_parse_decimal(self, n, twos, fives):
+        value = Fraction(n, 2**twos * 5**fives)
+        text = decimal_text(value)
+        assert parse_decimal(text, "value") == value
+        whole, point, decimals = text.removeprefix("-").partition(".")
+        assert whole.isdigit() and (whole == "0" or not whole.startswith("0"))  # no leading zeros
+        assert not point or (decimals.isdigit() and not decimals.endswith("0"))  # no trailing 0 or "."
+        assert text != "-0"
+
+    @given(
+        n=st.integers(-10**40, 10**40), twos=st.integers(0, 80), fives=st.integers(0, 80),
+        other=st.sampled_from([3, 7, 9, 11, 21, 9_999_991, 3**40]),
+    )
+    def test_decimal_text_refuses_any_other_prime_factor(self, n, twos, fives, other):
+        value = Fraction(n * other + 1, 2**twos * 5**fives * other)  # the numerator shares no factor with other
+        with pytest.raises(ValueError) as exc:
+            decimal_text(value)
+        assert str(exc.value) == f"{value} has no finite decimal expansion"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from course_difficulty.errors import NoActionWordsError
+from course_difficulty.errors import NoActionWordsError, ValidationError
 from course_difficulty.mapper import OutcomeStatement, map_outcome, suggest_criterion, tokenize
 from course_difficulty.taxonomy import BloomLevel, BloomLexicon, criterion_rubric
 
@@ -51,6 +51,13 @@ class TestTokenize:
 
     def test_digits_are_boundaries_too(self):
         assert tokenize("plan 3 experiments") == ["plan", "experiments"]
+
+
+@pytest.mark.parametrize("text", ["", "  ", "\t\n"], ids=["empty", "spaces", "tab-newline"])
+def test_statement_with_blank_text_is_refused(text):
+    with pytest.raises(ValidationError) as exc:
+        OutcomeStatement(criterion_id="a", text=text)
+    assert str(exc.value) == "statement 'a' has empty text"
 
 
 class TestMapOutcome:

@@ -142,6 +142,11 @@ class TestCanonicalCatalog:
         with pytest.raises(ValidationError, match="duplicate"):
             CriterionCatalog.from_criteria([catalog["a"], catalog["a"]])
 
+    def test_key_must_be_its_criterion_id(self, catalog):
+        with pytest.raises(ValidationError) as exc:
+            CriterionCatalog(criteria={"a": catalog["a"], "b": catalog["c"]})
+        assert str(exc.value) == "catalog key 'b' does not match criterion id 'c'"
+
     def test_determinism(self, catalog):
         from course_difficulty.taxonomy import canonical_catalog
 

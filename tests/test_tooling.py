@@ -7,7 +7,9 @@ a run whose workload no longer calls a function it names. The same wrapping
 counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair,
 ``validate``'s ``round_half_away`` calls, and ``grades``' ``format_ratio``
 calls, one per distinct grade record. ``tools/src_lines.py``'s line kinds sum
-to each module's line count, and README's "Library use" block runs as written.
+to each module's line count, ``tools/unreached_lines.py`` finds the lines a
+small module's one call leaves unrun, and README's "Library use" block runs
+as written.
 """
 
 import csv
@@ -178,8 +180,8 @@ def test_validate_rounds_each_rubric_pair_once(mode, fixture_dir, monkeypatch, c
     assert calls == {"rounding.round_half_away": len(courses) + len(pairs) + 3}
 
 
-def _src_lines():
-    spec = importlib.util.spec_from_file_location("src_lines", _ROOT / "tools" / "src_lines.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -188,7 +190,7 @@ def _src_lines():
 @pytest.mark.parametrize("path", sorted((_ROOT / "src").rglob("*.py")), ids=lambda p: p.name)
 def test_src_line_kinds_sum_to_the_line_count(path):
     text = path.read_text(encoding="utf-8")
-    counts = _src_lines().count_lines(text)
+    counts = _tool("src_lines").count_lines(text)
     assert set(counts) == {"code", "docstring", "comment", "blank"}
     assert sum(counts.values()) == len(text.splitlines())
     assert counts["docstring"] > 0 and counts["code"] > 0
@@ -207,7 +209,7 @@ def f():
     """One line."""
     return os.sep
 '''
-    assert _src_lines().count_lines(text) == {"code": 3, "docstring": 4, "comment": 1, "blank": 3}
+    assert _tool("src_lines").count_lines(text) == {"code": 3, "docstring": 4, "comment": 1, "blank": 3}
 
 
 def test_readme_library_use_block_states_what_it_computes():
@@ -219,3 +221,31 @@ def test_readme_library_use_block_states_what_it_computes():
     assert (result.raw_total, result.max_total) == (39, 84)
     assert result.di == Fraction(65, 28)
     assert namespace["hard"] == Fraction(13, 4)
+
+
+_SMALL_MODULE = """def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def never():
+    return 0
+"""
+
+
+def test_unreached_lines_names_each_executable_line_no_call_ran(tmp_path):
+    """``tools/unreached_lines.py``'s line sets, on a module whose one call takes one branch."""
+    tool = _tool("unreached_lines")
+    module = tmp_path / "small.py"
+    module.write_text(_SMALL_MODULE, encoding="utf-8")
+    assert tool.executable_lines(compile(_SMALL_MODULE, str(module), "exec")) == {1, 2, 3, 4, 7, 8}
+    before = sys.gettrace()
+    with tool.reached_lines(tmp_path) as reached:
+        spec = importlib.util.spec_from_file_location("small", module)
+        small = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(small)
+        assert small.sign(5) == 1
+    assert sys.gettrace() is before
+    assert {file for file, _ in reached} == {str(module.resolve())}  # importlib's frames ran outside the root
+    assert tool.unreached(module, reached) == [3, 8]
