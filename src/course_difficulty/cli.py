@@ -8,6 +8,11 @@ and ``fixtures`` (write the bundled reference dataset to a directory).
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure,
 70 internal error (a bug; ``EX_SOFTWARE`` in BSD ``sysexits.h``), reported
 on one stderr line.
+``validate`` rounds each value to its whole number of tenths
+(``round_units``) and runs ``compare`` and ``final_difficulty`` once per
+distinct (actual, estimated) pair of them; each course's comparison holds the
+integers that ``compare`` checked, under its own code. At full precision,
+where exact values seldom repeat, each course is compared on its own.
 Output is rendered fully before anything is written, so a failing run never
 leaves partial output on the primary stream, and a ``validate`` run whose
 report cannot be written removes the plot data it wrote; identical inputs and
@@ -34,8 +39,8 @@ from .engine import (
 )
 from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
-from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away
-from .validation import compare, summarize
+from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away, round_units
+from .validation import CourseComparison, compare, summarize
 
 MODE_CANONICAL = "canonical"
 MODE_AS_PRINTED = "as-printed"
@@ -121,10 +126,6 @@ def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tu
     """Render rows as CSV or as an aligned table, per ``--format``, and emit them."""
     render = data_io.csv_text if args.format == "csv" else _table
     _emit(render(headers, rows), args.output)
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -271,22 +272,36 @@ def cmd_validate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    for code in missing:
-        _warn(f"no grade history for course {code}; excluded from validation")
     unmatched = bundle.unmatched_grade_codes()
-    for code in unmatched:
-        _warn(f"grade history for unknown course {code}; not validated")
+    warnings = [f"warning: no grade history for course {code}; excluded from validation\n" for code in missing]
+    warnings += [f"warning: grade history for unknown course {code}; not validated\n" for code in unmatched]
+    if args.format == "csv" and policy is not CombinePolicy.BLOOM_PRIMARY:
+        warnings.append(f"warning: --policy {args.policy} has no effect on --format csv: "
+                        "the CSV report has no final_di column\n")
+    if warnings:
+        sys.stderr.write("".join(warnings))
 
-    rounded = (lambda di: di) if args.full_precision else round_half_away
     graded = [course for course in bundle.courses if course.code in bundle.grades]
-    estimate = _once_each(_PAIR, lambda r: rounded(r.di))
-    estimates = estimate(bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
+    rubric = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
     comparisons = []
     finals = []  # per comparison, in its order
-    for course, estimated in zip(graded, estimates):
-        actual = rounded(grade_difficulty(bundle.grades[course.code]))
-        comparisons.append(compare(actual, estimated, course.code))
-        finals.append(final_difficulty(estimated, actual, policy))
+    if args.full_precision:  # exact values seldom repeat, so each course is compared and combined on its own
+        for course, estimated in zip(graded, _once_each(_PAIR, attrgetter("di"))(rubric)):
+            actual = grade_difficulty(bundle.grades[course.code])
+            comparisons.append(compare(actual, estimated, course.code))
+            finals.append(final_difficulty(estimated, actual, policy))
+    else:  # each value as its whole number of tenths, rounded in integers, so no Fraction is built per course
+        tenths = lambda value: round_units(value.numerator, value.denominator, 10)
+
+        def check(actual: int, estimated: int) -> tuple[CourseComparison, Fraction]:
+            a, e = Fraction(actual, 10), Fraction(estimated, 10)
+            return compare(a, e), final_difficulty(e, a, policy)
+
+        checked = data_io._Rendered(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
+        for course, estimated in zip(graded, _once_each(_PAIR, lambda r: tenths(r.di))(rubric)):
+            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code])), estimated]
+            comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
+            finals.append(final)
     report = summarize(comparisons, args.tolerance)
 
     if args.format == "csv":
@@ -315,7 +330,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         text = data_io.render_report_json(payload, report, finals)
     else:
         headers = (*data_io.REPORT_COLUMNS, "final_di")
-        final_cells = [*map(format_fixed, finals), ""]  # the AVERAGE row has no final_di
+        cells = data_io._Rendered(format_ratio)  # each distinct final difficulty rendered once
+        final_cells = [*(cells[f.numerator, f.denominator] for f in finals), ""]  # the AVERAGE row has no final_di
         rows = [(*row, final) for row, final in zip(data_io.report_rows(report), final_cells)]
         summary = (
             f"mode: {args.mode}  policy: {policy.value}\n"

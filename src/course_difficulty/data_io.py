@@ -17,6 +17,8 @@ per record.
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
 from one fixed template that gives the text ``json.dumps(indent=2)`` would.
+Each renderer renders each distinct (numerator, denominator) value once per
+call; on the 1-decimal grid a report has at most a few hundred.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import csv
 import functools
 import io
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -488,11 +490,45 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
 # reports
 # ---------------------------------------------------------------------------
 
+class _Rendered(dict):
+    """``rendered[a, b]`` is ``render(a, b)``, run at the first look-up of each distinct pair.
+
+    Like the loader's tables, it keeps the first ``_SHARED_LITERALS`` pairs
+    and then renders any other pair at each look-up. The report renderers
+    key it by (numerator, denominator); ``cli.cmd_validate`` by a course's
+    two values in whole tenths, to compare them.
+    """
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[Hashable, Hashable], object]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: tuple[Hashable, Hashable]) -> object:
+        text = self.render(*key)
+        if len(self) < _SHARED_LITERALS:
+            self[key] = text
+        return text
+
+
+def _float_text(num: int, den: int) -> str:
+    """``num / den`` as ``json.dumps`` writes its float: the division is correctly rounded,
+    so it equals ``float(Fraction(num, den))``."""
+    return repr(num / den)
+
+
+def _error_text(diff: int, den: int) -> str:
+    """An entry's ``abs_error`` value and the ``squared_error`` member after it, which follows from the same pair."""
+    return f'{_float_text(diff, den)},\n      "squared_error": {_float_text(diff * diff, den * den)}'
+
+
 def report_rows(report: ValidationReport) -> list[tuple[str, str, str, str]]:
     """The ``REPORT_COLUMNS`` cells: one row per course, then the AVERAGE row, 1-decimal values."""
+    cells = _Rendered(format_ratio)
     rows = [
-        (c.course_code, format_ratio(c.actual_num, c.den), format_ratio(c.estimated_num, c.den),
-         format_ratio(abs(c.actual_num - c.estimated_num), c.den))
+        (c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den],
+         cells[abs(c.actual_num - c.estimated_num), c.den])
         for c in report.comparisons
     ]
     means = (report.mean_actual, report.mean_estimated, report.mean_abs_error)
@@ -511,19 +547,19 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
     Each entry is rendered from one fixed template, as the text
     ``json.dumps(indent=2)`` gives it there: the code through
     ``encode_basestring_ascii``, and each value as the ``repr`` of
-    ``num / den``, which is correctly rounded and so equals
-    ``float(Fraction(num, den))``. ``finals`` holds each course's final
-    difficulty, in comparison order.
+    ``num / den``, once per distinct (numerator, denominator) pair.
+    ``finals`` holds each course's final difficulty, in comparison order.
     """
+    floats = _Rendered(_float_text)
+    errors = _Rendered(_error_text)
     entries = []
     for c, final in zip(report.comparisons, finals):
         a, e, den = c.actual_num, c.estimated_num, c.den
-        diff = abs(a - e)
         entries.append(
             f'    {{\n      "course_code": {encode_basestring_ascii(c.course_code)},\n'
-            f'      "actual_di": {a / den!r},\n      "estimated_di": {e / den!r},\n'
-            f'      "abs_error": {diff / den!r},\n      "squared_error": {diff * diff / (den * den)!r},\n'
-            f'      "final_di": {final.numerator / final.denominator!r}\n    }}'
+            f'      "actual_di": {floats[a, den]},\n      "estimated_di": {floats[e, den]},\n'
+            f'      "abs_error": {errors[abs(a - e), den]},\n'
+            f'      "final_di": {floats[final.numerator, final.denominator]}\n    }}'
         )
     head, _, tail = json_text(payload).partition('\n  "courses": []')  # a top-level key: 2-space indent
     return f'{head}\n  "courses": [\n' + ",\n".join(entries) + f"\n  ]{tail}"
@@ -531,10 +567,8 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
 
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:
     """Two-series plot data: actual vs estimated difficulty per course."""
-    rows = [
-        (c.course_code, format_ratio(c.actual_num, c.den), format_ratio(c.estimated_num, c.den))
-        for c in report.comparisons
-    ]
+    cells = _Rendered(format_ratio)
+    rows = [(c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den]) for c in report.comparisons]
     _write_text(path, csv_text(PLOT_COLUMNS, rows))
 
 

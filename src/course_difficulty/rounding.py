@@ -2,11 +2,12 @@
 
 Difficulty indices are returned as exact ``fractions.Fraction``s so the
 documented identities hold exactly; rounding happens once, at the edge, half
-away from zero, as one integer ``divmod`` on the numerator and denominator;
-``format_ratio`` renders a (numerator, denominator) pair the same way
-without building a ``Fraction``. The validation report's per-course cells
-and plot data render that way, from the integer numerators and shared
-denominator that each ``validation.CourseComparison`` holds.
+away from zero, as one integer ``divmod`` on the numerator and denominator
+(``round_units``); ``format_ratio`` renders a (numerator, denominator) pair
+the same way without building a ``Fraction``. The validation report's
+per-course cells and plot data render that way, from the integer numerators
+and shared denominator that each ``validation.CourseComparison`` holds, and
+``validate`` rounds each course's values to whole tenths with ``round_units``.
 All printed values use one decimal place. Numbers read from files and
 flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``;
 the writers render a value back with ``decimal_text``, one exact ``decimal``
@@ -62,7 +63,7 @@ def to_fraction(value: Fraction | int | str, what: str) -> Fraction:
     raise DataFormatError(f"{what} must be a Fraction, an int or a decimal string, got {value!r}")
 
 
-def _round_units(num: int, den: int, scale: int) -> int:
+def round_units(num: int, den: int, scale: int) -> int:
     """``num/den`` (``den > 0``) as a whole number of ``1/scale`` steps, ties away from zero."""
     q, r = divmod(abs(num) * scale, den)
     if 2 * r >= den:
@@ -73,7 +74,7 @@ def _round_units(num: int, den: int, scale: int) -> int:
 def round_half_away(value: Fraction, ndigits: int = 1) -> Fraction:
     """Round to ``ndigits`` decimals with ties going away from zero."""
     scale = 10**ndigits
-    return Fraction(_round_units(value.numerator, value.denominator, scale), scale)
+    return Fraction(round_units(value.numerator, value.denominator, scale), scale)
 
 
 def format_fixed(value: Fraction, ndigits: int = 1) -> str:
@@ -86,7 +87,7 @@ def format_fixed(value: Fraction, ndigits: int = 1) -> str:
 def format_ratio(num: int, den: int, ndigits: int = 1) -> str:
     """``format_fixed(Fraction(num, den), ndigits)`` for ``den > 0``, in integers:
     the pair need not be reduced, and no ``Fraction`` is built."""
-    return _units_text(_round_units(num, den, 10**ndigits), ndigits)
+    return _units_text(round_units(num, den, 10**ndigits), ndigits)
 
 
 def _units_text(units: int, ndigits: int) -> str:

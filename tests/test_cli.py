@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,15 +11,17 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import bloom_difficulty, grade_difficulty
+from course_difficulty.engine import GradeHistory, bloom_difficulty, final_difficulty, grade_difficulty
 from course_difficulty.rounding import format_fixed, round_half_away
 from course_difficulty.taxonomy import canonical_catalog
+from course_difficulty.validation import compare, summarize
 from strategies import repeating_curricula, repeating_grade_maps
 
 CATALOG = canonical_catalog()
@@ -258,6 +261,17 @@ class TestValidate:
         by_code = {c["course_code"]: c for c in json.loads(out)["courses"]}
         assert by_code["C1"]["final_di"] == 3.9
 
+    def test_csv_report_warns_that_it_has_no_final_di(self, fixture_dir, capsys):
+        """The CSV report has no ``final_di`` column, so a non-default ``--policy`` says so on stderr."""
+        _, default_out, default_err = run(capsys, *self._args(fixture_dir, "--format", "csv"))
+        code, out, err = run(capsys, *self._args(fixture_dir, "--policy", "mean-of-both", "--format", "csv"))
+        assert (code, out, default_err) == (0, default_out, "")
+        assert err == (
+            "warning: --policy mean-of-both has no effect on --format csv: the CSV report has no final_di column\n"
+        )
+        for fmt in ("table", "json"):  # they carry final_di
+            assert run(capsys, *self._args(fixture_dir, "--policy", "mean-of-both", "--format", fmt))[2] == ""
+
     def test_missing_grades_warn_and_exclude(self, fixture_dir, tmp_path, capsys):
         partial = tmp_path / "partial.csv"
         lines = ["course_code,generation,kind,value"]
@@ -385,6 +399,73 @@ class TestValidate:
             if code != "AVERAGE" and printed[code] != canonical[code]
         ]
         assert differing == ["C8", "C11"]  # rounded DIs of C9/C10 coincide across modes
+
+
+class TestValidatePairs:
+    """Comparing, combining and rendering once per distinct value pair reads the same as doing it per course."""
+
+    @staticmethod
+    def _write_inputs(tmp, courses, grade_map):
+        """The canonical catalog, the courses, and a grade file that gives every fifth course no history
+        and hands the drawn histories out in turn, so that courses share their grade values."""
+        histories = list(grade_map.values())
+        graded = [c for i, c in enumerate(courses) if i % 5 != 4]
+        grades = {c.code: GradeHistory(c.code, histories[i % len(histories)].generations) for i, c in enumerate(graded)}
+        paths = {name: Path(tmp) / name for name in ("catalog.json", "curriculum.csv", "grades.csv")}
+        data_io.write_catalog(CATALOG, paths["catalog.json"])
+        data_io.write_curriculum(courses, paths["curriculum.csv"])
+        data_io.write_grades(grades, paths["grades.csv"])
+        return paths, graded, grades
+
+    @staticmethod
+    def _reference(graded, grades, mode, policy, exact):
+        """Per course: ``compare`` and ``final_difficulty`` on values rounded (or not) one course at a time."""
+        rounded = (lambda value: value) if exact else round_half_away
+        entries = []
+        for course in graded:
+            actual = rounded(grade_difficulty(grades[course.code]))
+            estimated = rounded(bloom_difficulty(course if mode == "as-printed" else course.without_overrides(),
+                                                 CATALOG).di)
+            entries.append((compare(actual, estimated, course.code),
+                            final_difficulty(estimated, actual, cli._POLICIES[policy])))
+        return entries
+
+    @pytest.mark.parametrize("bound", [data_io._SHARED_LITERALS, 2], ids=["default-bound", "bound-2"])
+    @settings(max_examples=15, deadline=None)
+    @given(courses=repeating_curricula(), grade_map=repeating_grade_maps())
+    def test_output_matches_per_course_reference(self, bound, courses, grade_map):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data_io, "_SHARED_LITERALS", bound):
+            paths, graded, grades = self._write_inputs(tmp, courses, grade_map)
+            plot = Path(tmp) / "plot.csv"
+            for mode, policy, exact in itertools.product(("canonical", "as-printed"), cli._POLICIES, (False, True)):
+                entries = self._reference(graded, grades, mode, policy, exact)
+                report = summarize([c for c, _ in entries])
+                outputs = {}
+                for fmt in ("table", "csv", "json"):
+                    out = io.StringIO()
+                    argv = ["validate", "--catalog", str(paths["catalog.json"]),
+                            "--curriculum", str(paths["curriculum.csv"]), "--grades", str(paths["grades.csv"]),
+                            "--mode", mode, "--policy", policy, "--format", fmt, "--plot-data", str(plot),
+                            *(["--full-precision"] if exact else [])]
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        assert main(argv) == 0
+                    outputs[fmt] = out.getvalue()
+                    assert list(csv.reader(io.StringIO(plot.read_text(encoding="utf-8"))))[1:] == [
+                        [c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di)] for c, _ in entries
+                    ]
+                rows = [[c.course_code, format_fixed(c.actual_di), format_fixed(c.estimated_di),
+                         format_fixed(c.abs_error)] for c, _ in entries]
+                average = ["AVERAGE", *map(format_fixed, (report.mean_actual, report.mean_estimated,
+                                                          report.mean_abs_error))]
+                assert list(csv.reader(io.StringIO(outputs["csv"])))[1:] == [*rows, average]
+                table = [line.split() for line in outputs["table"].splitlines()[2:2 + len(entries) + 1]]
+                assert table == [*(row + [format_fixed(final)] for row, (_, final) in zip(rows, entries)), average]
+                assert json.loads(outputs["json"])["courses"] == [
+                    {"course_code": c.course_code, "actual_di": float(c.actual_di),
+                     "estimated_di": float(c.estimated_di), "abs_error": float(c.abs_error),
+                     "squared_error": float(c.squared_error), "final_di": float(final)}
+                    for c, final in entries
+                ]
 
 
 class TestMapOutcomes:

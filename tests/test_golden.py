@@ -81,6 +81,11 @@ VAL_SYNTHETIC = [*VAL[:3], "--curriculum", "curriculum.csv", "--grades", "grades
 for fmt in ("table", "json"):
     CASES[f"validate-synthetic-full-precision-{fmt}"] = ([*VAL_SYNTHETIC, "--full-precision", "--format", fmt], 0)
 CASES["validate-synthetic-mean-of-both-json"] = ([*VAL_SYNTHETIC, "--policy", "mean-of-both", "--format", "json"], 0)
+CASES["validate-synthetic-written-files"] = (
+    [*VAL_SYNTHETIC, "--mode", "as-printed", "--policy", "mean-of-both", "--format", "json",
+     "--output", "report.json", "--plot-data", "plot.csv"],
+    0,
+)
 for fmt in ("table", "csv", "json"):
     for mode in ("canonical", "as-printed"):
         CASES[f"estimate-synthetic-{mode}-{fmt}"] = (

@@ -4,12 +4,15 @@
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
 fails on a stale ``__all__`` entry. The benchmark's coverage guard also fails
 a run whose workload no longer calls a function it names. The same wrapping
-counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair,
-``validate``'s ``round_half_away`` calls, and ``grades``' ``format_ratio``
+counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair;
+``validate``'s ``round_units`` calls, one per graded course, one per
+distinct rubric pair and, in the CSV report, one per distinct cell value, and
+its ``compare`` and ``final_difficulty`` calls, one per distinct (actual,
+estimated) pair; and ``grades``' ``format_ratio``
 calls, one per distinct grade record. ``tools/src_lines.py``'s line kinds sum
-to each module's line count, ``tools/unreached_lines.py`` finds the lines a
-small module's one call leaves unrun, and README's "Library use" block runs
-as written.
+to each module's line count, ``tools/bench_pairs.py`` summarizes canned
+pairs, ``tools/unreached_lines.py`` finds the lines a small module's one call
+leaves unrun, and README's "Library use" block runs as written.
 """
 
 import csv
@@ -26,8 +29,10 @@ import pytest
 import course_difficulty
 from course_difficulty import data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import bloom_difficulty
+from course_difficulty.engine import bloom_difficulty, grade_difficulty
+from course_difficulty.rounding import round_half_away
 from course_difficulty.taxonomy import canonical_catalog
+from course_difficulty.validation import compare
 
 _ROOT = Path(__file__).resolve().parents[1]
 _CHILD = _ROOT / "bench" / "child.py"
@@ -161,23 +166,60 @@ def test_grades_formats_each_distinct_record_once(monkeypatch, capsys):
     assert calls == {"rounding.format_ratio": len(cells), "engine.grade_difficulty": len(codes)}
 
 
-@pytest.mark.parametrize("mode", ["canonical", "as-printed"])
-def test_validate_rounds_each_rubric_pair_once(mode, fixture_dir, monkeypatch, capsys):
-    """``validate`` rounds each graded course's grade value, each distinct rubric pair once, and the three means."""
-    with _SYNTHETIC_GRADES.open(newline="") as f:
-        graded_codes = {row["course_code"] for row in csv.DictReader(f)}
+def _synthetic_comparisons(mode):
+    """The synthetic curriculum's graded courses, each compared on its own: its values rounded, then ``compare``."""
+    histories = data_io.load_grades(_SYNTHETIC_GRADES)
     catalog = canonical_catalog()
-    courses = [c for c in data_io.load_curriculum(_SYNTHETIC_CURRICULUM, catalog) if c.code in graded_codes]
+    courses = [c for c in data_io.load_curriculum(_SYNTHETIC_CURRICULUM, catalog) if c.code in histories]
     results = [bloom_difficulty(c if mode == "as-printed" else c.without_overrides(), catalog) for c in courses]
-    pairs = {(r.raw_total, r.max_total) for r in results}
-    assert len(pairs) < len(courses)  # the pairs repeat, so a per-course path fails here
-    calls = _count_calls([("rounding", "round_half_away")], monkeypatch)
+    comparisons = [
+        compare(round_half_away(grade_difficulty(histories[c.code])), round_half_away(r.di), c.code)
+        for c, r in zip(courses, results)
+    ]
+    return results, comparisons
+
+
+def _validate_synthetic(mode, fmt, fixture_dir, monkeypatch, capsys):
+    """Run ``validate`` on the synthetic curriculum and grades; return its stdout."""
     monkeypatch.chdir(fixture_dir)
     argv = ["validate", "--catalog", "table1.json", "--curriculum", str(_SYNTHETIC_CURRICULUM),
-            "--grades", str(_SYNTHETIC_GRADES), "--mode", mode, "--format", "csv"]
+            "--grades", str(_SYNTHETIC_GRADES), "--mode", mode, "--format", fmt]
     assert main(argv) == 0
-    assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(courses) + 2  # header, AVERAGE
-    assert calls == {"rounding.round_half_away": len(courses) + len(pairs) + 3}
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["canonical", "as-printed"])
+def test_validate_rounds_each_rubric_pair_once(mode, fixture_dir, monkeypatch, capsys):
+    """``validate`` rounds each graded course's grade value and each distinct rubric pair once, to whole
+    tenths through ``round_units``; ``round_half_away`` runs only for the three means. The CSV report
+    rounds each distinct (numerator, denominator) cell value once more."""
+    results, comparisons = _synthetic_comparisons(mode)
+    pairs = {(r.raw_total, r.max_total) for r in results}
+    assert len(pairs) < len(comparisons)  # the pairs repeat, so a per-course path fails here
+    values = [(c.actual_num, c.estimated_num, abs(c.actual_num - c.estimated_num), c.den) for c in comparisons]
+    cells = {(n, den) for *nums, den in values for n in nums}
+    assert len(cells) < 3 * len(comparisons)  # so do the cell values
+    calls = _count_calls([("rounding", "round_half_away"), ("rounding", "round_units")], monkeypatch)
+    out = _validate_synthetic(mode, "csv", fixture_dir, monkeypatch, capsys)
+    assert len(list(csv.reader(io.StringIO(out)))) == len(comparisons) + 2  # header, AVERAGE
+    assert calls == {"rounding.round_half_away": 3,
+                     "rounding.round_units": len(comparisons) + len(pairs) + len(cells) + 3}
+
+
+@pytest.mark.parametrize("mode", ["canonical", "as-printed"])
+def test_validate_compares_each_value_pair_once(mode, fixture_dir, monkeypatch, capsys):
+    """``validate`` runs ``compare`` and ``final_difficulty`` once per distinct (actual, estimated) pair.
+    Its JSON report writes floats, so it rounds only the values it compares, and the three means."""
+    results, comparisons = _synthetic_comparisons(mode)
+    pairs = {(c.actual_di, c.estimated_di) for c in comparisons}
+    assert len(pairs) < len(comparisons)  # the pairs repeat, so a per-course path fails here
+    reaches = [("validation", "compare"), ("engine", "final_difficulty"), ("rounding", "round_units")]
+    calls = _count_calls(reaches, monkeypatch)
+    out = _validate_synthetic(mode, "json", fixture_dir, monkeypatch, capsys)
+    assert [c["course_code"] for c in json.loads(out)["courses"]] == [c.course_code for c in comparisons]
+    rubric_pairs = {(r.raw_total, r.max_total) for r in results}
+    assert calls == {"validation.compare": len(pairs), "engine.final_difficulty": len(pairs),
+                     "rounding.round_units": len(comparisons) + len(rubric_pairs) + 3}
 
 
 def _tool(name):
@@ -221,6 +263,26 @@ def test_readme_library_use_block_states_what_it_computes():
     assert (result.raw_total, result.max_total) == (39, 84)
     assert result.di == Fraction(65, 28)
     assert namespace["hard"] == Fraction(13, 4)
+
+
+def test_bench_pairs_summary_counts_the_pairs_each_side_won():
+    """``tools/bench_pairs.py``'s summary, on canned results: medians, the base's quartile spread, and wins
+    in the metric's own direction, a tie counting for neither side."""
+    tool = _tool("bench_pairs")
+    pairs = [
+        ({"wall_s": 1.0, "items_per_s": 10.0}, {"wall_s": 0.9, "items_per_s": 11.0}),
+        ({"wall_s": 1.2, "items_per_s": 8.0}, {"wall_s": 1.3, "items_per_s": 8.0}),
+        ({"wall_s": 1.1, "items_per_s": 9.0}, {"wall_s": 1.0, "items_per_s": 9.5}),
+    ]
+    summary = tool.summarize(pairs, {"wall_s": "lower", "items_per_s": "higher"})
+    wall, items = summary["wall_s"], summary["items_per_s"]
+    assert (wall["base"], wall["head"]) == ([1.0, 1.2, 1.1], [0.9, 1.3, 1.0])
+    assert (wall["base_median"], wall["head_median"], wall["head_better_pairs"], wall["pairs"]) == (1.1, 1.0, 2, 3)
+    assert wall["base_iqr"] == pytest.approx(0.1)  # quartiles 1.05 and 1.15
+    assert (items["base_median"], items["head_median"], items["head_better_pairs"]) == (9.0, 9.5, 2)
+    lines = tool.report("validate-20k", summary).splitlines()
+    assert lines[0].startswith("validate-20k: ") and len(lines) == 3
+    assert lines[1].split() == ["wall_s", "1.1000", "1.0000", "-9.09%", "0.1000", "2/3"]
 
 
 _SMALL_MODULE = """def sign(x):
