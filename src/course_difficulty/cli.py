@@ -8,6 +8,8 @@ and ``fixtures`` (write the bundled reference dataset to a directory).
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure,
 70 internal error (a bug; ``EX_SOFTWARE`` in BSD ``sysexits.h``), reported
 on one stderr line.
+The grade means of ``grades`` and ``validate`` take each shared grade
+record's ``di_pair()`` once.
 ``validate`` rounds each value to its whole number of tenths
 (``round_units``) and runs ``compare`` and ``final_difficulty`` once per
 distinct (actual, estimated) pair of them; each course's comparison holds the
@@ -17,12 +19,16 @@ Output is rendered fully before anything is written, so a failing run never
 leaves partial output on the primary stream, and a ``validate`` run whose
 report cannot be written removes the plot data it wrote; identical inputs and
 flags produce byte-identical output.
+``main`` pauses the cyclic garbage collector while a command runs, and
+leaves it as it found it: the command's records hold no reference cycles and
+live until it returns, so a collection would free nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
@@ -33,6 +39,7 @@ from . import data_io
 from .engine import (
     CombinePolicy,
     Course,
+    GenerationRecord,
     bloom_difficulty,
     final_difficulty,
     grade_difficulty,
@@ -219,6 +226,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_grades(args: argparse.Namespace) -> int:
     grades = data_io.load_grades(args.grades)
+    pairs = _once_each(id, GenerationRecord.di_pair)  # each shared grade record converted once
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
@@ -231,7 +239,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
                     "generations": entries(history.generations),
-                    "grade_di": float(round_half_away(grade_difficulty(history))),
+                    "grade_di": float(round_half_away(grade_difficulty(history, pairs))),
                 }
                 for history in grades.values()
             ]
@@ -251,7 +259,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
         cells += [""] * (max_generations - len(cells))
         rows.append(
             (history.course_code, *cells, str(len(history.generations)),
-             format_fixed(grade_difficulty(history)))
+             format_fixed(grade_difficulty(history, pairs)))
         )
     _emit_rows(args, headers, rows)
     return 0
@@ -283,11 +291,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
     rubric = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
+    pairs = _once_each(id, GenerationRecord.di_pair)  # each shared grade record converted once
     comparisons = []
     finals = []  # per comparison, in its order
     if args.full_precision:  # exact values seldom repeat, so each course is compared and combined on its own
         for course, estimated in zip(graded, _once_each(_PAIR, attrgetter("di"))(rubric)):
-            actual = grade_difficulty(bundle.grades[course.code])
+            actual = grade_difficulty(bundle.grades[course.code], pairs)
             comparisons.append(compare(actual, estimated, course.code))
             finals.append(final_difficulty(estimated, actual, policy))
     else:  # each value as its whole number of tenths, rounded in integers, so no Fraction is built per course
@@ -299,7 +308,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
         checked = data_io._Rendered(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
         for course, estimated in zip(graded, _once_each(_PAIR, lambda r: tenths(r.di))(rubric)):
-            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code])), estimated]
+            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code], pairs)), estimated]
             comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
             finals.append(final)
     report = summarize(comparisons, args.tolerance)
@@ -421,6 +430,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:
@@ -432,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, which must not pass for a domain failure
         print(f"error: internal: {exc!r}", file=sys.stderr)  # the repr keeps it on one line
         return 70  # EX_SOFTWARE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

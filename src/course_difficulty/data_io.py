@@ -461,7 +461,7 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
                 grouped[code] = group = (file.line, [])
             group[1].append(record)
         for code, (file.line, records) in grouped.items():  # a course's problem names its first record
-            histories[code] = GradeHistory(course_code=code, generations=tuple(records))
+            histories[code] = GradeHistory(code, records)
     return histories
 
 

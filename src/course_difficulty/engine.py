@@ -7,8 +7,9 @@ The grade path converts class performance to the same scale
 per student generation. The rubric path sums integers from the catalog's
 compiled rubric table into a ``BloomDifficulty`` of integers, whose ``di`` is
 computed when read. A grade record converts to an unreduced integer
-(numerator, denominator) pair, and ``grade_difficulty`` sums those pairs and
-builds one ``Fraction`` per history. ``final_difficulty`` range-checks
+(numerator, denominator) pair, and ``grade_difficulty`` sums those pairs, or
+those a caller's shared table maps the records to, and builds one ``Fraction``
+per history. ``final_difficulty`` range-checks
 both values with ``check_difficulty``, which ``validation.compare`` shares,
 and combines them into one ``Fraction``. Results are returned as exact
 ``Fraction``s, and callers round at reporting time. Number arguments follow
@@ -26,7 +27,7 @@ checks its rules.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -166,20 +167,31 @@ class GenerationRecord:
         return self.value.numerator, self.value.denominator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GradeHistory:
+    """One course's grade records, one per student generation, in file order."""
+
     course_code: str
     generations: tuple[GenerationRecord, ...]
 
-    def __post_init__(self):
-        if not self.course_code:
+
+def _history_init(set_code, set_generations):
+    def __init__(self, course_code: str, generations: Iterable[GenerationRecord]) -> None:
+        """Check the rules of a history: a code, and at least one record, with distinct labels."""
+        if not course_code:
             raise ValidationError("course code must be non-empty")
-        object.__setattr__(self, "generations", tuple(self.generations))
-        if not self.generations:
-            raise InsufficientDataError(f"course {self.course_code!r} has no generation records")
-        labels = [g.label for g in self.generations]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"course {self.course_code!r} repeats a generation label")
+        generations = tuple(generations)
+        if not generations:
+            raise InsufficientDataError(f"course {course_code!r} has no generation records")
+        if len({g.label for g in generations}) != len(generations):
+            raise ValidationError(f"course {course_code!r} repeats a generation label")
+        set_code(self, course_code)
+        set_generations(self, generations)
+    __init__.__qualname__ = "GradeHistory.__init__"
+    return __init__
+
+
+GradeHistory.__init__ = _history_init(*(GradeHistory.__dict__[f.name].__set__ for f in fields(GradeHistory)))
 
 
 class CombinePolicy(Enum):
@@ -221,14 +233,21 @@ def class_average_to_di(average: Fraction | int | str) -> Fraction:
     return Fraction(*_percent_pair(value))
 
 
-def grade_difficulty(history: GradeHistory) -> Fraction:
-    """Arithmetic mean of the per-generation difficulty values."""
+def grade_difficulty(
+    history: GradeHistory,
+    pairs: Callable[[tuple[GenerationRecord, ...]], Iterable[tuple[int, int]]] | None = None,
+) -> Fraction:
+    """Arithmetic mean of the per-generation difficulty values.
+
+    ``pairs``, if given, maps the history's records to their ``di_pair()``s,
+    as a table shared by many histories does.
+    """
+    generations = history.generations
     num, den = 0, 1  # the running sum num/den, reduced once at the end
-    for record in history.generations:
-        n, d = record.di_pair()
+    for n, d in map(GenerationRecord.di_pair, generations) if pairs is None else pairs(generations):
         num = num * d + n * den
         den *= d
-    return Fraction(num, den * len(history.generations))
+    return Fraction(num, den * len(generations))
 
 
 def check_difficulty(name: str, value: Fraction) -> None:

@@ -18,7 +18,7 @@ divided by the course count, and the accuracy is one ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
 
@@ -27,7 +27,7 @@ from .errors import InsufficientDataError, ValidationError
 from .rounding import to_fraction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CourseComparison:
     """One course's actual and estimated difficulty, ``actual_num / den`` and ``estimated_num / den``.
 
@@ -57,6 +57,21 @@ class CourseComparison:
     def squared_error(self) -> Fraction:
         diff = self.actual_num - self.estimated_num
         return Fraction(diff * diff, self.den * self.den)
+
+
+def _comparison_init(set_code, set_actual_num, set_estimated_num, set_den):
+    def __init__(self, course_code: str, actual_num: int, estimated_num: int, den: int) -> None:
+        set_code(self, course_code)
+        set_actual_num(self, actual_num)
+        set_estimated_num(self, estimated_num)
+        set_den(self, den)
+    __init__.__qualname__ = "CourseComparison.__init__"
+    return __init__
+
+
+CourseComparison.__init__ = _comparison_init(
+    *(CourseComparison.__dict__[f.name].__set__ for f in fields(CourseComparison))
+)
 
 
 @dataclass(frozen=True)

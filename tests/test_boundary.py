@@ -35,9 +35,10 @@ from course_difficulty.engine import (
     GradeKind,
     bloom_difficulty,
 )
-from course_difficulty.errors import CourseDifficultyError, ValidationError
+from course_difficulty.errors import CourseDifficultyError, InsufficientDataError, ValidationError
 from course_difficulty.mapper import OutcomeStatement
 from course_difficulty.taxonomy import BloomLevel, BloomLexicon, CriterionCatalog, canonical_catalog
+from course_difficulty.validation import CourseComparison, compare
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 CATALOG = canonical_catalog()
@@ -263,6 +264,9 @@ ROUND_TRIPS = {  # name -> (build, slotted, the read-only mappings with a key an
                         lambda lexicon: [(lexicon.entries, BloomLevel.CREATE, frozenset({"write"}))]),
     "bloom_difficulty": (lambda: bloom_difficulty(Course("X", ("a", "h"), cell_overrides={"h": 5}), CATALOG), True,
                          lambda result: []),
+    "grade_history": (lambda: GradeHistory("X", (GenerationRecord("g", GradeKind.PERCENT, Fraction(45)),)), True,
+                      lambda history: []),
+    "course_comparison": (lambda: CourseComparison("X", 7, 9, 2), True, lambda comparison: []),
 }
 
 
@@ -290,6 +294,57 @@ class TestPickleAndCopy:
         data = pickle.dumps(course)
         with pytest.raises(ValidationError, match="outside 1..21"):
             pickle.loads(data)
+
+
+RECORDS = (GenerationRecord("g1", GradeKind.DI, Fraction(2)), GenerationRecord("g2", GradeKind.PERCENT, Fraction(45)))
+
+
+class TestSlotWritingConstructors:
+    """``GradeHistory`` and ``CourseComparison`` write their slots in a hand-written ``__init__``, which takes
+    the arguments, keeps the rules and messages, and builds the values of the generated one it replaced."""
+
+    @pytest.mark.parametrize("code,records,error,message", [
+        ("", (), ValidationError, "course code must be non-empty"),  # the code is checked first
+        ("", RECORDS, ValidationError, "course code must be non-empty"),
+        ("X", (), InsufficientDataError, "course 'X' has no generation records"),
+        ("X", (*RECORDS, GenerationRecord("g1", GradeKind.DI, Fraction(3))), ValidationError,
+         "course 'X' repeats a generation label"),
+    ], ids=["no-code-no-records", "no-code", "no-records", "repeated-label"])
+    def test_history_rules(self, code, records, error, message):
+        generations = iter(records)
+        with pytest.raises(error) as exc:
+            GradeHistory(code, generations)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+        assert next(generations, None) is (records[0] if records and not code else None)  # read after the code
+
+    def test_history_construction(self):
+        built = [GradeHistory("X", RECORDS), GradeHistory(course_code="X", generations=list(RECORDS)),
+                 GradeHistory("X", generations=(record for record in RECORDS))]
+        for history in built:
+            assert history == built[0] and hash(history) == hash(built[0])
+            assert (history.course_code, type(history.generations), history.generations) == ("X", tuple, RECORDS)
+        assert GradeHistory("Y", RECORDS) != built[0] != GradeHistory("X", RECORDS[:1])
+        assert repr(built[0]) == f"GradeHistory(course_code='X', generations={RECORDS!r})"
+        assert GradeHistory.__init__.__qualname__ == "GradeHistory.__init__"
+        with pytest.raises(TypeError, match=r"^GradeHistory.__init__\(\) missing 1 required positional argument"):
+            GradeHistory("X")
+
+    def test_comparison_construction(self):
+        built = [CourseComparison("C1", 7, 9, 2), CourseComparison("C1", 7, estimated_num=9, den=2),
+                 CourseComparison(course_code="C1", actual_num=7, estimated_num=9, den=2)]
+        for comparison in built:
+            assert comparison == built[0] and hash(comparison) == hash(built[0])
+            assert (comparison.course_code, comparison.actual_num, comparison.estimated_num, comparison.den) == (
+                "C1", 7, 9, 2)
+        assert built[0] == compare(Fraction(7, 2), Fraction(9, 2), "C1")
+        assert CourseComparison("C1", 7, 9, 4) != built[0] != CourseComparison("C2", 7, 9, 2)
+        assert repr(built[0]) == "CourseComparison(course_code='C1', actual_num=7, estimated_num=9, den=2)"
+        assert CourseComparison.__init__.__qualname__ == "CourseComparison.__init__"
+        with pytest.raises(TypeError, match=r"^CourseComparison.__init__\(\) missing 1 required positional"):
+            CourseComparison("C1", 7, 9)
+        with pytest.raises(FROZEN):
+            built[0].den = 1
+        assert not hasattr(built[0], "__dict__")
 
 
 # ---------------------------------------------------------------------------

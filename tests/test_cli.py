@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import gc
 import io
 import itertools
 import json
@@ -18,11 +19,17 @@ from hypothesis import given, settings
 
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import GradeHistory, bloom_difficulty, final_difficulty, grade_difficulty
+from course_difficulty.engine import (
+    GenerationRecord,
+    GradeHistory,
+    bloom_difficulty,
+    final_difficulty,
+    grade_difficulty,
+)
 from course_difficulty.rounding import format_fixed, round_half_away
 from course_difficulty.taxonomy import canonical_catalog
 from course_difficulty.validation import compare, summarize
-from strategies import repeating_curricula, repeating_grade_maps
+from strategies import grade_maps, repeating_curricula, repeating_grade_maps
 
 CATALOG = canonical_catalog()
 
@@ -622,6 +629,64 @@ def test_internal_error_exits_70_on_one_line(command, loader, fixture_dir, tmp_p
     assert out == ""
     assert err.splitlines() == ["error: internal: RuntimeError('injected\\nfault')"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case,expected", [("ok", 0), ("out-of-range", 1), ("missing", 2), ("usage", 2),
+                                           ("fault", 70)])
+def test_main_leaves_the_collector_as_it_found_it(case, expected, enabled, fixture_dir, tmp_path, monkeypatch,
+                                                  capsys):
+    """``main`` pauses the cyclic collector while a command runs and, on every exit, leaves it as it was:
+    a caller that had switched it off finds it still off. A usage error exits before any command runs."""
+    load = data_io.load_grades
+    during = []  # gc.isenabled() inside the command
+
+    def loading(path):
+        during.append(gc.isenabled())
+        if case == "fault":
+            raise RuntimeError("injected fault")
+        return load(path)
+
+    monkeypatch.setattr(data_io, "load_grades", loading)
+    (tmp_path / "bad.csv").write_text("course_code,generation,kind,value\nC1,g1,percent,135\n", encoding="utf-8")
+    grades = {"ok": fixture_dir / "table3_grades.csv", "out-of-range": tmp_path / "bad.csv",
+              "missing": tmp_path / "missing.csv", "fault": fixture_dir / "table3_grades.csv"}
+    argv = ["grades"] if case == "usage" else ["grades", "--grades", str(grades[case])]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+        else:
+            code = main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert (code, after, during) == (expected, enabled, [] if case == "usage" else [False])
+
+
+class TestGradePairTable:
+    """A grade mean taken through a shared ``di_pair`` table, as ``validate`` takes it, equals the record-by-record
+    mean, on histories whose records ``load_grades`` shares and on histories of distinct records."""
+
+    @pytest.mark.parametrize("bound", [data_io._SHARED_LITERALS, 2], ids=["default-bound", "bound-2"])
+    @settings(max_examples=40, deadline=None)
+    @given(shared=repeating_grade_maps(), distinct=grade_maps())
+    def test_table_mean_equals_the_record_mean(self, bound, shared, distinct):
+        grades = {f"S{code}": GradeHistory(f"S{code}", h.generations) for code, h in shared.items()}
+        grades |= {f"D{code}": GradeHistory(f"D{code}", h.generations) for code, h in distinct.items()}
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data_io, "_SHARED_LITERALS", bound):
+            path = Path(tmp) / "grades.csv"
+            data_io.write_grades(grades, path)
+            loaded = data_io.load_grades(path)
+            pairs = cli._once_each(id, GenerationRecord.di_pair)
+        expected = [grade_difficulty(h) for h in grades.values()]
+        assert [grade_difficulty(h) for h in loaded.values()] == expected
+        for _ in range(2):  # the second pass finds every record the table holds
+            assert [grade_difficulty(h, pairs) for h in loaded.values()] == expected
 
 
 @pytest.mark.parametrize("command", ["estimate", "grades", "validate", "map-outcomes"])

@@ -8,14 +8,18 @@ counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair;
 ``validate``'s ``round_units`` calls, one per graded course, one per
 distinct rubric pair and, in the CSV report, one per distinct cell value, and
 its ``compare`` and ``final_difficulty`` calls, one per distinct (actual,
-estimated) pair; and ``grades``' ``format_ratio``
-calls, one per distinct grade record. ``tools/src_lines.py``'s line kinds sum
+estimated) pair; ``validate``'s and ``grades``' ``GenerationRecord.di_pair``
+calls, one per distinct grade record and table; and ``grades``' ``format_ratio``
+calls, one per distinct grade record. Every ``init=False`` dataclass has
+its own docstring. ``tools/src_lines.py``'s line kinds sum
 to each module's line count, ``tools/bench_pairs.py`` summarizes canned
 pairs, ``tools/unreached_lines.py`` finds the lines a small module's one call
 leaves unrun, and README's "Library use" block runs as written.
 """
 
+import ast
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -29,7 +33,7 @@ import pytest
 import course_difficulty
 from course_difficulty import data_io
 from course_difficulty.cli import main
-from course_difficulty.engine import bloom_difficulty, grade_difficulty
+from course_difficulty.engine import GenerationRecord, bloom_difficulty, grade_difficulty
 from course_difficulty.rounding import round_half_away
 from course_difficulty.taxonomy import canonical_catalog
 from course_difficulty.validation import compare
@@ -220,6 +224,63 @@ def test_validate_compares_each_value_pair_once(mode, fixture_dir, monkeypatch, 
     rubric_pairs = {(r.raw_total, r.max_total) for r in results}
     assert calls == {"validation.compare": len(pairs), "engine.final_difficulty": len(pairs),
                      "rounding.round_units": len(comparisons) + len(rubric_pairs) + 3}
+
+
+@pytest.mark.parametrize("argv,tables", [
+    (["validate", "--format", "json"], 1),
+    (["validate", "--format", "json", "--full-precision"], 1),
+    (["grades", "--format", "csv"], 2),  # and the cells' table
+    (["grades", "--format", "json"], 2),  # and the entries' table
+], ids=["validate-rounded", "validate-full-precision", "grades-csv", "grades-json"])
+def test_grade_means_convert_each_distinct_record_once(argv, tables, fixture_dir, monkeypatch, capsys):
+    """``validate`` and ``grades`` take each grade record's ``di_pair()`` once per table that holds it,
+    although ``load_grades`` shares the record among rows, and still reach ``grade_difficulty`` once per
+    course they average."""
+    with _SYNTHETIC_GRADES.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    averaged = {row["course_code"] for row in rows}
+    if argv[0] == "validate":
+        averaged &= {c.code for c in data_io.load_curriculum(_SYNTHETIC_CURRICULUM, canonical_catalog())}
+        argv = [*argv, "--catalog", "table1.json", "--curriculum", str(_SYNTHETIC_CURRICULUM)]
+    records = [(row["generation"], row["kind"], row["value"]) for row in rows if row["course_code"] in averaged]
+    assert len(set(records)) < len(records)  # the courses share records, so a per-row path fails here
+    calls = _count_calls([("engine", "grade_difficulty")], monkeypatch)
+    di_pair = GenerationRecord.di_pair
+    calls["GenerationRecord.di_pair"] = 0
+
+    def counting(record):
+        calls["GenerationRecord.di_pair"] += 1
+        return di_pair(record)
+
+    monkeypatch.setattr(GenerationRecord, "di_pair", counting)
+    monkeypatch.chdir(fixture_dir)
+    assert main([*argv, "--grades", str(_SYNTHETIC_GRADES)]) == 0
+    out = capsys.readouterr().out
+    courses = len(list(csv.reader(io.StringIO(out)))) - 1 if "csv" in argv else len(json.loads(out)["courses"])
+    assert courses == len(averaged)
+    assert calls == {"engine.grade_difficulty": len(averaged), "GenerationRecord.di_pair": tables * len(set(records))}
+
+
+def test_every_init_false_dataclass_has_its_own_docstring():
+    """A dataclass declared with ``init=False`` and no docstring gets one built from
+    ``inspect.signature(object.__init__)``, which parses source text at import. Each such class in
+    ``src/`` states its own."""
+    declared = {}
+    for path in sorted((_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call) and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                                                for k in d.keywords)
+                for d in node.decorator_list
+            ):
+                declared[node.name] = ast.get_docstring(node)
+    modules = [importlib.import_module(f"course_difficulty.{p.stem}")
+               for p in sorted((_ROOT / "src" / "course_difficulty").glob("*.py")) if p.stem != "__init__"]
+    built = {cls.__name__ for module in modules for cls in vars(module).values()
+             if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__
+             and not cls.__dataclass_params__.init}
+    assert set(declared) == built >= {"Course", "BloomDifficulty", "GradeHistory", "CourseComparison"}
+    assert [name for name, doc in declared.items() if not doc] == []
 
 
 def _tool(name):
