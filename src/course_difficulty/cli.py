@@ -8,8 +8,9 @@ and ``fixtures`` (write the bundled reference dataset to a directory).
 Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure,
 70 internal error (a bug; ``EX_SOFTWARE`` in BSD ``sysexits.h``), reported
 on one stderr line.
-The grade means of ``grades`` and ``validate`` take each shared grade
-record's ``di_pair()`` once.
+The grade means of ``grades`` and ``validate`` sum the di pair each grade
+record stored when it was built, and the ``grades`` CSV and table cells
+render each distinct pair once, with no Python loop per record.
 ``validate`` rounds each value to its whole number of tenths
 (``round_units``) and runs ``compare`` and ``final_difficulty`` once per
 distinct (actual, estimated) pair of them; each course's comparison holds the
@@ -159,10 +160,10 @@ def _once_each(key: Callable[[object], Hashable], value: Callable[[object], obje
     The cache lives as long as the mapper, across calls, and like the loader's
     tables it fills up to ``data_io._SHARED_LITERALS`` keys and then is only
     looked up. A key is a rubric result's ``_PAIR`` (a 13-criterion catalog
-    allows 1,833 pairs, however many courses there are), or the ``id`` of a
-    grade record that ``load_grades`` shares among rows (every record outlives
-    the command, so no id is reused). The loop runs here, so a run pays no
-    helper call per item.
+    allows 1,833 pairs, however many courses there are), or, for the
+    ``grades`` JSON entries, the ``id`` of a grade record that ``load_grades``
+    shares among rows (every record outlives the command, so no id is reused).
+    The loop runs here, so a run pays no helper call per item.
     """
     cache: dict[Hashable, object] = {}
     bound = data_io._SHARED_LITERALS
@@ -226,7 +227,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_grades(args: argparse.Namespace) -> int:
     grades = data_io.load_grades(args.grades)
-    pairs = _once_each(id, GenerationRecord.di_pair)  # each shared grade record converted once
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
@@ -239,7 +239,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
                     "generations": entries(history.generations),
-                    "grade_di": float(round_half_away(grade_difficulty(history, pairs))),
+                    "grade_di": float(round_half_away(grade_difficulty(history))),
                 }
                 for history in grades.values()
             ]
@@ -252,14 +252,14 @@ def cmd_grades(args: argparse.Namespace) -> int:
         + tuple(f"generation_{i + 1}" for i in range(max_generations))
         + ("generation_count", "grade_di")
     )
-    cells_of = _once_each(id, lambda g: format_ratio(*g.di_pair()))  # no Fraction per cell
+    cells = data_io._Rendered(format_ratio)  # each distinct di pair rendered once, with no Fraction
     rows = []
     for history in grades.values():
-        cells = cells_of(history.generations)
-        cells += [""] * (max_generations - len(cells))
+        generations = history.generations
         rows.append(
-            (history.course_code, *cells, str(len(history.generations)),
-             format_fixed(grade_difficulty(history, pairs)))
+            (history.course_code, *map(cells.__getitem__, map(GenerationRecord.di_pair, generations)),
+             *("",) * (max_generations - len(generations)), str(len(generations)),
+             format_fixed(grade_difficulty(history)))
         )
     _emit_rows(args, headers, rows)
     return 0
@@ -291,12 +291,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
     rubric = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
-    pairs = _once_each(id, GenerationRecord.di_pair)  # each shared grade record converted once
     comparisons = []
     finals = []  # per comparison, in its order
     if args.full_precision:  # exact values seldom repeat, so each course is compared and combined on its own
         for course, estimated in zip(graded, _once_each(_PAIR, attrgetter("di"))(rubric)):
-            actual = grade_difficulty(bundle.grades[course.code], pairs)
+            actual = grade_difficulty(bundle.grades[course.code])
             comparisons.append(compare(actual, estimated, course.code))
             finals.append(final_difficulty(estimated, actual, policy))
     else:  # each value as its whole number of tenths, rounded in integers, so no Fraction is built per course
@@ -308,7 +307,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
         checked = data_io._Rendered(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
         for course, estimated in zip(graded, _once_each(_PAIR, lambda r: tenths(r.di))(rubric)):
-            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code], pairs)), estimated]
+            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code])), estimated]
             comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
             finals.append(final)
     report = summarize(comparisons, args.tolerance)

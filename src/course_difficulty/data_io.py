@@ -14,6 +14,10 @@ records, values and labels fill up to ``_SHARED_LITERALS`` entries and then
 are only looked up, so a file whose cells are all distinct holds no dict entry
 per record.
 
+A JSON string cell may not hold a carriage return, which no CSV cell can
+hold once reading has translated newlines, so every JSON file that loads
+also writes to CSV and loads back equal.
+
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
 from one fixed template that gives the text ``json.dumps(indent=2)`` would.
@@ -173,6 +177,8 @@ def _json_cell(value: object, key: str, where: str) -> str:
         return "|".join(f"{_json_cell(k, '', where)}:{_json_cell(v, '', f'{where}.{k}')}" for k, v in value.items())
     if key == "" and "|" in value:  # a list entry or override part would split in two once joined
         raise DataFormatError(f"{where} must not contain '|'")
+    if "\r" in value:  # no CSV cell holds one: reading translates it to a newline
+        raise DataFormatError(f"{where} must not contain a carriage return")
     return value
 
 
@@ -258,11 +264,23 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """The text ``csv.writer(lineterminator="\\n")`` writes for the header and the rows.
+
+    The rows are joined in C; where the joined text shows a cell that might
+    need quoting (README, "File formats"), ``csv.writer`` writes them instead.
+    A carriage return counts: Python 3.13's writer quotes it, 3.10-3.12's do not.
+    """
+    rows = [columns, *rows]
+    try:
+        text = "\n".join(map(",".join, rows)) + "\n"
+    except TypeError:  # a cell that is not a str
+        text = None
+    if (text is None or '"' in text or "\r" in text or "\n\n" in text or text[0] == "\n"
+            or text.count(",") != sum(map(len, rows)) - len(rows) or text.count("\n") != len(rows)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+    return text
 
 
 def json_text(payload: object) -> str:
@@ -495,8 +513,9 @@ class _Rendered(dict):
 
     Like the loader's tables, it keeps the first ``_SHARED_LITERALS`` pairs
     and then renders any other pair at each look-up. The report renderers
-    key it by (numerator, denominator); ``cli.cmd_validate`` by a course's
-    two values in whole tenths, to compare them.
+    and ``cli.cmd_grades`` key it by (numerator, denominator);
+    ``cli.cmd_validate`` by a course's two values in whole tenths, to compare
+    them.
     """
 
     __slots__ = ("render",)

@@ -6,10 +6,10 @@ The grade path converts class performance to the same scale
 (``di = 5 - average/100 * 5`` for percent records) and averages one value
 per student generation. The rubric path sums integers from the catalog's
 compiled rubric table into a ``BloomDifficulty`` of integers, whose ``di`` is
-computed when read. A grade record converts to an unreduced integer
-(numerator, denominator) pair, and ``grade_difficulty`` sums those pairs, or
-those a caller's shared table maps the records to, and builds one ``Fraction``
-per history. ``final_difficulty`` range-checks
+computed when read. A grade record's constructor stores its value as an
+unreduced integer (numerator, denominator) pair on the difficulty scale, and
+``grade_difficulty`` sums those stored pairs in integers and builds one
+``Fraction`` per history. ``final_difficulty`` range-checks
 both values with ``check_difficulty``, which ``validation.compare`` shares,
 and combines them into one ``Fraction``. Results are returned as exact
 ``Fraction``s, and callers round at reporting time. Number arguments follow
@@ -21,16 +21,18 @@ records (no ``__dict__``), and a course's ``cell_overrides`` is a read-only
 mapping, so a checked value cannot be replaced later; courses without overrides share
 ``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
 and deep-copies as a call to its public constructor with a plain ``dict``,
-checked again on load. Every record is built through its constructor, which
-checks its rules.
+checked again on load; a grade record does so with its label, kind and value,
+so its pair is computed again, never carried over. Every record is built
+through its constructor, which checks its rules.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -136,35 +138,57 @@ class GradeKind(Enum):
     DI = "di"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GenerationRecord:
-    """Class performance of one student generation, tagged with its scale."""
+    """Class performance of one student generation, tagged with its scale.
+
+    The record keeps its value on the 0-5 difficulty scale as the unreduced
+    integer pair ``di_pair()`` returns, computed once by the constructor.
+    """
 
     label: str
     kind: GradeKind
     value: Fraction
+    _pair: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # kept lean, as a grade file of distinct rows builds a record per row; a Fraction is kept as it is
-        value = self.value
-        if not isinstance(value, Fraction):
-            value = to_fraction(value, "grade value")
-            object.__setattr__(self, "value", value)
-        if not self.label:
-            raise ValidationError("generation label must be non-empty")
-        name, top = ("percent", 100) if self.kind is GradeKind.PERCENT else ("difficulty", DI_SCALE)
-        if not 0 <= value.numerator <= top * value.denominator:
-            raise InvalidGradeError(f"generation {self.label!r}: {name} value {value} outside [0, {top}]")
+    def __reduce__(self):
+        return GenerationRecord, (self.label, self.kind, self.value)  # the pair is computed again, and checked
 
     def di(self) -> Fraction:
         """The record on the 0-5 difficulty scale (percent records convert)."""
-        return Fraction(*self.di_pair())
+        return Fraction(*self._pair)
 
     def di_pair(self) -> tuple[int, int]:
         """``di()`` as an unreduced (numerator, denominator) pair, for integer sums and rendering."""
-        if self.kind is GradeKind.PERCENT:
-            return _percent_pair(self.value)
-        return self.value.numerator, self.value.denominator
+        return self._pair
+
+
+def _record_init(set_label, set_kind, set_value, set_pair):
+    def __init__(self, label: str, kind: GradeKind, value: Fraction | int | str) -> None:
+        """Check the rules of a record: its value as ``rounding.to_fraction`` reads it,
+        a label, and a value within its kind's range; then store the value's di pair."""
+        # kept lean, as a grade file of distinct rows builds a record per row; a Fraction is kept as it is
+        if not isinstance(value, Fraction):
+            value = to_fraction(value, "grade value")
+        if not label:
+            raise ValidationError("generation label must be non-empty")
+        num, den = value.numerator, value.denominator
+        if kind is GradeKind.PERCENT:
+            name, top, pair = "percent", 100, _percent_pair(value)
+        else:
+            name, top, pair = "difficulty", DI_SCALE, (num, den)
+        if not 0 <= num <= top * den:
+            raise InvalidGradeError(f"generation {label!r}: {name} value {value} outside [0, {top}]")
+        set_label(self, label)
+        set_kind(self, kind)
+        set_value(self, value)
+        set_pair(self, pair)
+    __init__.__qualname__ = "GenerationRecord.__init__"
+    return __init__
+
+
+GenerationRecord.__init__ = _record_init(*(GenerationRecord.__dict__[f.name].__set__ for f in fields(GenerationRecord)))
+_DI_PAIR = attrgetter("_pair")  # a record's ``di_pair()``, read without a Python call
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -233,18 +257,11 @@ def class_average_to_di(average: Fraction | int | str) -> Fraction:
     return Fraction(*_percent_pair(value))
 
 
-def grade_difficulty(
-    history: GradeHistory,
-    pairs: Callable[[tuple[GenerationRecord, ...]], Iterable[tuple[int, int]]] | None = None,
-) -> Fraction:
-    """Arithmetic mean of the per-generation difficulty values.
-
-    ``pairs``, if given, maps the history's records to their ``di_pair()``s,
-    as a table shared by many histories does.
-    """
+def grade_difficulty(history: GradeHistory) -> Fraction:
+    """Arithmetic mean of the per-generation difficulty values."""
     generations = history.generations
     num, den = 0, 1  # the running sum num/den, reduced once at the end
-    for n, d in map(GenerationRecord.di_pair, generations) if pairs is None else pairs(generations):
+    for n, d in map(_DI_PAIR, generations):
         num = num * d + n * den
         den *= d
     return Fraction(num, den * len(generations))

@@ -6,7 +6,8 @@ result: equal, equally hashed and equally printed records, or the same error,
 named at the record's line or entry. Column order and extra columns or keys
 change nothing, and a file's bytes are read once, hashed as they are and
 decoded as text-mode reading decodes them. A record with read-only mappings pickles and
-deep-copies through its public constructor, so its rules are checked again.
+deep-copies through its public constructor, so its rules are checked again; so does a grade
+record, whose stored di pair is computed again rather than carried over.
 """
 
 import builtins
@@ -35,7 +36,13 @@ from course_difficulty.engine import (
     GradeKind,
     bloom_difficulty,
 )
-from course_difficulty.errors import CourseDifficultyError, InsufficientDataError, ValidationError
+from course_difficulty.errors import (
+    CourseDifficultyError,
+    DataFormatError,
+    InsufficientDataError,
+    InvalidGradeError,
+    ValidationError,
+)
 from course_difficulty.mapper import OutcomeStatement
 from course_difficulty.taxonomy import BloomLevel, BloomLexicon, CriterionCatalog, canonical_catalog
 from course_difficulty.validation import CourseComparison, compare
@@ -266,12 +273,13 @@ ROUND_TRIPS = {  # name -> (build, slotted, the read-only mappings with a key an
                          lambda result: []),
     "grade_history": (lambda: GradeHistory("X", (GenerationRecord("g", GradeKind.PERCENT, Fraction(45)),)), True,
                       lambda history: []),
+    "grade_record": (lambda: GenerationRecord("g", GradeKind.PERCENT, Fraction(45)), True, lambda record: []),
     "course_comparison": (lambda: CourseComparison("X", 7, 9, 2), True, lambda comparison: []),
 }
 
 
 class TestPickleAndCopy:
-    """A record with read-only mappings pickles and deep-copies through its public constructor."""
+    """A record with read-only mappings, or a stored pair, pickles and deep-copies through its public constructor."""
 
     @pytest.mark.parametrize("copy_with", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
     @pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
@@ -295,13 +303,73 @@ class TestPickleAndCopy:
         with pytest.raises(ValidationError, match="outside 1..21"):
             pickle.loads(data)
 
+    def test_a_pickled_grade_record_is_checked_again_on_load(self):
+        record = object.__new__(GenerationRecord)  # out of range, so only its slots can hold it
+        for name, value in [("label", "g"), ("kind", GradeKind.DI), ("value", Fraction(9)), ("_pair", (9, 1))]:
+            GenerationRecord.__dict__[name].__set__(record, value)
+        data = pickle.dumps(record)
+        with pytest.raises(InvalidGradeError, match=r"difficulty value 9 outside \[0, 5\]"):
+            pickle.loads(data)
+        with pytest.raises(InvalidGradeError, match=r"difficulty value 9 outside \[0, 5\]"):
+            copy.deepcopy(record)
+
+    @pytest.mark.parametrize("copy_with", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_grade_record_computes_its_pair_again_on_load(self, copy_with):
+        """The stored pair is never carried over: the copy's constructor computes it from the value."""
+        record = object.__new__(GenerationRecord)
+        for name, value in [("label", "g"), ("kind", GradeKind.PERCENT), ("value", Fraction(45)), ("_pair", (0, 1))]:
+            GenerationRecord.__dict__[name].__set__(record, value)
+        restored = copy_with(record)
+        assert restored == record and restored.di_pair() == (275, 100) and restored.di() == Fraction(11, 4)
+
 
 RECORDS = (GenerationRecord("g1", GradeKind.DI, Fraction(2)), GenerationRecord("g2", GradeKind.PERCENT, Fraction(45)))
 
 
 class TestSlotWritingConstructors:
-    """``GradeHistory`` and ``CourseComparison`` write their slots in a hand-written ``__init__``, which takes
-    the arguments, keeps the rules and messages, and builds the values of the generated one it replaced."""
+    """``GenerationRecord``, ``GradeHistory`` and ``CourseComparison`` write their slots in a hand-written
+    ``__init__``, which takes the arguments, keeps the rules and messages, and builds the values of the
+    generated one it replaced."""
+
+    @pytest.mark.parametrize("label,kind,value,error,message", [
+        ("", GradeKind.DI, "x", DataFormatError, "cannot parse grade value 'x' as a decimal number"),  # value first
+        ("", GradeKind.DI, 1.5, DataFormatError, "grade value must be a Fraction, an int or a decimal string, got 1.5"),
+        ("", GradeKind.DI, Fraction(9), ValidationError, "generation label must be non-empty"),  # then the label
+        ("g", GradeKind.DI, "9", InvalidGradeError, "generation 'g': difficulty value 9 outside [0, 5]"),
+        ("g", GradeKind.DI, Fraction(-1, 10), InvalidGradeError, "generation 'g': difficulty value -1/10 outside [0, 5]"),
+        ("g", GradeKind.PERCENT, -1, InvalidGradeError, "generation 'g': percent value -1 outside [0, 100]"),
+        ("g", GradeKind.PERCENT, "100.5", InvalidGradeError, "generation 'g': percent value 201/2 outside [0, 100]"),
+    ], ids=["malformed-no-label", "float-no-label", "no-label-out-of-range", "di-high", "di-low", "percent-low",
+            "percent-high"])
+    def test_record_rules(self, label, kind, value, error, message):
+        with pytest.raises(error) as exc:
+            GenerationRecord(label, kind, value)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_record_construction(self):
+        value = Fraction(45)
+        built = [GenerationRecord("g", GradeKind.PERCENT, value), GenerationRecord("g", GradeKind.PERCENT, "45"),
+                 GenerationRecord("g", kind=GradeKind.PERCENT, value=45),
+                 GenerationRecord(label="g", kind=GradeKind.PERCENT, value=Fraction("45.0"))]
+        for record in built:
+            assert record == built[0] and hash(record) == hash(built[0])
+            assert (record.label, record.kind, record.value, record.di_pair()) == (
+                "g", GradeKind.PERCENT, value, (275, 100))
+            assert record.di() == Fraction(11, 4) and type(record.value) is Fraction
+        assert built[0].value is value  # a Fraction is kept as it is
+        assert GenerationRecord("g", GradeKind.DI, "2.75").di_pair() == (11, 4)
+        assert GenerationRecord("g", GradeKind.DI, Fraction(11, 4)) != built[0] != GenerationRecord("h", GradeKind.PERCENT, 45)
+        assert repr(built[0]) == "GenerationRecord(label='g', kind=<GradeKind.PERCENT: 'percent'>, value=Fraction(45, 1))"
+        assert GenerationRecord.__match_args__ == ("label", "kind", "value")
+        assert GenerationRecord.__init__.__qualname__ == "GenerationRecord.__init__"
+        with pytest.raises(TypeError, match=r"^GenerationRecord.__init__\(\) missing 1 required positional argument: 'value'$"):
+            GenerationRecord("g", GradeKind.DI)
+        with pytest.raises(TypeError, match=r"^GenerationRecord.__init__\(\) got an unexpected keyword argument '_pair'$"):
+            GenerationRecord("g", GradeKind.DI, 1, _pair=(9, 1))
+        for name in ("label", "_pair"):
+            with pytest.raises(FROZEN):
+                setattr(built[0], name, "h")
+        assert not hasattr(built[0], "__dict__")
 
     @pytest.mark.parametrize("code,records,error,message", [
         ("", (), ValidationError, "course code must be non-empty"),  # the code is checked first

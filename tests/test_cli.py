@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
 from course_difficulty.engine import (
-    GenerationRecord,
     GradeHistory,
     bloom_difficulty,
     final_difficulty,
@@ -668,25 +667,25 @@ def test_main_leaves_the_collector_as_it_found_it(case, expected, enabled, fixtu
     assert (code, after, during) == (expected, enabled, [] if case == "usage" else [False])
 
 
-class TestGradePairTable:
-    """A grade mean taken through a shared ``di_pair`` table, as ``validate`` takes it, equals the record-by-record
-    mean, on histories whose records ``load_grades`` shares and on histories of distinct records."""
+class TestSharedRecordMeans:
+    """A grade mean over the records ``load_grades`` shares among rows, each with the pair its constructor
+    stored, equals the ``Fraction`` mean of the records' ``di()``, on histories whose records repeat and on
+    histories of distinct records, below and past the loader's table bound."""
 
     @pytest.mark.parametrize("bound", [data_io._SHARED_LITERALS, 2], ids=["default-bound", "bound-2"])
     @settings(max_examples=40, deadline=None)
     @given(shared=repeating_grade_maps(), distinct=grade_maps())
-    def test_table_mean_equals_the_record_mean(self, bound, shared, distinct):
+    def test_loaded_mean_equals_the_fraction_mean(self, bound, shared, distinct):
         grades = {f"S{code}": GradeHistory(f"S{code}", h.generations) for code, h in shared.items()}
         grades |= {f"D{code}": GradeHistory(f"D{code}", h.generations) for code, h in distinct.items()}
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data_io, "_SHARED_LITERALS", bound):
             path = Path(tmp) / "grades.csv"
             data_io.write_grades(grades, path)
             loaded = data_io.load_grades(path)
-            pairs = cli._once_each(id, GenerationRecord.di_pair)
-        expected = [grade_difficulty(h) for h in grades.values()]
-        assert [grade_difficulty(h) for h in loaded.values()] == expected
-        for _ in range(2):  # the second pass finds every record the table holds
-            assert [grade_difficulty(h, pairs) for h in loaded.values()] == expected
+        assert loaded == grades
+        for history in loaded.values():
+            values = [record.di() for record in history.generations]
+            assert grade_difficulty(history) == sum(values, Fraction(0)) / len(values)
 
 
 @pytest.mark.parametrize("command", ["estimate", "grades", "validate", "map-outcomes"])

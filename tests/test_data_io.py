@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 from fractions import Fraction
@@ -356,6 +358,12 @@ class TestJsonListFields:
         ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": null}]}', "courses[0].overrides must be an object"),
         ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a": "5|b:6"}}]}', "courses[0].overrides.a must not contain '|'"),
         ("cur.json", '{"courses": [{"course_code": "C1", "title": null, "criteria": ["a"]}]}', "courses[0].title must be"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "title": "Intro\\rPart 2", "criteria": ["a"]}]}',
+         "courses[0].title must not contain a carriage return"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generations": [{"label": "g\\r1", "kind": "di", "value": 1}]}]}',
+         "courses[0].generations[0].label must not contain a carriage return"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a\\r": 5}}]}',
+         "courses[0].overrides must not contain a carriage return"),
         ("g.json", '{"courses": [{"course_code": null, "generations": []}]}', "courses[0].course_code must be"),
         ("g.json", '{"courses": [{"generations": []}]}', "courses[0] must have 'course_code'"),
         ("g.json", '{"courses": [{"course_code": "C1"}]}', "courses[0] must have 'generations'"),
@@ -371,6 +379,7 @@ class TestJsonListFields:
         "catalog", "lexicon", "curriculum", "grades", "grades-entry",
         "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
         "criteria-object", "null-levels", "pipe-in-criterion", "null-overrides", "pipe-in-points", "null-title",
+        "carriage-return-in-title", "carriage-return-in-label", "carriage-return-in-override-id",
         "null-course-code", "missing-course-code", "missing-generations", "misspelled-generations",
         "bool-value", "top-level-list",
         "repeated-id", "repeated-override", "repeated-entry-list", "repeated-levels",
@@ -569,6 +578,69 @@ class TestReportWriting:
 
 from strategies import DIFFICULTIES, catalogs, curricula, grade_maps  # noqa: E402
 
+# cells the CSV writer quotes or refuses to leave bare, and text it writes as it is
+CSV_CELLS = st.one_of(
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", "a,b", 'say "hi"', " padded ", "caf\u00e9", "\u2028", "#"]),
+    st.text(max_size=5),
+    st.text(alphabet="ab,\"\n\r \u00e9", max_size=4),
+)
+CSV_ROWS = st.lists(st.one_of(st.lists(CSV_CELLS, min_size=1, max_size=4), st.sampled_from([[""], [], ["x"]])),
+                    min_size=0, max_size=5)
+
+
+class TestCsvText:
+    """``csv_text`` writes what ``csv.writer(lineterminator="\\n")`` writes, byte for byte, whether it joins
+    the rows itself or hands them to the writer."""
+
+    @staticmethod
+    def _writer_text(rows, writer=csv.writer):  # the writer itself, not the tests' counting stand-in for it
+        buf = io.StringIO()
+        writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+
+    def test_drawn_rows_match_the_writer_on_both_branches(self, monkeypatch):
+        writer, handed = csv.writer, []
+
+        def counting(*args, **kwargs):
+            handed.append(True)
+            return writer(*args, **kwargs)
+
+        monkeypatch.setattr(data_io.csv, "writer", counting)
+        branches = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(header=st.lists(CSV_CELLS, min_size=1, max_size=4), rows=CSV_ROWS)
+        @example(header=["a", "b"], rows=[["1", "2"], ["3", "4"]])  # joined
+        @example(header=["a"], rows=[[""]])  # a row of one empty cell, which the writer quotes
+        @example(header=["a", "b"], rows=[["x\ry", ""]])
+        def check(header, rows):
+            handed.clear()
+            text = data_io.csv_text(header, rows)
+            branches.add(bool(handed))
+            assert text == self._writer_text([header, *rows])
+
+        check()
+        assert branches == {False, True}
+
+    @pytest.mark.parametrize("rows,joined", [
+        ([["1", "2"], ["", "x"]], True),
+        ([["caf\u00e9", " b "]], True),
+        ([["x", "a,b"]], False),
+        ([["x", 'a"b']], False),
+        ([["x", "a\nb"]], False),
+        ([["x", "a\rb"]], False),
+        ([[""]], False),
+        ([["x", 1], ["y", None]], False),
+        ([[]], False),
+    ], ids=["plain", "non-ascii", "comma", "quote", "newline", "carriage-return", "one-empty-cell", "non-str",
+            "no-cells"])
+    def test_each_case_the_join_cannot_write_goes_to_the_writer(self, monkeypatch, rows, joined):
+        writer, handed = csv.writer, []
+        monkeypatch.setattr(data_io.csv, "writer", lambda *a, **k: handed.append(True) or writer(*a, **k))
+        text = data_io.csv_text(("h1", "h2"), rows)
+        assert (text, not handed) == (self._writer_text([("h1", "h2"), *rows]), joined)
+
+
 # codes a JSON encoder must escape: quotes, backslashes, control characters, non-ASCII text
 REPORT_CODES = st.one_of(
     st.text(min_size=1, max_size=8),
@@ -644,6 +716,24 @@ class TestRoundTrips:
         data_io.write_grades(grades, tmp_path / name)
         assert "33.333333333333333333" in (tmp_path / name).read_text(encoding="utf-8")
         assert data_io.load_grades(tmp_path / name) == grades
+
+    def test_a_carriage_return_in_a_json_cell_is_refused_before_any_csv_is_written(self, tmp_path, capsys):
+        """A ``\\r`` cannot survive a CSV file, where reading translates it to a newline: a JSON title holding
+        one once loaded, and its curriculum then wrote a CSV file that failed to load. It exits 2 at load."""
+        path = _write(tmp_path / "c.json",
+                      '{"courses": [{"course_code": "C1", "title": "Intro\\rPart 2", "criteria": ["a"]}]}')
+        message = f"{path}: courses[0].title must not contain a carriage return"
+        with pytest.raises(DataFormatError) as exc:
+            data_io.load_curriculum(path, canonical_catalog())
+        assert (str(exc.value), exc.value.exit_code) == (message, 2)
+        argv = ["estimate", "--catalog", str(data_io.fixture_path("table1.json")), "--curriculum", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        fine = _write(tmp_path / "fine.json",
+                      '{"courses": [{"course_code": "C1", "title": "Intro\\nPart 2", "criteria": ["a"]}]}')
+        courses = data_io.load_curriculum(fine, canonical_catalog())
+        data_io.write_curriculum(courses, tmp_path / "c.csv")  # a newline is quoted, and reads back
+        assert data_io.load_curriculum(tmp_path / "c.csv", canonical_catalog()) == courses
 
     @pytest.mark.parametrize("name", ["lex.csv", "lex.json"])
     def test_lexicon(self, tmp_path, default_lexicon, name):

@@ -2,8 +2,9 @@
 
 Per loader, hypothesis writes entries whose expected keys hold arbitrary JSON
 values, or rows whose cells hold arbitrary text. Every file must either load,
-and then round-trip exactly through its writer, or raise ``DataFormatError`` or
-``ValidationError`` naming the file. Nothing else may escape.
+and then round-trip exactly through its writer (a JSON file through JSON and
+through CSV), or raise ``DataFormatError`` or ``ValidationError`` naming the
+file. Nothing else may escape.
 
 Per ``grades`` run on such a file, per ``validate`` or ``estimate`` run on such
 a curriculum (and grade file) with the shipped catalog, and per
@@ -60,7 +61,10 @@ def _render(columns, rows):
 
 
 def _check(load, write, name, text):
-    """Load ``text`` saved as ``name``: it loads and round-trips, or fails naming the file."""
+    """Load ``text`` saved as ``name``: it loads and round-trips, or fails naming the file.
+
+    A JSON file is read as the CSV rows it stands for, so what it loads also
+    round-trips through CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8", newline="")
@@ -69,9 +73,10 @@ def _check(load, write, name, text):
         except (DataFormatError, ValidationError) as exc:
             assert str(exc).startswith(f"{path}:"), str(exc)
             return
-        again = Path(tmp) / f"again{path.suffix}"
-        write(loaded, again)
-        assert load(again) == loaded
+        for suffix in dict.fromkeys([path.suffix, ".csv"]):
+            again = Path(tmp) / f"again{suffix}"
+            write(loaded, again)
+            assert load(again) == loaded
 
 
 CATALOG = canonical_catalog()
@@ -120,6 +125,8 @@ CURRICULUM_CSV = _csv_text(data_io.CURRICULUM_COLUMNS, [CODES, st.text(max_size=
 
 @EXAMPLES
 @given(CURRICULUM_ENTRIES)
+@example([{"course_code": "C1", "title": "Intro\rPart 2", "criteria": ["a"]}])  # no CSV cell holds a \r
+@example([{"course_code": "C1", "title": "Intro\nPart 2", "criteria": ["a"]}])
 def test_json_curriculum(entries):
     _check(*LOADERS["curriculum"], "cur.json", json.dumps({"courses": entries}))
 
@@ -142,6 +149,7 @@ GENERATION = st.fixed_dictionaries({}, optional={
     st.fixed_dictionaries({}, optional={"course_code": _either(CODES), "generations": _either(st.lists(GENERATION, max_size=3))}),
     max_size=3,
 ))
+@example([{"course_code": "C1", "generations": [{"label": "g\r1", "kind": "di", "value": 1}]}])
 def test_json_grades(entries):
     _check(*LOADERS["grades"], "g.json", json.dumps({"courses": entries}))
 

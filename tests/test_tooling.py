@@ -8,12 +8,13 @@ counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair;
 ``validate``'s ``round_units`` calls, one per graded course, one per
 distinct rubric pair and, in the CSV report, one per distinct cell value, and
 its ``compare`` and ``final_difficulty`` calls, one per distinct (actual,
-estimated) pair; ``validate``'s and ``grades``' ``GenerationRecord.di_pair``
-calls, one per distinct grade record and table; and ``grades``' ``format_ratio``
-calls, one per distinct grade record. Every ``init=False`` dataclass has
-its own docstring. ``tools/src_lines.py``'s line kinds sum
-to each module's line count, ``tools/bench_pairs.py`` summarizes canned
-pairs, ``tools/unreached_lines.py`` finds the lines a small module's one call
+estimated) pair; ``validate``'s and ``grades``' ``GenerationRecord``
+constructions, one per distinct grade row, each computing its di pair once;
+and ``grades``' ``format_ratio`` calls, one per distinct di pair. Every
+``init=False`` dataclass has its own docstring. ``tools/src_lines.py``'s
+line kinds sum to each module's line count, ``tools/bench_pairs.py``
+summarizes canned pairs and marks bounds and the gain rule,
+``tools/unreached_lines.py`` finds the lines a small module's one call
 leaves unrun, and README's "Library use" block runs as written.
 """
 
@@ -157,17 +158,17 @@ def test_estimate_formats_each_rubric_pair_once(curriculum, mode, fixture_dir, m
     assert calls == {"rounding.format_fixed": len(pairs)}
 
 
-def test_grades_formats_each_distinct_record_once(monkeypatch, capsys):
-    """``grades`` renders each shared record's cell once, and still reaches ``grade_difficulty`` once per course."""
-    with _SYNTHETIC_GRADES.open(newline="") as f:
-        rows = list(csv.DictReader(f))
-    cells = {(row["generation"], row["kind"], row["value"]) for row in rows}
-    codes = {row["course_code"] for row in rows}
-    assert len(cells) < len(rows)  # the file repeats cells, so a per-row path fails here
+def test_grades_formats_each_distinct_di_pair_once(monkeypatch, capsys):
+    """``grades`` renders each distinct di pair's cell once, however many records share it, and still
+    reaches ``grade_difficulty`` once per course."""
+    histories = data_io.load_grades(_SYNTHETIC_GRADES)
+    records = {id(g): g for h in histories.values() for g in h.generations}.values()
+    pairs = {g.di_pair() for g in records}
+    assert len(pairs) < len(records)  # distinct records share pairs, so a per-record path fails here
     calls = _count_calls([("rounding", "format_ratio"), ("engine", "grade_difficulty")], monkeypatch)
     assert main(["grades", "--grades", str(_SYNTHETIC_GRADES), "--format", "csv"]) == 0
-    assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(codes) + 1
-    assert calls == {"rounding.format_ratio": len(cells), "engine.grade_difficulty": len(codes)}
+    assert len(list(csv.reader(io.StringIO(capsys.readouterr().out)))) == len(histories) + 1
+    assert calls == {"rounding.format_ratio": len(pairs), "engine.grade_difficulty": len(histories)}
 
 
 def _synthetic_comparisons(mode):
@@ -226,39 +227,42 @@ def test_validate_compares_each_value_pair_once(mode, fixture_dir, monkeypatch, 
                      "rounding.round_units": len(comparisons) + len(rubric_pairs) + 3}
 
 
-@pytest.mark.parametrize("argv,tables", [
-    (["validate", "--format", "json"], 1),
-    (["validate", "--format", "json", "--full-precision"], 1),
-    (["grades", "--format", "csv"], 2),  # and the cells' table
-    (["grades", "--format", "json"], 2),  # and the entries' table
+@pytest.mark.parametrize("argv", [
+    ["validate", "--format", "json"],
+    ["validate", "--format", "json", "--full-precision"],
+    ["grades", "--format", "csv"],
+    ["grades", "--format", "json"],
 ], ids=["validate-rounded", "validate-full-precision", "grades-csv", "grades-json"])
-def test_grade_means_convert_each_distinct_record_once(argv, tables, fixture_dir, monkeypatch, capsys):
-    """``validate`` and ``grades`` take each grade record's ``di_pair()`` once per table that holds it,
-    although ``load_grades`` shares the record among rows, and still reach ``grade_difficulty`` once per
-    course they average."""
+def test_each_distinct_grade_row_builds_one_record(argv, fixture_dir, monkeypatch, capsys):
+    """``validate`` and ``grades`` build one ``GenerationRecord``, and so compute one di pair, per distinct
+    (generation, kind, value) row of the grade file, and still reach ``grade_difficulty`` once per course
+    they average; no pair is computed after loading."""
     with _SYNTHETIC_GRADES.open(newline="") as f:
         rows = list(csv.DictReader(f))
     averaged = {row["course_code"] for row in rows}
     if argv[0] == "validate":
         averaged &= {c.code for c in data_io.load_curriculum(_SYNTHETIC_CURRICULUM, canonical_catalog())}
         argv = [*argv, "--catalog", "table1.json", "--curriculum", str(_SYNTHETIC_CURRICULUM)]
-    records = [(row["generation"], row["kind"], row["value"]) for row in rows if row["course_code"] in averaged]
-    assert len(set(records)) < len(records)  # the courses share records, so a per-row path fails here
-    calls = _count_calls([("engine", "grade_difficulty")], monkeypatch)
-    di_pair = GenerationRecord.di_pair
-    calls["GenerationRecord.di_pair"] = 0
+    records = {(row["generation"], row["kind"], row["value"]) for row in rows}
+    assert len(records) < len(rows)  # the courses share records, so a per-row path fails here
+    calls = _count_calls([("engine", "grade_difficulty"), ("engine", "_percent_pair")], monkeypatch)
+    init = GenerationRecord.__init__
+    calls["GenerationRecord.__init__"] = 0
 
-    def counting(record):
-        calls["GenerationRecord.di_pair"] += 1
-        return di_pair(record)
+    def counting(self, *args, **kwargs):
+        calls["GenerationRecord.__init__"] += 1
+        return init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GenerationRecord, "di_pair", counting)
+    monkeypatch.setattr(GenerationRecord, "__init__", counting)
     monkeypatch.chdir(fixture_dir)
     assert main([*argv, "--grades", str(_SYNTHETIC_GRADES)]) == 0
     out = capsys.readouterr().out
     courses = len(list(csv.reader(io.StringIO(out)))) - 1 if "csv" in argv else len(json.loads(out)["courses"])
     assert courses == len(averaged)
-    assert calls == {"engine.grade_difficulty": len(averaged), "GenerationRecord.di_pair": tables * len(set(records))}
+    percent = {r for r in records if r[1].strip().lower() == "percent"}
+    assert 0 < len(percent) < len(records)
+    assert calls == {"engine.grade_difficulty": len(averaged), "engine._percent_pair": len(percent),
+                     "GenerationRecord.__init__": len(records)}
 
 
 def test_every_init_false_dataclass_has_its_own_docstring():
@@ -279,7 +283,7 @@ def test_every_init_false_dataclass_has_its_own_docstring():
     built = {cls.__name__ for module in modules for cls in vars(module).values()
              if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__
              and not cls.__dataclass_params__.init}
-    assert set(declared) == built >= {"Course", "BloomDifficulty", "GradeHistory", "CourseComparison"}
+    assert set(declared) == built >= {"Course", "BloomDifficulty", "GenerationRecord", "GradeHistory", "CourseComparison"}
     assert [name for name, doc in declared.items() if not doc] == []
 
 
@@ -326,6 +330,10 @@ def test_readme_library_use_block_states_what_it_computes():
     assert namespace["hard"] == Fraction(13, 4)
 
 
+_METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "items_per_s", "better": "higher", "bound": 0.25}]
+
+
 def test_bench_pairs_summary_counts_the_pairs_each_side_won():
     """``tools/bench_pairs.py``'s summary, on canned results: medians, the base's quartile spread, and wins
     in the metric's own direction, a tie counting for neither side."""
@@ -335,7 +343,7 @@ def test_bench_pairs_summary_counts_the_pairs_each_side_won():
         ({"wall_s": 1.2, "items_per_s": 8.0}, {"wall_s": 1.3, "items_per_s": 8.0}),
         ({"wall_s": 1.1, "items_per_s": 9.0}, {"wall_s": 1.0, "items_per_s": 9.5}),
     ]
-    summary = tool.summarize(pairs, {"wall_s": "lower", "items_per_s": "higher"})
+    summary = tool.summarize(pairs, _METRICS)
     wall, items = summary["wall_s"], summary["items_per_s"]
     assert (wall["base"], wall["head"]) == ([1.0, 1.2, 1.1], [0.9, 1.3, 1.0])
     assert (wall["base_median"], wall["head_median"], wall["head_better_pairs"], wall["pairs"]) == (1.1, 1.0, 2, 3)
@@ -343,7 +351,39 @@ def test_bench_pairs_summary_counts_the_pairs_each_side_won():
     assert (items["base_median"], items["head_median"], items["head_better_pairs"]) == (9.0, 9.5, 2)
     lines = tool.report("validate-20k", summary).splitlines()
     assert lines[0].startswith("validate-20k: ") and len(lines) == 3
-    assert lines[1].split() == ["wall_s", "1.1000", "1.0000", "-9.09%", "0.1000", "2/3"]
+    assert lines[1].split() == ["wall_s", "1.1000", "1.0000", "-9.09%", "0.1000", "2/3", "fails"]
+
+
+def test_bench_pairs_marks_bounds_and_the_gain_rule():
+    """A canned summary: a metric worse than its bound is marked, one within it is not, and the gain rule
+    needs both nine tenths of the pairs and a median gap wider than the base IQR, in the metric's direction."""
+    tool = _tool("bench_pairs")
+    metrics = [*_METRICS, {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.00]  # median 1.0, IQR 0.02
+    pairs = [
+        ({"wall_s": b, "items_per_s": 100.0, "peak_rss_mb": 40.0},
+         {"wall_s": h, "items_per_s": items, "peak_rss_mb": rss})
+        for b, h, items, rss in zip(
+            base,
+            [0.90, 0.91, 0.89, 0.90, 0.92, 0.88, 0.90, 0.91, 1.05, 0.90],  # 9 of 10 better, median 0.90
+            [101.0] * 9 + [99.0],  # 9 of 10 better, but by less than the base IQR of 0
+            [42.2] * 10,  # 5.5% more: beyond a 5% bound
+        )
+    ]
+    summary = tool.summarize(pairs, metrics)
+    assert {name: (s["gain_rule"], s["beyond_bound"]) for name, s in summary.items()} == {
+        "wall_s": (True, False), "items_per_s": (True, False), "peak_rss_mb": (False, True)}
+    pairs[0][1]["wall_s"] = 1.01  # 8 of 10 better: the gap alone does not make a gain
+    pairs[0][1]["items_per_s"] = 99.5
+    summary = tool.summarize(pairs, metrics)
+    assert (summary["wall_s"]["gain_rule"], summary["items_per_s"]["gain_rule"]) == (False, False)
+    for head, beyond in [((1.3, 1.2), False), ((1.4, 1.3), True)]:  # +25% is at a 25% bound, +35% past it
+        slower = tool.summarize([({"wall_s": 1.0}, {"wall_s": h}) for h in head], metrics[:1])
+        assert (slower["wall_s"]["beyond_bound"], slower["wall_s"]["gain_rule"]) == (beyond, False)
+    lines = tool.report("grades-deep", summary).splitlines()
+    assert lines[0].endswith("pairs better, gain rule") and len(lines) == 4
+    assert lines[1].split()[-2:] == ["8/10", "fails"]
+    assert lines[3].endswith(" 0/10 fails  BEYOND-BOUND (worse by more than 5%)")
 
 
 _SMALL_MODULE = """def sign(x):

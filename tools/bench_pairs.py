@@ -15,7 +15,12 @@ first and even-numbered ones the working tree, so that neither side always
 runs first. The script prints, for each end-to-end metric in
 ``BENCHMARK.json``, the median over the base runs and over the working-tree
 runs, the base runs' interquartile range, and in how many pairs the working
-tree was better. With ``--record``, the summary goes into that JSON file
+tree was better. It marks a metric whose working-tree median is worse than
+the base median by more than the metric's ``bound`` (a fraction of the base
+median) with ``BEYOND-BOUND``, and states whether the gain rule holds: the
+working tree better in at least nine tenths of the pairs, ties counting for
+neither side, and its median better than the base median by more than the
+base IQR. With ``--record``, the summary goes into that JSON file
 under ``"workloads"``, next to the entries other workloads wrote there.
 A run that exits non-zero or reports ``"correct": false`` stops the script.
 Standard library only.
@@ -70,34 +75,45 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict[str,
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric in ``better`` (name -> "lower" or "higher"): both sides' values and medians, the base's
-    interquartile range, and the number of pairs in which the working tree's value was the better one."""
+def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], metrics: list[dict]) -> dict[str, dict]:
+    """Per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end`` entries: a name, "lower" or "higher"
+    ``better``, and a ``bound``): both sides' values and medians, the base's interquartile range, the
+    number of pairs in which the working tree's value was the better one, whether the working-tree median
+    is worse than the base median by more than ``bound`` times the base median, and whether the gain
+    rule holds."""
     summary = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
+        sign = 1 if direction == "lower" else -1  # sign * (head - base) < 0: the working tree is better
         base = [b[name] for b, _ in pairs]
         head = [h[name] for _, h in pairs]
-        wins = sum((h < b) if direction == "lower" else (h > b) for b, h in zip(base, head))
+        wins = sum(sign * (h - b) < 0 for b, h in zip(base, head))
         q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1 else (base[0],) * 3
+        base_median, head_median = statistics.median(base), statistics.median(head)
         summary[name] = {
             "better": direction,
+            "bound": bound,
             "base": base,
             "head": head,
-            "base_median": statistics.median(base),
-            "head_median": statistics.median(head),
+            "base_median": base_median,
+            "head_median": head_median,
             "base_iqr": q3 - q1,
             "head_better_pairs": wins,
             "pairs": len(pairs),
+            "beyond_bound": sign * (head_median - base_median) > bound * abs(base_median),
+            "gain_rule": 10 * wins >= 9 * len(pairs) and sign * (base_median - head_median) > q3 - q1,
         }
     return summary
 
 
 def report(workload: str, summary: dict[str, dict]) -> str:
-    lines = [f"{workload}: metric, base median, working-tree median, change, base IQR, pairs better"]
+    lines = [f"{workload}: metric, base median, working-tree median, change, base IQR, pairs better, gain rule"]
     for name, s in summary.items():
         change = s["head_median"] / s["base_median"] - 1 if s["base_median"] else float("nan")
         lines.append(f"  {name:14} {s['base_median']:12.4f} {s['head_median']:12.4f} {change:+8.2%}"
-                     f" {s['base_iqr']:10.4f} {s['head_better_pairs']:3}/{s['pairs']}")
+                     f" {s['base_iqr']:10.4f} {s['head_better_pairs']:3}/{s['pairs']}"
+                     f" {'holds' if s['gain_rule'] else 'fails':5}"
+                     + (f"  BEYOND-BOUND (worse by more than {s['bound']:.0%})" if s["beyond_bound"] else ""))
     return "\n".join(lines)
 
 
@@ -110,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree, head_tree = Path(tmp) / "base", Path(tmp) / "head"
         base_tree.mkdir()
@@ -123,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             base, head = results[base_tree], results[head_tree]
             pairs.append((base, head))
             print(f"pair {i + 1}/{args.pairs}: wall_s {base['wall_s']:.4f} -> {head['wall_s']:.4f}", file=sys.stderr)
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, spec["end_to_end"])
     print(report(args.workload, summary))
     if args.record is not None:
         record = json.loads(args.record.read_text(encoding="utf-8")) if args.record.exists() else {}
