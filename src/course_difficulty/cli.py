@@ -5,9 +5,8 @@ Subcommands: ``estimate`` (rubric-path difficulty per course), ``grades``
 metrics), ``map-outcomes`` (tag outcome statements with complexity levels),
 and ``fixtures`` (write the bundled reference dataset to a directory).
 
-Exit codes: 0 success, 1 domain/validation failure, 2 I/O or parse failure,
-70 internal error (a bug; ``EX_SOFTWARE`` in BSD ``sysexits.h``), reported
-on one stderr line.
+README.md gives the exit codes, and why ``main`` pauses the cyclic garbage
+collector while a command runs and leaves it as it found it.
 The grade means of ``grades`` and ``validate`` sum the di pair each grade
 record stored when it was built, and the ``grades`` CSV and table cells
 render each distinct pair once, with no Python loop per record.
@@ -20,9 +19,6 @@ Output is rendered fully before anything is written, so a failing run never
 leaves partial output on the primary stream, and a ``validate`` run whose
 report cannot be written removes the plot data it wrote; identical inputs and
 flags produce byte-identical output.
-``main`` pauses the cyclic garbage collector while a command runs, and
-leaves it as it found it: the command's records hold no reference cycles and
-live until it returns, so a collection would free nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import gc
 import sys
 from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, truediv
 from pathlib import Path
 
 from . import data_io
@@ -230,8 +226,8 @@ def cmd_grades(args: argparse.Namespace) -> int:
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
-        entries = _once_each(  # one dict per distinct record, shared by its rows
-            id, lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": float(g.di())}
+        entries = _once_each(  # one dict per distinct record, shared by its rows; int division is correctly rounded
+            id, lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": truediv(*g.di_pair())}
         )
         payload = {
             "courses": [

@@ -8,15 +8,7 @@ Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
 provenance, and the text is decoded with text-mode newline translation. CSV
 and JSON reach the loaders as (locator, cells) pairs, the cells a tuple in
 the loader's column order, and each record is built through its constructor,
-which checks it. Within one ``load_grades`` call, rows with the same raw
-generation, kind and value cells share one ``GenerationRecord``. Its tables of
-records, values and labels fill up to ``_SHARED_LITERALS`` entries and then
-are only looked up, so a file whose cells are all distinct holds no dict entry
-per record.
-
-A JSON string cell may not hold a carriage return, which no CSV cell can
-hold once reading has translated newlines, so every JSON file that loads
-also writes to CSV and loads back equal.
+which checks it.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
@@ -166,20 +158,40 @@ def _is_json(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def _json_cell(value: object, key: str, where: str) -> str:
-    """A JSON value as the text of the CSV cell it stands for."""
+def _json_cell(value: object, key: str, at: str) -> str:
+    """The ``key`` value of the JSON entry at path ``at`` ("" for the top level) as the
+    text of the CSV cell it stands for; a key path is built only for an error."""
     shape, name = _JSON_SHAPES.get(key, (str, "a string or a number"))
     if not isinstance(value, shape):
-        raise DataFormatError(f"{where} must be {name}")
+        raise DataFormatError(f"{_key_path(at, key)} must be {name}")
     if shape is list:
-        return "|".join(_json_cell(v, "", f"{where}[{i}]") for i, v in enumerate(value))
+        for i, part in enumerate(value):
+            if not isinstance(part, str) or "|" in part or "\r" in part:
+                raise _part_error(part, f"{_key_path(at, key)}[{i}]")
+        return "|".join(value)
     if shape is dict:
-        return "|".join(f"{_json_cell(k, '', where)}:{_json_cell(v, '', f'{where}.{k}')}" for k, v in value.items())
-    if key == "" and "|" in value:  # a list entry or override part would split in two once joined
-        raise DataFormatError(f"{where} must not contain '|'")
+        for k, part in value.items():  # a key is always a string
+            if "|" in k or "\r" in k:
+                raise _part_error(k, _key_path(at, key))
+            if not isinstance(part, str) or "|" in part or "\r" in part:
+                raise _part_error(part, f"{_key_path(at, key)}.{k}")
+        return "|".join(map(":".join, value.items()))
     if "\r" in value:  # no CSV cell holds one: reading translates it to a newline
-        raise DataFormatError(f"{where} must not contain a carriage return")
+        raise DataFormatError(f"{_key_path(at, key)} must not contain a carriage return")
     return value
+
+
+def _key_path(at: str, key: str) -> str:
+    return f"{at}.{key}" if at else key
+
+
+def _part_error(part: object, where: str) -> DataFormatError:
+    """The error for a list entry or override part that is not a string free of '|' and carriage returns."""
+    if not isinstance(part, str):
+        return DataFormatError(f"{where} must be a string or a number")
+    if "|" in part:  # it would split in two once joined
+        return DataFormatError(f"{where} must not contain '|'")
+    return DataFormatError(f"{where} must not contain a carriage return")
 
 
 def _json_rows(
@@ -189,15 +201,15 @@ def _json_rows(
     with ``nested`` columns, the entry's required ``generations`` are the rows, each after the entry's cells."""
     if not isinstance(entries, list):
         raise DataFormatError(f"{where} must be a list")
+    keys = [_JSON_KEYS.get(column, column) for column in columns]
     for i, entry in enumerate(entries):
         at = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise DataFormatError(f"{at} must be an object")
         cells = list(inherited)
-        for column in columns:
-            key = _JSON_KEYS.get(column, column)
+        for key in keys:
             if key in entry:
-                cells.append(_json_cell(entry[key], key, f"{at}.{key}"))
+                cells.append(_json_cell(entry[key], key, at))
             elif key in _JSON_REQUIRED:
                 raise DataFormatError(f"{at} must have {key!r}")
             else:
@@ -232,7 +244,7 @@ def _reading(
             payload = _load_json(path)
             if not isinstance(payload, dict):
                 raise DataFormatError(f"expected an object with a '{key}' list")
-            file.provenance = _json_cell(payload.get("provenance", ""), "provenance", "provenance")
+            file.provenance = _json_cell(payload.get("provenance", ""), "provenance", "")
             file.rows = list(_json_rows(payload.get(key), key, columns, nested, ()))
         else:
             file.rows = _csv_rows(path, (*columns, *nested))
@@ -241,8 +253,22 @@ def _reading(
         raise exc.locate(str(path), file.line)
 
 
-def _levels(cell: str) -> frozenset[BloomLevel]:
-    return frozenset(BloomLevel.from_token(t) for t in cell.split("|") if t.strip())  # out-of-range -> ValidationError
+_LEVEL_TOKENS = {str(level.weight): level for level in BloomLevel}  # the canonical spellings "1"-"6"
+
+
+def _levels(cell: str, owner: str, name: str) -> frozenset[BloomLevel]:
+    """The levels cell of the ``owner`` record ``name``: a cell of canonical digits is read
+    by table, any other token by token through ``BloomLevel.from_token``."""
+    tokens = cell.split("|")
+    try:
+        levels = [_LEVEL_TOKENS[t] for t in tokens]
+    except KeyError:
+        levels = [BloomLevel.from_token(t) for t in tokens if t.strip()]  # out-of-range -> ValidationError
+    found = frozenset(levels)
+    if len(found) != len(levels):
+        repeated = next(level for i, level in enumerate(levels) if level in levels[:i])
+        raise ValidationError(f"{owner} {name!r} lists level {repeated.weight} more than once")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +354,7 @@ def load_catalog(path: str | Path) -> CriterionCatalog:
                 cid = cid.strip()
                 if not cid:
                     raise DataFormatError("criterion id is empty")
-                yield AbetCriterion(id=cid, levels=_levels(levels), description=description)
+                yield AbetCriterion(id=cid, levels=_levels(levels, "criterion", cid), description=description)
 
         return CriterionCatalog.from_criteria(criteria(), file.provenance)
 
@@ -347,11 +373,12 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
     by_level: dict[BloomLevel, set[str]] = {level: set() for level in BloomLevel}
     with _reading(path, LEXICON_COLUMNS, "verbs") as file:
         for file.line, (verb, cell) in file.rows:
-            if not verb.strip():
+            name = verb.strip()
+            if not name:
                 raise DataFormatError("verb is empty")
-            levels = _levels(cell)
+            levels = _levels(cell, "verb", name)
             if not levels:
-                raise ValidationError(f"verb {verb.strip()!r} maps to no complexity levels")
+                raise ValidationError(f"verb {name!r} maps to no complexity levels")
             for level in levels:
                 by_level[level].add(verb)
         file.line = None  # a level without verbs is the whole file's problem
@@ -359,11 +386,7 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
 
 
 def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
-    levels_by_verb: dict[str, list[int]] = {}
-    for level in BloomLevel:
-        for verb in lexicon.entries[level]:
-            levels_by_verb.setdefault(verb, []).append(level.weight)
-    rows = [(verb, sorted(weights)) for verb, weights in sorted(levels_by_verb.items())]
+    rows = [(verb, sorted(level.weight for level in levels)) for verb, levels in sorted(lexicon.levels_by_verb.items())]
     _write_records(path, LEXICON_COLUMNS, "verbs", rows)
 
 

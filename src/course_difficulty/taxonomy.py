@@ -7,11 +7,10 @@ the shipped fixture ``table1.json``: it assigns the thirteen standard outcome
 letters (a-m) their level sets. Custom catalogs may add further outcomes under
 any single-token id.
 
-Catalogs and lexicons are frozen, and their mappings are read-only
-(``MappingProxyType``), so one loaded copy can be shared: ``canonical_catalog()``
-loads its fixture once per process. Each pickles and deep-copies as a call to
-its public constructor with plain ``dict`` copies, so every rule is checked
-again on load.
+Catalogs and lexicons are frozen, with read-only mappings, and each is
+compiled once by its constructor: a catalog into its ``rubrics`` table, a
+lexicon into its ``levels_by_verb`` table. README, "Library use", gives the
+sharing, pickling and copying rules.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import DataFormatError, InvalidCriterionError, ValidationError
@@ -37,9 +37,10 @@ class BloomLevel(Enum):
     EVALUATE = 5
     CREATE = 6
 
-    @property
-    def weight(self) -> int:
-        return self.value
+    # read through C, as Enum's own hash and ``value`` run Python code: a member is
+    # a singleton compared by identity, and its weight is its value
+    __hash__ = object.__hash__
+    weight = property(attrgetter("_value_"))
 
     @property
     def label(self) -> str:
@@ -149,30 +150,41 @@ def catalog_total(catalog: CriterionCatalog) -> int:
     return sum(catalog.rubrics.values())
 
 
+_NO_LEVELS: frozenset[BloomLevel] = frozenset()
+
+
 @dataclass(frozen=True)
 class BloomLexicon:
     """Action verbs by level. A verb may appear under several levels;
     published verb lists genuinely overlap, and lookups surface that
-    ambiguity rather than tie-breaking it."""
+    ambiguity rather than tie-breaking it.
+
+    ``levels_by_verb`` is the lexicon compiled once into a verb -> levels
+    table, the inverse of ``entries``, so a lookup is one dict read.
+    """
 
     entries: Mapping[BloomLevel, frozenset[str]]
+    levels_by_verb: Mapping[str, frozenset[BloomLevel]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized: dict[BloomLevel, frozenset[str]] = {}
+        by_verb: dict[str, list[BloomLevel]] = {}
         for level in BloomLevel:
             verbs = self.entries.get(level, frozenset())
             cleaned = frozenset(v.strip().lower() for v in verbs if v.strip())
             if not cleaned:
                 raise ValidationError(f"lexicon has no verbs for level {level.label}")
             normalized[level] = cleaned
+            for verb in cleaned:
+                by_verb.setdefault(verb, []).append(level)
         object.__setattr__(self, "entries", MappingProxyType(normalized))
+        object.__setattr__(self, "levels_by_verb", MappingProxyType({v: frozenset(ls) for v, ls in by_verb.items()}))
 
     def __reduce__(self):
         return BloomLexicon, (dict(self.entries),)
 
     def levels_for(self, verb: str) -> frozenset[BloomLevel]:
-        token = verb.strip().lower()
-        return frozenset(level for level, verbs in self.entries.items() if token in verbs)
+        return self.levels_by_verb.get(verb.strip().lower(), _NO_LEVELS)
 
 
 @functools.cache

@@ -323,6 +323,43 @@ class TestPickleAndCopy:
         assert restored == record and restored.di_pair() == (275, 100) and restored.di() == Fraction(11, 4)
 
 
+class TestLexiconVerbTable:
+    """A lexicon's compiled ``levels_by_verb`` table is read-only, compiled again by every copy, and takes no
+    part in eq, hash or repr, as a catalog's ``rubrics`` table does."""
+
+    def test_read_only(self):
+        lexicon = data_io.default_lexicon()
+        assert type(lexicon.levels_by_verb) is MappingProxyType
+        with pytest.raises(TypeError):
+            lexicon.levels_by_verb["write"] = frozenset({BloomLevel.REMEMBER})
+        with pytest.raises(TypeError):
+            del lexicon.levels_by_verb["write"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lexicon.levels_by_verb = {}
+        assert lexicon.levels_for("write") == {BloomLevel.APPLY, BloomLevel.CREATE}
+
+    @pytest.mark.parametrize("copy_with", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_a_copy_compiles_its_own_table(self, copy_with):
+        lexicon = BloomLexicon({level: {level.name.lower(), "Shared "} for level in BloomLevel})
+        object.__setattr__(lexicon, "levels_by_verb", MappingProxyType({}))  # a stale table that no copy may carry
+        restored = copy_with(lexicon)
+        assert restored == lexicon  # the stale table takes no part in eq
+        assert type(restored.levels_by_verb) is MappingProxyType
+        assert dict(restored.levels_by_verb) == {"shared": frozenset(BloomLevel),
+                                                 **{level.name.lower(): frozenset({level}) for level in BloomLevel}}
+        with pytest.raises(TypeError):
+            restored.levels_by_verb["shared"] = frozenset()
+
+    def test_no_part_in_eq_hash_or_repr(self):
+        table, rubrics = (next(f for f in dataclasses.fields(cls) if f.name == name)
+                          for cls, name in ((BloomLexicon, "levels_by_verb"), (CriterionCatalog, "rubrics")))
+        assert (table.init, table.repr, table.compare, table.hash) == (rubrics.init, rubrics.repr, rubrics.compare,
+                                                                      rubrics.hash) == (False, False, False, None)
+        lexicon = data_io.default_lexicon()
+        assert "levels_by_verb" not in repr(lexicon) and repr(lexicon).startswith("BloomLexicon(entries=")
+        assert BloomLexicon(dict(lexicon.entries)) == lexicon
+
+
 RECORDS = (GenerationRecord("g1", GradeKind.DI, Fraction(2)), GenerationRecord("g2", GradeKind.PERCENT, Fraction(45)))
 
 

@@ -26,7 +26,7 @@ from course_difficulty.engine import (
     grade_difficulty,
 )
 from course_difficulty.rounding import format_fixed, round_half_away
-from course_difficulty.taxonomy import canonical_catalog
+from course_difficulty.taxonomy import BloomLevel, canonical_catalog
 from course_difficulty.validation import compare, summarize
 from strategies import grade_maps, repeating_curricula, repeating_grade_maps
 
@@ -544,6 +544,23 @@ class TestMapOutcomes:
         )
         assert code == 0
         assert json.loads(out)["statements"][0]["levels"] == ["Evaluate"]
+
+
+    @pytest.mark.parametrize("suffix_rule", [False, True], ids=["exact", "suffix-rule"])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_level_spellings_map_as_digits_do(self, fixture_dir, tmp_path, capsys, fmt, suffix_rule):
+        """The shipped lexicon, its levels spelled by name, sign, leading zero and padding, maps byte for byte alike."""
+        header, *rows = csv.reader(io.StringIO((fixture_dir / "default_lexicon.csv").read_text(encoding="utf-8")))
+        spell = (lambda w: BloomLevel(w).name, lambda w: f" +{w}", lambda w: f"0{w}\t",
+                 lambda w: BloomLevel(w).label.lower())
+        respelled = [(verb, "|".join(spell[(i + j) % 4](int(t)) for j, t in enumerate(cell.split("|"))) + "|")
+                     for i, (verb, cell) in enumerate(rows)]
+        lexicon = tmp_path / "lex.csv"
+        lexicon.write_text(data_io.csv_text(header, respelled), encoding="utf-8")
+        argv = ["map-outcomes", "--statements", str(fixture_dir / "outcome_statements.csv"), "--format", fmt]
+        argv += ["--suffix-rule"] if suffix_rule else []
+        shipped = run(capsys, *argv)
+        assert shipped[0] == 0 and run(capsys, *argv, "--lexicon", str(lexicon)) == shipped
 
 
 class TestFixturesCommand:

@@ -102,6 +102,81 @@ class TestLoadCatalog:
             data_io.load_catalog(path)
 
 
+def _levels_by_token(cell, owner, name):
+    """``data_io._levels`` as every token through ``BloomLevel.from_token``, the path its table replaces."""
+    levels = [BloomLevel.from_token(t) for t in cell.split("|") if t.strip()]
+    for i, level in enumerate(levels):
+        if level in levels[:i]:
+            raise ValidationError(f"{owner} {name!r} lists level {level.weight} more than once")
+    return frozenset(levels)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(word, upper)))
+
+
+LEVEL_TOKENS = st.tuples(
+    st.sampled_from(["", " ", "\t"]),
+    st.one_of(
+        st.sampled_from(["1", "2", "3", "4", "5", "6"]),
+        st.sampled_from(["", "0", "7", "+3", "-2", "03", "006", "x", "1.0", "\u00b2", "APPLY X"]),
+        st.sampled_from([level.name for level in BloomLevel] + ["Reason"]).flatmap(_any_case),
+    ),
+    st.sampled_from(["", " "]),
+).map("".join)
+
+
+class TestLevelCells:
+    @settings(max_examples=200)
+    @given(st.lists(LEVEL_TOKENS, max_size=5).map("|".join))
+    @example("1|2|3")
+    @example("1||3")
+    @example("apply|3")
+    @example("")
+    def test_table_read_matches_the_token_path(self, cell):
+        """A cell reads as every token through ``from_token`` would read it, or fails with the same error."""
+        expected = _outcome(_levels_by_token, cell, "criterion", "a")
+        assert _outcome(data_io._levels, cell, "criterion", "a") == expected
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("cat.csv", "id,description,levels\nb,ok,2\na,x,1|1|3\n", "3: criterion 'a' lists level 1 more than once"),
+        ("cat.csv", "id,description,levels\na,x,Apply| 3 |+1\n", "2: criterion 'a' lists level 3 more than once"),
+        ("cat.json", '{"criteria": [{"id": "a", "levels": [1, 1, 3]}]}',
+         "criteria[0]: criterion 'a' lists level 1 more than once"),
+        ("lex.csv", "verb,levels\nlist,1\n Analyze ,4|4\n", "3: verb 'Analyze' lists level 4 more than once"),
+        ("lex.json", '{"verbs": [{"verb": "judge", "levels": ["evaluate", 5]}]}',
+         "verbs[0]: verb 'judge' lists level 5 more than once"),
+    ], ids=["catalog-csv", "catalog-csv-spellings", "catalog-json", "lexicon-csv", "lexicon-json"])
+    def test_a_level_listed_twice_is_refused(self, tmp_path, capsys, fixture_dir, name, text, message):
+        """A repeated level would load as one and write back as one: it is refused, naming the level and the record."""
+        path = _write(tmp_path / name, text)
+        load = data_io.load_catalog if name.startswith("cat") else data_io.load_lexicon
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:{message}"
+        if name.startswith("cat"):
+            argv = ["estimate", "--catalog", str(path), "--curriculum", str(fixture_dir / "worked_example.csv")]
+        else:
+            argv = ["map-outcomes", "--statements", str(fixture_dir / "outcome_statements.csv"), "--lexicon", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+    def test_blank_tokens_are_skipped(self, tmp_path):
+        path = _write(tmp_path / "cat.csv", "id,description,levels\na,x,1|| 3|\n")
+        catalog = data_io.load_catalog(path)
+        assert catalog["a"].levels == {BloomLevel.REMEMBER, BloomLevel.APPLY}
+        data_io.write_catalog(catalog, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text(encoding="utf-8") == "id,description,levels\na,x,1|3\n"
+
+
 class TestLoadCurriculum:
     def test_shipped_reference_curriculum(self, catalog, fixture_dir):
         courses = data_io.load_curriculum(fixture_dir / "table2_asprinted.csv", catalog)
@@ -375,6 +450,22 @@ class TestJsonListFields:
         ("cur.json", '{"courses": [{"course_code": "X1", "criteria": ["a"], "overrides": {"a": 5, "a": 6}}]}', "JSON object repeats key 'a'"),
         ("g.json", '{"courses": [], "courses": []}', "JSON object repeats key 'courses'"),
         ("lex.json", '{"verbs": [{"verb": "list", "levels": [1], "levels": [2]}]}', "JSON object repeats key 'levels'"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a", "h", null]}]}',
+         "courses[0].criteria[2] must be a string or a number"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a", "h", "k|l"]}]}',
+         "courses[0].criteria[2] must not contain '|'"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a", "h\\r"]}]}',
+         "courses[0].criteria[1] must not contain a carriage return"),
+        ("cat.json", '{"criteria": [{"id": "a", "levels": ["1\\r"]}]}',
+         "criteria[0].levels[0] must not contain a carriage return"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a", "h"], "overrides": {"a": 5, "h": null}}]}',
+         "courses[0].overrides.h must be a string or a number"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a": [5]}}]}',
+         "courses[0].overrides.a must be a string or a number"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a": "5\\r"}}]}',
+         "courses[0].overrides.a must not contain a carriage return"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a|h": 5}}]}',
+         "courses[0].overrides must not contain '|'"),
     ], ids=[
         "catalog", "lexicon", "curriculum", "grades", "grades-entry",
         "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
@@ -383,6 +474,8 @@ class TestJsonListFields:
         "null-course-code", "missing-course-code", "missing-generations", "misspelled-generations",
         "bool-value", "top-level-list",
         "repeated-id", "repeated-override", "repeated-entry-list", "repeated-levels",
+        "null-entry", "pipe-in-third-entry", "carriage-return-in-entry", "carriage-return-in-level",
+        "null-points", "list-points", "carriage-return-in-points", "pipe-in-override-id",
     ])
     def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
         path = _write(tmp_path / name, text)
@@ -414,6 +507,7 @@ class TestJsonListFields:
         path = _write(tmp_path / "g.json", '{"courses": [{"course_code": "C1"}]}')
         assert main(["grades", "--grades", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: courses[0] must have 'generations'\n"
+
 
 
 # One defect per case, written once as CSV rows and once as JSON entries (a string is a

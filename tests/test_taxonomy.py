@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from course_difficulty import data_io
 from course_difficulty.errors import InvalidCriterionError, ValidationError
+from course_difficulty.mapper import _SUFFIX_CANDIDATES, tokenize
 from course_difficulty.taxonomy import (
     MAX_RUBRIC,
     AbetCriterion,
@@ -187,3 +189,44 @@ class TestBloomLexicon:
         assert lex.levels_for("compare") == frozenset({BloomLevel.UNDERSTAND, BloomLevel.ANALYZE})
         assert len(lex.levels_for("compare")) > 1
         assert len(lex.levels_for("v1")) == 1
+
+
+def _scanned(lexicon, token):
+    """``levels_for`` as a scan of every level's verb set, the lookup the compiled table replaces."""
+    token = token.strip().lower()
+    return frozenset(level for level, verbs in lexicon.entries.items() if token in verbs)
+
+
+VERB_TEXTS = st.text(alphabet="abAB -", min_size=1, max_size=4)
+
+
+@st.composite
+def lexicons(draw):
+    """Lexicons over a few letters, so verbs overlap across levels and differ only by case or spaces."""
+    return BloomLexicon({level: draw(st.frozensets(VERB_TEXTS.filter(str.strip), min_size=1, max_size=4))
+                         for level in BloomLevel})
+
+
+class TestVerbIndex:
+    """``levels_by_verb`` gives each verb the levels a scan of ``entries`` finds."""
+
+    def test_shipped_verbs_and_suffix_candidates(self, fixture_dir):
+        lexicon = data_io.default_lexicon()
+        tokens = {verb for verbs in lexicon.entries.values() for verb in verbs}
+        statements = data_io.load_statements(fixture_dir / "outcome_statements.csv")
+        for token in [t for s in statements for t in tokenize(s.text)]:
+            tokens.add(token)
+            tokens.update(token[: -len(suffix)] + tail for suffix, tail in _SUFFIX_CANDIDATES
+                          if token.endswith(suffix) and len(token) > len(suffix) + 1)
+        for token in sorted(tokens):
+            for spelling in (token, token.upper(), f" {token.capitalize()}\t"):
+                assert lexicon.levels_for(spelling) == _scanned(lexicon, spelling), spelling
+        assert set(lexicon.levels_by_verb) == {verb for verbs in lexicon.entries.values() for verb in verbs}
+
+    @given(lexicons(), st.lists(VERB_TEXTS, max_size=6))
+    def test_drawn_tokens_on_drawn_lexicons(self, lexicon, tokens):
+        verbs = {verb for level_verbs in lexicon.entries.values() for verb in level_verbs}
+        for token in [*tokens, *verbs, ""]:
+            assert lexicon.levels_for(token) == _scanned(lexicon, token), token
+        assert set(lexicon.levels_by_verb) == verbs
+        assert lexicon.levels_for("c") == frozenset()
