@@ -1,24 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: ``estimate``, ``grades``, ``validate``, ``map-outcomes`` and ``fixtures``.
 
-Subcommands: ``estimate`` (rubric-path difficulty per course), ``grades``
-(grade-history difficulty), ``validate`` (compare the two and report error
-metrics), ``map-outcomes`` (tag outcome statements with complexity levels),
-and ``fixtures`` (write the bundled reference dataset to a directory).
-
-README.md gives the exit codes, and why ``main`` pauses the cyclic garbage
-collector while a command runs and leaves it as it found it.
-The grade means of ``grades`` and ``validate`` sum the di pair each grade
-record stored when it was built, and the ``grades`` CSV and table cells
-render each distinct pair once, with no Python loop per record.
-``validate`` rounds each value to its whole number of tenths
-(``round_units``) and runs ``compare`` and ``final_difficulty`` once per
-distinct (actual, estimated) pair of them; each course's comparison holds the
-integers that ``compare`` checked, under its own code. At full precision,
-where exact values seldom repeat, each course is compared on its own.
-Output is rendered fully before anything is written, so a failing run never
-leaves partial output on the primary stream, and a ``validate`` run whose
-report cannot be written removes the plot data it wrote; identical inputs and
-flags produce byte-identical output.
+README.md gives the exit codes, why ``main`` pauses the cyclic garbage
+collector while a command runs, and, under "Validation", how ``grades`` and
+``validate`` work once per distinct value. Output is rendered fully before
+anything is written, and a ``validate`` run whose report cannot be written
+removes the plot data it wrote.
 """
 
 from __future__ import annotations
@@ -27,13 +13,13 @@ import argparse
 import functools
 import gc
 import sys
-from collections.abc import Callable, Hashable, Iterable
 from fractions import Fraction
-from operator import attrgetter, truediv
+from operator import truediv
 from pathlib import Path
 
 from . import data_io
 from .engine import (
+    BloomDifficulty,
     CombinePolicy,
     Course,
     GenerationRecord,
@@ -44,6 +30,7 @@ from .engine import (
 from .errors import CourseDifficultyError, DataFormatError
 from .mapper import map_outcome
 from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away, round_units
+from .taxonomy import BloomLevel
 from .validation import CourseComparison, compare, summarize
 
 MODE_CANONICAL = "canonical"
@@ -150,38 +137,6 @@ def _apply_mode(course: Course, mode: str) -> Course:
     return course.without_overrides() if mode == MODE_CANONICAL else course
 
 
-def _once_each(key: Callable[[object], Hashable], value: Callable[[object], object]) -> Callable[[Iterable], list]:
-    """A mapper of item sequences through ``value``, which runs once per distinct ``key(item)``.
-
-    The cache lives as long as the mapper, across calls, and like the loader's
-    tables it fills up to ``data_io._SHARED_LITERALS`` keys and then is only
-    looked up. A key is a rubric result's ``_PAIR`` (a 13-criterion catalog
-    allows 1,833 pairs, however many courses there are), or, for the
-    ``grades`` JSON entries, the ``id`` of a grade record that ``load_grades``
-    shares among rows (every record outlives the command, so no id is reused).
-    The loop runs here, so a run pays no helper call per item.
-    """
-    cache: dict[Hashable, object] = {}
-    bound = data_io._SHARED_LITERALS
-
-    def each(items: Iterable) -> list:
-        results = []
-        for item in items:
-            k = key(item)
-            result = cache.get(k)
-            if result is None:
-                result = value(item)
-                if len(cache) < bound:
-                    cache[k] = result
-            results.append(result)
-        return results
-
-    return each
-
-
-_PAIR = attrgetter("raw_total", "max_total")  # a rubric result's key: every value but its code follows from it
-
-
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -190,9 +145,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     catalog = data_io.load_catalog(args.catalog)
     courses = data_io.load_curriculum(args.curriculum, catalog)
     results = [bloom_difficulty(_apply_mode(c, args.mode), catalog) for c in courses]
-    cells = _once_each(
-        _PAIR, lambda r: (str(r.raw_total), str(r.criteria_count), str(r.max_total), format_fixed(r.di), args.mode)
-    )(results)
+    # each value of a rubric result but its code follows from its integers, so each distinct key renders once
+    rubric = data_io._Memo(lambda key: (*map(str, key), format_fixed(BloomDifficulty("", *key).di), args.mode))
+    cells = [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]
 
     if args.format == "json":
         payload = {
@@ -226,15 +181,16 @@ def cmd_grades(args: argparse.Namespace) -> int:
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
     if args.format == "json":
-        entries = _once_each(  # one dict per distinct record, shared by its rows; int division is correctly rounded
-            id, lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": truediv(*g.di_pair())}
+        # one dict per distinct record, as equal records render alike; int division is correctly rounded
+        entries = data_io._Memo(
+            lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": truediv(*g.di_pair())}
         )
         payload = {
             "courses": [
                 {
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
-                    "generations": entries(history.generations),
+                    "generations": list(map(entries.__getitem__, history.generations)),
                     "grade_di": float(round_half_away(grade_difficulty(history))),
                 }
                 for history in grades.values()
@@ -248,7 +204,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
         + tuple(f"generation_{i + 1}" for i in range(max_generations))
         + ("generation_count", "grade_di")
     )
-    cells = data_io._Rendered(format_ratio)  # each distinct di pair rendered once, with no Fraction
+    cells = data_io._Memo(lambda pair: format_ratio(*pair))  # each distinct di pair rendered once, with no Fraction
     rows = []
     for history in grades.values():
         generations = history.generations
@@ -286,23 +242,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
         sys.stderr.write("".join(warnings))
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
-    rubric = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
+    tenths = lambda value: round_units(value.numerator, value.denominator, 10)
+    compared = (lambda value: value) if args.full_precision else tenths
+    rubric = data_io._Memo(lambda key: compared(BloomDifficulty("", *key).di))  # once per distinct key, as in estimate
+    results = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
     comparisons = []
     finals = []  # per comparison, in its order
     if args.full_precision:  # exact values seldom repeat, so each course is compared and combined on its own
-        for course, estimated in zip(graded, _once_each(_PAIR, attrgetter("di"))(rubric)):
+        for course, estimated in zip(graded, [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]):
             actual = grade_difficulty(bundle.grades[course.code])
             comparisons.append(compare(actual, estimated, course.code))
             finals.append(final_difficulty(estimated, actual, policy))
     else:  # each value as its whole number of tenths, rounded in integers, so no Fraction is built per course
-        tenths = lambda value: round_units(value.numerator, value.denominator, 10)
-
-        def check(actual: int, estimated: int) -> tuple[CourseComparison, Fraction]:
-            a, e = Fraction(actual, 10), Fraction(estimated, 10)
+        def check(pair: tuple[int, int]) -> tuple[CourseComparison, Fraction]:
+            a, e = (Fraction(units, 10) for units in pair)
             return compare(a, e), final_difficulty(e, a, policy)
 
-        checked = data_io._Rendered(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
-        for course, estimated in zip(graded, _once_each(_PAIR, lambda r: tenths(r.di))(rubric)):
+        checked = data_io._Memo(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
+        for course, estimated in zip(graded, [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]):
             first, final = checked[tenths(grade_difficulty(bundle.grades[course.code])), estimated]
             comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
             finals.append(final)
@@ -334,7 +291,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         text = data_io.render_report_json(payload, report, finals)
     else:
         headers = (*data_io.REPORT_COLUMNS, "final_di")
-        cells = data_io._Rendered(format_ratio)  # each distinct final difficulty rendered once
+        cells = data_io._Memo(lambda pair: format_ratio(*pair))  # each distinct final difficulty rendered once
         final_cells = [*(cells[f.numerator, f.denominator] for f in finals), ""]  # the AVERAGE row has no final_di
         rows = [(*row, final) for row, final in zip(data_io.report_rows(report), final_cells)]
         summary = (
@@ -366,7 +323,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
     entries = []  # one JSON record per statement; the table renders from the same values
     for statement in statements:
         result = map_outcome(statement, lexicon, suffix_rule=args.suffix_rule)
-        levels = sorted(result.levels, key=lambda level: level.weight)
+        levels = sorted(result.levels, key=BloomLevel.weight.fget)
         entries.append({
             "criterion_id": statement.criterion_id,
             "levels": [level.label for level in levels],

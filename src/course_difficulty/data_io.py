@@ -13,8 +13,8 @@ which checks it.
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
 from one fixed template that gives the text ``json.dumps(indent=2)`` would.
-Each renderer renders each distinct (numerator, denominator) value once per
-call; on the 1-decimal grid a report has at most a few hundred.
+Whatever runs once per distinct value, here and in ``cli``, runs through one
+bounded memo, ``_Memo``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, truediv
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -80,6 +80,33 @@ _JSON_KEYS = {"generation": "label"}  # CSV column -> JSON key, where they diffe
 
 # while set (by load_bundle), each file read appends the SHA-256 of its bytes here
 _digests: ContextVar[list[str] | None] = ContextVar("_digests", default=None)
+
+
+# the bound keeps a memo over inputs whose values do not repeat (a gradebook's cells
+# number terms x value grid, and a 0.1 grid on 0-100 alone has 1,001 values) from
+# holding an entry per record: about 5 MB of tables at worst
+_SHARED_LITERALS = 16384
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, run at the first look-up of each distinct key.
+
+    It keeps the first ``_SHARED_LITERALS`` keys and then runs ``make`` at
+    each look-up of any other; an exception from ``make`` stores nothing.
+    A hit runs no Python code.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Hashable) -> object:
+        value = self.make(key)
+        if len(self) < _SHARED_LITERALS:
+            self[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +397,7 @@ def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
 
 def load_lexicon(path: str | Path) -> BloomLexicon:
     """Load an action-verb lexicon (verb -> level(s)) from CSV or JSON."""
-    by_level: dict[BloomLevel, set[str]] = {level: set() for level in BloomLevel}
+    by_verb: dict[str, frozenset[BloomLevel]] = {}  # each verb as the lexicon normalises it
     with _reading(path, LEXICON_COLUMNS, "verbs") as file:
         for file.line, (verb, cell) in file.rows:
             name = verb.strip()
@@ -379,10 +406,12 @@ def load_lexicon(path: str | Path) -> BloomLexicon:
             levels = _levels(cell, "verb", name)
             if not levels:
                 raise ValidationError(f"verb {name!r} maps to no complexity levels")
-            for level in levels:
-                by_level[level].add(verb)
+            if name.lower() in by_verb:  # its rows would merge into one
+                raise ValidationError(f"verb {name!r} is given more than once")
+            by_verb[name.lower()] = levels
         file.line = None  # a level without verbs is the whole file's problem
-        return BloomLexicon(entries={level: frozenset(verbs) for level, verbs in by_level.items()})
+        return BloomLexicon(entries={
+            level: frozenset(verb for verb, levels in by_verb.items() if level in levels) for level in BloomLevel})
 
 
 def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
@@ -450,10 +479,6 @@ def write_curriculum(courses: Sequence[Course], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 _KINDS = {kind.value: kind for kind in GradeKind}
-# gradebooks repeat few cells, but their distinct cells number terms x value grid,
-# and a 0.1 grid on 0-100 alone has 1,001 values; the bound (about 5 MB of tables
-# at worst) keeps a file of distinct cells from holding a dict entry per record
-_SHARED_LITERALS = 16384
 
 
 def load_grades(path: str | Path) -> dict[str, GradeHistory]:
@@ -462,40 +487,35 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     Rows whose raw ``(generation, kind, value)`` cells have the same text share
     one ``GenerationRecord``, built through its constructor once; records whose
     value cells have the same text share one ``Fraction``, and those whose
-    generation cells do, one stripped label. Each table holds the first
-    ``_SHARED_LITERALS`` distinct texts and, once full, is only looked up: later
-    rows are built per record.
+    generation cells do, one stripped label. Each is a ``_Memo`` of its texts.
     """
     grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
     histories: dict[str, GradeHistory] = {}
-    shared: dict[tuple[str, str, str], GenerationRecord] = {}  # raw cells -> their checked record
-    values: dict[str, Fraction] = {}  # value text -> its parse; a malformed literal never enters
-    labels: dict[str, str] = {}  # label text -> its stripped form, shared by the records
-    bound = _SHARED_LITERALS
+    values = _Memo(lambda text: parse_decimal(text, "grade value"))  # a malformed literal never enters
+    labels = _Memo(str.strip)
+
+    def build(cells: tuple[str, str, str]) -> GenerationRecord | None:
+        label, kind_text, text = cells
+        if label is None:  # a JSON course with no records
+            return None
+        kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
+        if kind is None:
+            raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
+        return GenerationRecord(labels[label], kind, values[text])  # checks the label, then the range
+
+    shared = _Memo(build)  # raw cells -> their checked record
+    # a row is one get, and a miss one direct call: a dict subclass's subscript is slower on a hit
+    # and reaches __missing__ through C
+    hit, miss = shared.get, shared.__missing__
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, (code, label, kind_text, text) in file.rows:
-            record = shared.get((label, kind_text, text))
-            if record is None:  # inline, not a helper: an all-distinct file pays no call per row
-                if label is None:  # a JSON course with no records, which its GradeHistory refuses below
+            record = hit((label, kind_text, text))
+            if record is None:
+                record = miss((label, kind_text, text))
+                if record is None:  # its GradeHistory refuses it below
                     grouped.setdefault(code.strip(), (file.line, []))
                     continue
-                kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
-                if kind is None:
-                    raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
-                value = values.get(text)
-                if value is None:
-                    value = parse_decimal(text, "grade value")
-                    if len(values) < bound:
-                        values[text] = value
-                stripped = labels.get(label)
-                if stripped is None:
-                    stripped = label.strip()
-                    if len(labels) < bound:
-                        labels[label] = stripped
-                record = GenerationRecord(stripped, kind, value)  # checks the label, then the range
-                if len(shared) < bound:
-                    shared[label, kind_text, text] = record
             code = code.strip()
             group = grouped.get(code)
             if group is None:
@@ -531,43 +551,21 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
 # reports
 # ---------------------------------------------------------------------------
 
-class _Rendered(dict):
-    """``rendered[a, b]`` is ``render(a, b)``, run at the first look-up of each distinct pair.
-
-    Like the loader's tables, it keeps the first ``_SHARED_LITERALS`` pairs
-    and then renders any other pair at each look-up. The report renderers
-    and ``cli.cmd_grades`` key it by (numerator, denominator);
-    ``cli.cmd_validate`` by a course's two values in whole tenths, to compare
-    them.
-    """
-
-    __slots__ = ("render",)
-
-    def __init__(self, render: Callable[[Hashable, Hashable], object]) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key: tuple[Hashable, Hashable]) -> object:
-        text = self.render(*key)
-        if len(self) < _SHARED_LITERALS:
-            self[key] = text
-        return text
+def _float_text(pair: tuple[int, int]) -> str:
+    """A (num, den) pair's ``num / den`` as ``json.dumps`` writes its float: the division
+    is correctly rounded, so it equals ``float(Fraction(num, den))``."""
+    return repr(truediv(*pair))
 
 
-def _float_text(num: int, den: int) -> str:
-    """``num / den`` as ``json.dumps`` writes its float: the division is correctly rounded,
-    so it equals ``float(Fraction(num, den))``."""
-    return repr(num / den)
-
-
-def _error_text(diff: int, den: int) -> str:
+def _error_text(pair: tuple[int, int]) -> str:
     """An entry's ``abs_error`` value and the ``squared_error`` member after it, which follows from the same pair."""
-    return f'{_float_text(diff, den)},\n      "squared_error": {_float_text(diff * diff, den * den)}'
+    diff, den = pair
+    return f'{_float_text(pair)},\n      "squared_error": {_float_text((diff * diff, den * den))}'
 
 
 def report_rows(report: ValidationReport) -> list[tuple[str, str, str, str]]:
     """The ``REPORT_COLUMNS`` cells: one row per course, then the AVERAGE row, 1-decimal values."""
-    cells = _Rendered(format_ratio)
+    cells = _Memo(lambda pair: format_ratio(*pair))
     rows = [
         (c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den],
          cells[abs(c.actual_num - c.estimated_num), c.den])
@@ -592,8 +590,8 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
     ``num / den``, once per distinct (numerator, denominator) pair.
     ``finals`` holds each course's final difficulty, in comparison order.
     """
-    floats = _Rendered(_float_text)
-    errors = _Rendered(_error_text)
+    floats = _Memo(_float_text)
+    errors = _Memo(_error_text)
     entries = []
     for c, final in zip(report.comparisons, finals):
         a, e, den = c.actual_num, c.estimated_num, c.den
@@ -609,7 +607,7 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
 
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:
     """Two-series plot data: actual vs estimated difficulty per course."""
-    cells = _Rendered(format_ratio)
+    cells = _Memo(lambda pair: format_ratio(*pair))
     rows = [(c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den]) for c in report.comparisons]
     _write_text(path, csv_text(PLOT_COLUMNS, rows))
 

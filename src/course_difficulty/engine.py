@@ -4,26 +4,12 @@ The rubric path sums each mapped criterion's complexity rubric and
 normalizes onto the 0-5 index scale: ``di = 5 * raw_total / (21 * count)``.
 The grade path converts class performance to the same scale
 (``di = 5 - average/100 * 5`` for percent records) and averages one value
-per student generation. The rubric path sums integers from the catalog's
-compiled rubric table into a ``BloomDifficulty`` of integers, whose ``di`` is
-computed when read. A grade record's constructor stores its value as an
-unreduced integer (numerator, denominator) pair on the difficulty scale, and
-``grade_difficulty`` sums those stored pairs in integers and builds one
-``Fraction`` per history. ``final_difficulty`` range-checks
-both values with ``check_difficulty``, which ``validation.compare`` shares,
-and combines them into one ``Fraction``. Results are returned as exact
-``Fraction``s, and callers round at reporting time. Number arguments follow
-``rounding.to_fraction``: a ``Fraction``, an ``int`` or an ASCII decimal
-string, and nothing else; override points are a non-bool ``int``.
+per student generation. ``final_difficulty`` combines the two. Results are
+exact ``Fraction``s, rounded by callers at reporting time.
 
-``Course``, ``GenerationRecord`` and ``GradeHistory`` are frozen, slotted
-records (no ``__dict__``), and a course's ``cell_overrides`` is a read-only
-mapping, so a checked value cannot be replaced later; courses without overrides share
-``NO_OVERRIDES``. A read-only mapping cannot be pickled, so a course pickles
-and deep-copies as a call to its public constructor with a plain ``dict``,
-checked again on load; a grade record does so with its label, kind and value,
-so its pair is computed again, never carried over. Every record is built
-through its constructor, which checks its rules.
+README.md, "Library use", gives the records' rules: checked constructors,
+frozen slotted fields, read-only mappings, pickling, and the number arguments
+accepted; "Validation" gives how each grade record stores its di pair.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ writes them: zero matches means the text needs manual classification.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import NoActionWordsError, ValidationError
@@ -53,16 +54,18 @@ def tokenize(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-def _resolve(token: str, lexicon: BloomLexicon, suffix_rule: bool) -> frozenset[BloomLevel]:
-    levels = lexicon.levels_for(token)
+def _resolve(token: str, verbs: Mapping[str, frozenset[BloomLevel]], suffix_rule: bool) -> frozenset[BloomLevel] | None:
+    """A token's levels in a lexicon's ``levels_by_verb``, or None; ``tokenize`` gives
+    tokens as the table spells its verbs, so each is read as it is."""
+    levels = verbs.get(token)
     if levels or not suffix_rule:
         return levels
     for suffix, tail in _SUFFIX_CANDIDATES:
         if token.endswith(suffix) and len(token) > len(suffix) + 1:
-            levels = lexicon.levels_for(token[: -len(suffix)] + tail)
+            levels = verbs.get(token[: -len(suffix)] + tail)
             if levels:
                 return levels
-    return frozenset()
+    return None
 
 
 def map_outcome(
@@ -79,14 +82,15 @@ def map_outcome(
     matched: dict[tuple[str, BloomLevel], None] = {}
     ambiguous: dict[str, None] = {}
     unmatched = 0
+    verbs = lexicon.levels_by_verb
     for token in tokenize(statement.text):
-        levels = _resolve(token, lexicon, suffix_rule)
+        levels = _resolve(token, verbs, suffix_rule)
         if not levels:
             unmatched += 1
             continue
         if len(levels) > 1:
             ambiguous.setdefault(token)
-        for level in sorted(levels, key=lambda lvl: lvl.weight):
+        for level in sorted(levels, key=BloomLevel.weight.fget):
             matched.setdefault((token, level))
     return MappingResult(
         criterion_id=statement.criterion_id,

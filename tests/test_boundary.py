@@ -457,8 +457,7 @@ class TestSlotWritingConstructors:
 # ---------------------------------------------------------------------------
 
 CATALOG_ROWS = [("a", "first outcome", "1|2|3"), ("x1", "another", "Create|4")]
-LEXICON_ROWS = [(verb, str(level)) for level, verbs in enumerate(
-    [["list"], ["explain"], ["apply"], ["analyze"], ["judge", "list"], ["design"]], start=1) for verb in verbs]
+LEXICON_ROWS = [("list", "1|5"), ("explain", "2"), ("apply", "3"), ("analyze", "4"), ("judge", "5"), ("design", "6")]
 CURRICULUM_ROWS = [("C1", "Intro", "a|h", "h:5"), ("C2", "", " k | l ", "")]
 GRADE_ROWS_FIXED = [("C1", "g1", "percent", "62.5"), ("C1", "g2", "di", "3.1"), ("C2", "g1", "DI", " 4 ")]
 STATEMENT_ROWS = [("a", "Students apply and design systems."), ("b", "  Describe  ")]
@@ -515,7 +514,8 @@ class TestColumnOrder:
 JSON_FORMS = {  # name -> (entry list key, entries with an unknown key in each object)
     "catalog": ("criteria", [{"id": "a", "description": "first outcome", "levels": [1, 2, 3], "colour": "red"},
                              {"id": "x1", "description": "another", "levels": ["Create", 4], "n": 1}]),
-    "lexicon": ("verbs", [{"verb": verb, "levels": [int(level)], "note": None} for verb, level in LEXICON_ROWS]),
+    "lexicon": ("verbs", [{"verb": verb, "levels": [*map(int, cell.split("|"))], "note": None}
+                          for verb, cell in LEXICON_ROWS]),
     "curriculum": ("courses", [
         {"course_code": "C1", "title": "Intro", "criteria": ["a", "h"], "overrides": {"h": 5}, "credits": 3},
         {"course_code": "C2", "criteria": [" k ", "l"], "extra": {"nested": [1]}},

@@ -3,6 +3,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -175,6 +176,23 @@ class TestLevelCells:
         assert catalog["a"].levels == {BloomLevel.REMEMBER, BloomLevel.APPLY}
         data_io.write_catalog(catalog, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_text(encoding="utf-8") == "id,description,levels\na,x,1|3\n"
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("lex.csv", "verb,levels\nanalyze,4\nAnalyze ,5\n", "3: verb 'Analyze' is given more than once"),
+    ("lex.csv", "verb,levels\nlist,1\njudge,5\n List ,1\n", "4: verb 'List' is given more than once"),
+    ("lex.json", '{"verbs": [{"verb": "analyze", "levels": [4]}, {"verb": " ANALYZE", "levels": [4, 5]}]}',
+     "verbs[1]: verb 'ANALYZE' is given more than once"),
+], ids=["csv-other-level", "csv-same-level", "json"])
+def test_a_verb_given_twice_is_refused(tmp_path, capsys, fixture_dir, name, text, message):
+    """Rows of one verb would load as one row and write back as one: the second is refused, naming it."""
+    path = _write(tmp_path / name, text)
+    with pytest.raises(ValidationError) as exc:
+        data_io.load_lexicon(path)
+    assert str(exc.value) == f"{path}:{message}"
+    argv = ["map-outcomes", "--statements", str(fixture_dir / "outcome_statements.csv"), "--lexicon", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 class TestLoadCurriculum:
@@ -412,6 +430,47 @@ class TestSharedGradeRecords:
         for cells, records in by_cells.items():
             identities = {id(record) for record in records}
             assert len(identities) == (1 if cells in shared else len(records))  # past the bound: one per row
+
+
+class _Refused(Exception):
+    pass
+
+
+class TestMemo:
+    """``_Memo`` is ``make`` that keeps the results of the first ``_SHARED_LITERALS`` distinct keys."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bound=st.integers(0, 3), keys=st.lists(st.integers(0, 6), max_size=24),
+           refused=st.sets(st.integers(0, 6), max_size=2))
+    def test_memo_is_make_run_once_per_key_within_the_bound(self, bound, keys, refused):
+        made = []
+
+        def make(key):
+            made.append(key)
+            if key in refused:
+                raise _Refused(key)
+            return [key, key * key]  # a new object per call, so a kept result is told apart by identity
+
+        kept, calls = {}, []  # the model: the keys the memo holds, and the calls it makes
+        with mock.patch.object(data_io, "_SHARED_LITERALS", bound):
+            memo = data_io._Memo(make)
+            for key in keys:
+                if key not in kept:
+                    calls.append(key)
+                if key in refused:
+                    with pytest.raises(_Refused):
+                        memo[key]
+                    assert key not in memo  # an exception stores nothing
+                    continue
+                value = memo[key]
+                assert value == [key, key * key]
+                if key in kept:
+                    assert value is kept[key]
+                elif len(kept) < bound:
+                    kept[key] = value
+                assert len(memo) <= bound
+        assert made == calls
+        assert list(memo) == list(kept)
 
 
 class TestJsonListFields:

@@ -319,6 +319,23 @@ def f():
     assert _tool("src_lines").count_lines(text) == {"code": 3, "docstring": 4, "comment": 1, "blank": 3}
 
 
+def test_src_lines_table_counts_each_module_and_the_total(tmp_path, capsys):
+    """Each row holds the module's line count, its ``count_lines`` kinds and its size in bytes; the last row sums them."""
+    texts = {"a.py": '"""Doc."""\nx = "\u00e9"  # two bytes\n', "pkg/b.py": "\n# note\ny = 1\n"}
+    for name, text in texts.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    tool = _tool("src_lines")
+    assert tool.main(["src_lines.py", str(tmp_path)]) == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "total", *tool.KINDS, "bytes"]
+    expected = [[name, str(len(text.splitlines())), *map(str, tool.count_lines(text).values()),
+                 str(len(text.encode("utf-8")))] for name, text in texts.items()]
+    assert rows == expected
+    assert total == ["all", *(str(sum(int(row[i]) for row in expected)) for i in range(1, len(header)))]
+    assert expected[0][-1] == str(len(texts["a.py"]) + 1)  # the non-ASCII letter counts as its two bytes
+
+
 def test_readme_library_use_block_states_what_it_computes():
     section = (_ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,4 +1,4 @@
-"""Count the lines of each ``src/`` module by kind: code, docstring, comment and blank.
+"""Count the lines of each ``src/`` module by kind: code, docstring, comment and blank; and its bytes.
 
 Usage: python3 tools/src_lines.py [ROOT]   (ROOT defaults to the repository's ``src``)
 
@@ -6,6 +6,8 @@ A docstring line is any line of the first string statement of a module,
 class or function, its blank lines included. Of the other lines, a blank
 line holds only whitespace, a comment line only a ``#`` comment, and every
 other line is a code line. The four parts sum to the file's line count.
+The last column is the file's size in bytes: a process that compiles the
+package from source, with no bytecode kept, reads all of them.
 Standard library only.
 """
 
@@ -58,11 +60,12 @@ def count_lines(text: str) -> dict[str, int]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
-    totals = dict.fromkeys(("total", *KINDS), 0)
+    totals = dict.fromkeys(("total", *KINDS, "bytes"), 0)
     print(f"{'module':<40}" + "".join(f"{name:>10}" for name in totals))
     for path in sorted(root.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        counts = {"total": len(text.splitlines()), **count_lines(text)}
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+        counts = {"total": len(text.splitlines()), **count_lines(text), "bytes": len(data)}
         for name, n in counts.items():
             totals[name] += n
         print(f"{str(path.relative_to(root)):<40}" + "".join(f"{n:>10}" for n in counts.values()))
