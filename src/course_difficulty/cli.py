@@ -4,7 +4,9 @@ README.md gives the exit codes, why ``main`` pauses the cyclic garbage
 collector while a command runs, and, under "Validation", how ``grades`` and
 ``validate`` work once per distinct value. Output is rendered fully before
 anything is written, and a ``validate`` run whose report cannot be written
-removes the plot data it wrote.
+removes the plot data it wrote. ``estimate`` and ``validate`` drop the loaded
+inputs before they render, so that rendering holds only the results
+(README, "Memory").
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ from pathlib import Path
 
 from . import data_io
 from .engine import (
+    _DI_PAIR,
     BloomDifficulty,
     CombinePolicy,
     Course,
-    GenerationRecord,
     bloom_difficulty,
     final_difficulty,
     grade_difficulty,
 )
-from .errors import CourseDifficultyError, DataFormatError
+from .errors import CourseDifficultyError, DataFormatError, ValidationError
 from .mapper import map_outcome
 from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away, round_units
 from .taxonomy import BloomLevel
-from .validation import CourseComparison, compare, summarize
+from .validation import CourseComparison, ValidationReport, compare, summarize
 
 MODE_CANONICAL = "canonical"
 MODE_AS_PRINTED = "as-printed"
@@ -143,8 +145,9 @@ def _apply_mode(course: Course, mode: str) -> Course:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     catalog = data_io.load_catalog(args.catalog)
-    courses = data_io.load_curriculum(args.curriculum, catalog)
-    results = [bloom_difficulty(_apply_mode(c, args.mode), catalog) for c in courses]
+    # scored straight from the loader's list, so that the courses are freed once the results exist
+    results = [bloom_difficulty(_apply_mode(c, args.mode), catalog)
+               for c in data_io.load_curriculum(args.curriculum, catalog)]
     # each value of a rubric result but its code follows from its integers, so each distinct key renders once
     rubric = data_io._Memo(lambda key: (*map(str, key), format_fixed(BloomDifficulty("", *key).di), args.mode))
     cells = [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]
@@ -209,7 +212,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
     for history in grades.values():
         generations = history.generations
         rows.append(
-            (history.course_code, *map(cells.__getitem__, map(GenerationRecord.di_pair, generations)),
+            (history.course_code, *map(cells.__getitem__, map(_DI_PAIR, generations)),
              *("",) * (max_generations - len(generations)), str(len(generations)),
              format_fixed(grade_difficulty(history)))
         )
@@ -221,17 +224,15 @@ def cmd_grades(args: argparse.Namespace) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _validated(
+    args: argparse.Namespace, policy: CombinePolicy
+) -> tuple[ValidationReport, list[Fraction], tuple[str, ...], tuple[str, ...], tuple[tuple[str, str, str], ...]]:
+    """What ``validate`` renders: the report, each comparison's final difficulty, the excluded and the
+    unmatched course codes, and the provenance. The loaded inputs are freed when it returns."""
     bundle = data_io.load_bundle(args.catalog, args.curriculum, args.grades)
-    policy = _POLICIES[args.policy]
-
     missing = bundle.courses_without_grades()
     if missing and args.strict:
-        print(
-            f"error: no grade history for course(s): {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValidationError(f"no grade history for course(s): {', '.join(missing)}")
     unmatched = bundle.unmatched_grade_codes()
     warnings = [f"warning: no grade history for course {code}; excluded from validation\n" for code in missing]
     warnings += [f"warning: grade history for unknown course {code}; not validated\n" for code in unmatched]
@@ -242,28 +243,32 @@ def cmd_validate(args: argparse.Namespace) -> int:
         sys.stderr.write("".join(warnings))
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
-    tenths = lambda value: round_units(value.numerator, value.denominator, 10)
-    compared = (lambda value: value) if args.full_precision else tenths
+    # rounded, each value is its whole number of tenths, rounded in integers, so no Fraction is built per course
+    compared = ((lambda value: value) if args.full_precision
+                else lambda value: round_units(value.numerator, value.denominator, 10))
     rubric = data_io._Memo(lambda key: compared(BloomDifficulty("", *key).di))  # once per distinct key, as in estimate
     results = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
+    estimates = [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]
+
+    def check(pair: tuple[Fraction, Fraction] | tuple[int, int]) -> tuple[CourseComparison, Fraction]:
+        a, e = pair if args.full_precision else (Fraction(units, 10) for units in pair)
+        return compare(a, e), final_difficulty(e, a, policy)
+
+    # exact values seldom repeat, so at full precision each course is checked on its own; rounded,
+    # each distinct pair of tenths is checked once: 51 x 51 = 2,601 at most
+    checked = check if args.full_precision else data_io._Memo(check).__getitem__
     comparisons = []
     finals = []  # per comparison, in its order
-    if args.full_precision:  # exact values seldom repeat, so each course is compared and combined on its own
-        for course, estimated in zip(graded, [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]):
-            actual = grade_difficulty(bundle.grades[course.code])
-            comparisons.append(compare(actual, estimated, course.code))
-            finals.append(final_difficulty(estimated, actual, policy))
-    else:  # each value as its whole number of tenths, rounded in integers, so no Fraction is built per course
-        def check(pair: tuple[int, int]) -> tuple[CourseComparison, Fraction]:
-            a, e = (Fraction(units, 10) for units in pair)
-            return compare(a, e), final_difficulty(e, a, policy)
+    for course, estimated in zip(graded, estimates):
+        first, final = checked((compared(grade_difficulty(bundle.grades[course.code])), estimated))
+        comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
+        finals.append(final)
+    return summarize(comparisons, args.tolerance), finals, missing, unmatched, bundle.provenance
 
-        checked = data_io._Memo(check)  # once per distinct pair of tenths: 51 x 51 = 2,601 at most
-        for course, estimated in zip(graded, [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]):
-            first, final = checked[tenths(grade_difficulty(bundle.grades[course.code])), estimated]
-            comparisons.append(CourseComparison(course.code, first.actual_num, first.estimated_num, first.den))
-            finals.append(final)
-    report = summarize(comparisons, args.tolerance)
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    policy = _POLICIES[args.policy]
+    report, finals, missing, unmatched, provenance = _validated(args, policy)
 
     if args.format == "csv":
         text = data_io.render_report_csv(report)
@@ -285,7 +290,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "unmatched_grades": list(unmatched),
             "inputs": [
                 {"role": role, "path": path, "sha256": digest}
-                for role, path, digest in bundle.provenance
+                for role, path, digest in provenance
             ],
         }
         text = data_io.render_report_json(payload, report, finals)

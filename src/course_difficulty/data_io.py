@@ -12,9 +12,11 @@ which checks it.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each course entry of the JSON report
-from one fixed template that gives the text ``json.dumps(indent=2)`` would.
-Whatever runs once per distinct value, here and in ``cli``, runs through one
-bounded memo, ``_Memo``.
+from one fixed template that gives the text ``json.dumps(indent=2)`` would,
+joined once with the text around the list. Whatever runs once per distinct
+value, here and in ``cli``, runs through one bounded memo, ``_Memo``. Every
+file is written by ``_write_text``, in slices that are each encoded on their
+own, so no encoded copy of a whole output is made.
 """
 
 from __future__ import annotations
@@ -311,9 +313,17 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
+# characters per encoded write: slices this size wrote a 3 MB report faster than one
+# ``Path.write_text``, and 8 KiB ones slower
+_WRITE_SLICE = 1 << 16
+
+
 def _write_text(path: str | Path, text: str) -> None:
-    with _writing(path):
-        Path(path).write_text(text, encoding="utf-8", newline="")
+    """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
+    no encoded copy of the whole text is ever made."""
+    with _writing(path), open(path, "wb") as file:
+        for start in range(0, len(text), _WRITE_SLICE):
+            file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -589,6 +599,7 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
     ``encode_basestring_ascii``, and each value as the ``repr`` of
     ``num / den``, once per distinct (numerator, denominator) pair.
     ``finals`` holds each course's final difficulty, in comparison order.
+    The report holds at least one comparison, as ``summarize`` requires.
     """
     floats = _Memo(_float_text)
     errors = _Memo(_error_text)
@@ -602,7 +613,10 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
             f'      "final_di": {floats[final.numerator, final.denominator]}\n    }}'
         )
     head, _, tail = json_text(payload).partition('\n  "courses": []')  # a top-level key: 2-space indent
-    return f'{head}\n  "courses": [\n' + ",\n".join(entries) + f"\n  ]{tail}"
+    # folded into the first and last entries, so that the one join makes the only copy of the text
+    entries[0] = f'{head}\n  "courses": [\n{entries[0]}'
+    entries[-1] = f"{entries[-1]}\n  ]{tail}"
+    return ",\n".join(entries)
 
 
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:

@@ -7,9 +7,11 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,6 +22,8 @@ from hypothesis import given, settings
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
 from course_difficulty.engine import (
+    Course,
+    GenerationRecord,
     GradeHistory,
     bloom_difficulty,
     final_difficulty,
@@ -682,6 +686,67 @@ def test_main_leaves_the_collector_as_it_found_it(case, expected, enabled, fixtu
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
     assert (code, after, during) == (expected, enabled, [] if case == "usage" else [False])
+
+
+def _write_synthetic_inputs(tmp_path, courses=3000, generations=3):
+    """A curriculum of ``courses`` courses with long titles and 3-8 canonical criteria, a tenth of them with an
+    override, and a grade file of ``generations`` records for each course, on the 0.1 grid; return the paths."""
+    rng = random.Random(21)
+    ids = sorted(CATALOG.criteria)
+    curriculum, grades = ["course_code,title,criteria,overrides"], ["course_code,generation,kind,value"]
+    for i in range(courses):
+        criteria = rng.sample(ids, rng.randint(3, 8))
+        override = f"{criteria[0]}:{rng.randint(1, 21)}" if i % 10 == 0 else ""
+        title = f"Synthetic course {i} " + " ".join(rng.choice(("on", "data", "systems", "design")) for _ in range(60))
+        curriculum.append(f"C{i:05d},{title},{'|'.join(criteria)},{override}")
+        for g in range(1, generations + 1):
+            kind, value = ("percent", rng.randint(300, 980)) if rng.random() < 0.5 else ("di", rng.randint(5, 48))
+            grades.append(f"C{i:05d},G{g},{kind},{value // 10}.{value % 10}")
+    paths = tmp_path / "curriculum.csv", tmp_path / "grades.csv"
+    for path, lines in zip(paths, (curriculum, grades)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command,loader,renderer", [
+    ("estimate", "load_curriculum", "csv_text"),
+    ("validate", "load_bundle", "render_report_json"),
+])
+def test_rendering_starts_once_the_loaded_inputs_are_freed(command, loader, renderer, fixture_dir, tmp_path,
+                                                           monkeypatch):
+    """When ``estimate`` or ``validate`` starts rendering, no course, grade history or grade record it loaded is
+    alive, and the traced memory is below its value right after loading, although the results have been built
+    since: the courses' long titles, which no result holds, are gone. Reference counting alone frees the
+    inputs, as the collector is paused."""
+    curriculum, grades = _write_synthetic_inputs(tmp_path)
+    kinds = {Course, GradeHistory, GenerationRecord}
+    load, render = getattr(data_io, loader), getattr(data_io, renderer)
+    seen = {}
+
+    def loading(*args):
+        loaded = load(*args)
+        seen["loaded"] = tracemalloc.get_traced_memory()[0]
+        return loaded
+
+    def rendering(*args):
+        seen["rendering"] = tracemalloc.get_traced_memory()[0]
+        seen["alive"] = sum(type(o) in kinds for o in gc.get_objects())
+        return render(*args)
+
+    monkeypatch.setattr(data_io, loader, loading)
+    monkeypatch.setattr(data_io, renderer, rendering)
+    argv = [command, "--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(curriculum),
+            "--format", "csv" if command == "estimate" else "json", "--output", str(tmp_path / "out")]
+    if command == "validate":
+        argv += ["--grades", str(grades)]
+    alive = sum(type(o) in kinds for o in gc.get_objects())
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert seen["alive"] == alive
+    assert seen["rendering"] < seen["loaded"], seen
 
 
 class TestSharedRecordMeans:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -794,6 +795,44 @@ class TestCsvText:
         assert (text, not handed) == (self._writer_text([("h1", "h2"), *rows]), joined)
 
 
+_SLICE = data_io._WRITE_SLICE
+
+
+class TestWriteText:
+    """``_write_text`` writes the bytes ``Path.write_text(text, encoding="utf-8", newline="")`` writes,
+    encoding one slice of the text at a time, so that no encoded copy of the whole text is made."""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "course_code,di\nC1,4.0\n",
+        "caf\u00e9 \u2028 \U0001f600\n",
+        "a\rb\r\nc\n\r",
+        "x" * (_SLICE - 1),
+        "x" * _SLICE,
+        "x" * (_SLICE + 1),
+        "x" * (_SLICE - 1) + "\U0001f600\u00e9",  # a 4-byte character ends the first slice
+        ("\u00e9\r\n\U0001f600ab" * _SLICE),  # six slices
+    ], ids=["empty", "ascii", "non-ascii", "carriage-returns", "slice-minus-one", "one-slice", "slice-plus-one",
+            "wide-at-the-boundary", "several-slices"])
+    def test_bytes_match_path_write_text(self, tmp_path, text):
+        sliced, whole = tmp_path / "sliced.txt", tmp_path / "whole.txt"
+        sliced.write_bytes(b"stale" * _SLICE)  # a longer file it replaces
+        data_io._write_text(sliced, text)
+        whole.write_text(text, encoding="utf-8", newline="")
+        assert sliced.read_bytes() == whole.read_bytes()
+
+    def test_a_4_mb_text_peaks_under_1_mb(self, tmp_path):
+        text = "C000123,3.8,4.1,0.3\n" * 200_000  # 4,000,000 characters
+        tracemalloc.start()
+        try:
+            data_io._write_text(tmp_path / "out.csv", text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.csv").stat().st_size == len(text)
+        assert peak < 1 << 20
+
+
 # codes a JSON encoder must escape: quotes, backslashes, control characters, non-ASCII text
 REPORT_CODES = st.one_of(
     st.text(min_size=1, max_size=8),
@@ -813,6 +852,15 @@ class TestReportJsonTemplate:
     )
     @example([('\n  "courses": []', Fraction(1, 3), Fraction(7, 2))], CombinePolicy.MEAN_OF_BOTH, False, True)
     def test_matches_json_dumps(self, rows, policy, rounded, courses_last):
+        self._check(rows, policy, rounded, courses_last)
+
+    @pytest.mark.parametrize("courses_last", [True, False])
+    def test_one_comparison_carries_the_head_and_the_tail(self, courses_last):
+        """With one entry, the text before and after the course list folds into that same entry."""
+        self._check([("C1", Fraction(41, 10), Fraction(19, 5))], CombinePolicy.MEAN_OF_BOTH, True, courses_last)
+
+    @staticmethod
+    def _check(rows, policy, rounded, courses_last):
         if rounded:  # the default 1-decimal comparison; otherwise full precision
             rows = [(code, round_half_away(a), round_half_away(e)) for code, a, e in rows]
         report = summarize([compare(a, e, code) for code, a, e in rows])

@@ -15,7 +15,8 @@ and ``grades``' ``format_ratio`` calls, one per distinct di pair. Every
 line kinds sum to each module's line count, ``tools/bench_pairs.py``
 summarizes canned pairs and marks bounds and the gain rule,
 ``tools/unreached_lines.py`` finds the lines a small module's one call
-leaves unrun, and README's "Library use" block runs as written.
+leaves unrun, ``tools/stage_memory.py`` prints a line per stage of a small
+workload, and README's "Library use" block runs as written.
 """
 
 import ast
@@ -25,6 +26,7 @@ import importlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -401,6 +403,26 @@ def test_bench_pairs_marks_bounds_and_the_gain_rule():
     assert lines[0].endswith("pairs better, gain rule") and len(lines) == 4
     assert lines[1].split()[-2:] == ["8/10", "fails"]
     assert lines[3].endswith(" 0/10 fails  BEYOND-BOUND (worse by more than 5%)")
+
+
+@pytest.mark.parametrize("workload,stages", [
+    ("validate-20k", ["data_io.load_catalog", "data_io.load_curriculum", "data_io.load_grades", "data_io.load_bundle",
+                      "data_io.json_text", "data_io.render_report_json", "data_io.csv_text", "data_io._write_text",
+                      "data_io.write_plot_data", "data_io._write_text"]),
+    ("estimate-50k", ["data_io.load_catalog", "data_io.load_curriculum", "data_io.csv_text", "data_io._write_text"]),
+])
+def test_stage_memory_prints_each_stage_of_a_small_workload(workload, stages):
+    """``tools/stage_memory.py`` at a small scale: one line per loader, renderer and write, in the order they
+    return, each with its traced current and peak MB, then the call's exit code and whole peak."""
+    done = subprocess.run([sys.executable, str(_ROOT / "tools" / "stage_memory.py"), "--workload", workload,
+                           "--seed", "1", "--scale", "0.01"], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    title, header, *lines, last = done.stdout.splitlines()
+    assert (title, header.split()) == (f"call 0: {workload.split('-')[0]}", ["stage", "current_mb", "peak_mb"])
+    assert [line.split()[0] for line in lines] == stages
+    peaks = [float(line.split()[2]) for line in lines]
+    assert all(float(line.split()[1]) >= 0 for line in lines) and min(peaks) > 0
+    assert last.startswith("  exit 0, whole call peak ") and float(last.split()[-2]) >= max(peaks)
 
 
 _SMALL_MODULE = """def sign(x):
