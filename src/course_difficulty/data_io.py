@@ -11,12 +11,12 @@ the loader's column order, and each record is built through its constructor,
 which checks it.
 
 Reports render from the integers each comparison holds: the CSV and plot
-cells through ``format_ratio``, and each course entry of the JSON report
-from one fixed template that gives the text ``json.dumps(indent=2)`` would,
-joined once with the text around the list. Whatever runs once per distinct
-value, here and in ``cli``, runs through one bounded memo, ``_Memo``. Every
-file is written by ``_write_text``, in slices that are each encoded on their
-own, so no encoded copy of a whole output is made.
+cells through ``format_ratio``, and each JSON report entry as its code and
+its values' text, from one table of distinct tails, as ``json.dumps``
+(indent 2) would, joined once with the text around the list. Whatever runs
+once per distinct value, here and in ``cli``, runs through one bounded memo,
+``_Memo``. Every file is written by ``_write_text``, in slices that are each
+encoded on their own, so no encoded copy of a whole output is made.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ import csv
 import functools
 import io
 import json
+import re
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, truediv
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -79,6 +79,8 @@ FIXTURE_NAMES = (
 _JSON_SHAPES = {"levels": (list, "a list"), "criteria": (list, "a list"), "overrides": (dict, "an object")}
 _JSON_REQUIRED = frozenset({"id", "verb", "levels", "course_code", "criteria"})  # other keys default to ""
 _JSON_KEYS = {"generation": "label"}  # CSV column -> JSON key, where they differ
+# no output holds these: CSV reads a carriage return as a newline; UTF-8 has no lone surrogate
+_UNWRITABLE = re.compile("[\r\ud800-\udfff]")
 
 # while set (by load_bundle), each file read appends the SHA-256 of its bytes here
 _digests: ContextVar[list[str] | None] = ContextVar("_digests", default=None)
@@ -195,18 +197,18 @@ def _json_cell(value: object, key: str, at: str) -> str:
         raise DataFormatError(f"{_key_path(at, key)} must be {name}")
     if shape is list:
         for i, part in enumerate(value):
-            if not isinstance(part, str) or "|" in part or "\r" in part:
+            if not isinstance(part, str) or "|" in part or _UNWRITABLE.search(part):
                 raise _part_error(part, f"{_key_path(at, key)}[{i}]")
         return "|".join(value)
     if shape is dict:
         for k, part in value.items():  # a key is always a string
-            if "|" in k or "\r" in k:
+            if "|" in k or _UNWRITABLE.search(k):
                 raise _part_error(k, _key_path(at, key))
-            if not isinstance(part, str) or "|" in part or "\r" in part:
+            if not isinstance(part, str) or "|" in part or _UNWRITABLE.search(part):
                 raise _part_error(part, f"{_key_path(at, key)}.{k}")
         return "|".join(map(":".join, value.items()))
-    if "\r" in value:  # no CSV cell holds one: reading translates it to a newline
-        raise DataFormatError(f"{_key_path(at, key)} must not contain a carriage return")
+    if bad := _UNWRITABLE.search(value):
+        raise _part_error(bad[0], _key_path(at, key))  # alone: a plain value may hold '|'
     return value
 
 
@@ -215,12 +217,12 @@ def _key_path(at: str, key: str) -> str:
 
 
 def _part_error(part: object, where: str) -> DataFormatError:
-    """The error for a list entry or override part that is not a string free of '|' and carriage returns."""
+    """The error for a list entry or override part that is not a string free of '|' and ``_UNWRITABLE``."""
     if not isinstance(part, str):
         return DataFormatError(f"{where} must be a string or a number")
-    if "|" in part:  # it would split in two once joined
-        return DataFormatError(f"{where} must not contain '|'")
-    return DataFormatError(f"{where} must not contain a carriage return")
+    char = "|" if "|" in part else _UNWRITABLE.search(part)[0]  # a '|' would split it once joined
+    what = {"|": "'|'", "\r": "a carriage return"}.get(char) or f"a lone surrogate (\\u{ord(char):04x})"
+    return DataFormatError(f"{where} must not contain {what}")
 
 
 def _json_rows(
@@ -433,8 +435,7 @@ def write_lexicon(lexicon: BloomLexicon, path: str | Path) -> None:
 def default_lexicon() -> BloomLexicon:
     """The shipped verb list, loaded once per process and shared: it is read-only.
     It is illustrative data, not a normative standard."""
-    with resources.as_file(fixture_path("default_lexicon.csv")) as path:
-        return load_lexicon(path)
+    return load_lexicon(fixture_path("default_lexicon.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +562,15 @@ def load_statements(path: str | Path) -> list[OutcomeStatement]:
 # reports
 # ---------------------------------------------------------------------------
 
-def _float_text(pair: tuple[int, int]) -> str:
-    """A (num, den) pair's ``num / den`` as ``json.dumps`` writes its float: the division
-    is correctly rounded, so it equals ``float(Fraction(num, den))``."""
-    return repr(truediv(*pair))
-
-
-def _error_text(pair: tuple[int, int]) -> str:
-    """An entry's ``abs_error`` value and the ``squared_error`` member after it, which follows from the same pair."""
-    diff, den = pair
-    return f'{_float_text(pair)},\n      "squared_error": {_float_text((diff * diff, den * den))}'
+def _entry_tail(key: tuple[int, int, int, int, int]) -> str:
+    """A report entry's text from ``"actual_di"`` to its closing brace; each value is the ``repr`` of
+    a correctly rounded int division, equal to ``float(Fraction(num, den))``."""
+    a, e, den, final_num, final_den = key
+    diff, estimated, final = abs(a - e), e / den, final_num / final_den
+    e_text = repr(estimated)  # the final's too if equal, as under the default policy
+    return (f'"actual_di": {a / den!r},\n      "estimated_di": {e_text},\n      "abs_error": {diff / den!r},\n'
+            f'      "squared_error": {diff * diff / (den * den)!r},\n'
+            f'      "final_di": {e_text if final == estimated else repr(final)}\n    }}')
 
 
 def report_rows(report: ValidationReport) -> list[tuple[str, str, str, str]]:
@@ -596,22 +596,17 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
 
     Each entry is rendered from one fixed template, as the text
     ``json.dumps(indent=2)`` gives it there: the code through
-    ``encode_basestring_ascii``, and each value as the ``repr`` of
-    ``num / den``, once per distinct (numerator, denominator) pair.
+    ``encode_basestring_ascii``, then its ``_entry_tail``, from one table.
     ``finals`` holds each course's final difficulty, in comparison order.
     The report holds at least one comparison, as ``summarize`` requires.
     """
-    floats = _Memo(_float_text)
-    errors = _Memo(_error_text)
-    entries = []
-    for c, final in zip(report.comparisons, finals):
-        a, e, den = c.actual_num, c.estimated_num, c.den
-        entries.append(
-            f'    {{\n      "course_code": {encode_basestring_ascii(c.course_code)},\n'
-            f'      "actual_di": {floats[a, den]},\n      "estimated_di": {floats[e, den]},\n'
-            f'      "abs_error": {errors[abs(a - e), den]},\n'
-            f'      "final_di": {floats[final.numerator, final.denominator]}\n    }}'
-        )
+    tails = _Memo(_entry_tail)
+    entries = [
+        f'    {{\n      "course_code": {encode_basestring_ascii(c.course_code)},\n'
+        f'      {tails[c.actual_num, c.estimated_num, c.den, final.numerator, final.denominator]}'
+        for c, final in zip(report.comparisons, finals)
+    ]
+    del tails  # each entry copied its tail: free them before the join
     head, _, tail = json_text(payload).partition('\n  "courses": []')  # a top-level key: 2-space indent
     # folded into the first and last entries, so that the one join makes the only copy of the text
     entries[0] = f'{head}\n  "courses": [\n{entries[0]}'
@@ -666,11 +661,11 @@ def load_bundle(catalog_path: str | Path, curriculum_path: str | Path, grades_pa
     )
 
 
-def fixture_path(name: str):
-    """Traversable handle on a shipped fixture file."""
+def fixture_path(name: str) -> Path:
+    """The path of a shipped fixture file."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return resources.files(__package__) / "fixtures" / name
+    return Path(__file__).with_name("fixtures") / name
 
 
 def copy_fixtures(dest: str | Path) -> list[Path]:

@@ -19,7 +19,6 @@ import functools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -193,5 +192,4 @@ def canonical_catalog() -> CriterionCatalog:
     ``table1.json``, loaded once per process and shared: it is read-only."""
     from . import data_io  # deferred: data_io imports this module
 
-    with resources.as_file(data_io.fixture_path("table1.json")) as path:
-        return data_io.load_catalog(path)
+    return data_io.load_catalog(data_io.fixture_path("table1.json"))

@@ -526,6 +526,22 @@ class TestJsonListFields:
          "courses[0].overrides.a must not contain a carriage return"),
         ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a|h": 5}}]}',
          "courses[0].overrides must not contain '|'"),
+        ("cur.json", '{"courses": [{"course_code": "\\ud800", "criteria": ["a"]}]}',
+         "courses[0].course_code must not contain a lone surrogate (\\ud800)"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a", "h\\udfff"]}]}',
+         "courses[0].criteria[1] must not contain a lone surrogate (\\udfff)"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a\\ud800": 5}}]}',
+         "courses[0].overrides must not contain a lone surrogate (\\ud800)"),
+        ("cur.json", '{"courses": [{"course_code": "C1", "criteria": ["a"], "overrides": {"a": "5\\udc80"}}]}',
+         "courses[0].overrides.a must not contain a lone surrogate (\\udc80)"),
+        ("cat.json", '{"provenance": "x\\ud800", "criteria": [{"id": "a", "levels": [1]}]}',
+         "provenance must not contain a lone surrogate (\\ud800)"),
+        ("cat.json", '{"criteria": [{"id": "a", "levels": ["1\\ud800"]}]}',
+         "criteria[0].levels[0] must not contain a lone surrogate (\\ud800)"),
+        ("lex.json", '{"verbs": [{"verb": "list\\ud800", "levels": [1]}]}',
+         "verbs[0].verb must not contain a lone surrogate (\\ud800)"),
+        ("g.json", '{"courses": [{"course_code": "C1", "generations": [{"label": "\\udc80", "kind": "di", "value": 1}]}]}',
+         "courses[0].generations[0].label must not contain a lone surrogate (\\udc80)"),
     ], ids=[
         "catalog", "lexicon", "curriculum", "grades", "grades-entry",
         "null-id", "bool-id", "nested-level", "object-description", "missing-id", "null-provenance",
@@ -536,6 +552,8 @@ class TestJsonListFields:
         "repeated-id", "repeated-override", "repeated-entry-list", "repeated-levels",
         "null-entry", "pipe-in-third-entry", "carriage-return-in-entry", "carriage-return-in-level",
         "null-points", "list-points", "carriage-return-in-points", "pipe-in-override-id",
+        "surrogate-in-course-code", "surrogate-in-criterion", "surrogate-in-override-id", "surrogate-in-points",
+        "surrogate-in-provenance", "surrogate-in-level", "surrogate-in-verb", "surrogate-in-label",
     ])
     def test_non_list_is_format_error(self, catalog, tmp_path, name, text, message):
         path = _write(tmp_path / name, text)
@@ -851,6 +869,11 @@ class TestReportJsonTemplate:
         st.booleans(),
     )
     @example([('\n  "courses": []', Fraction(1, 3), Fraction(7, 2))], CombinePolicy.MEAN_OF_BOTH, False, True)
+    # courses with equal values share one rendered tail, which must never carry a code
+    @example([("C1", Fraction(1, 3), Fraction(7, 2)), ("\u00e9t\u00e9", Fraction(1, 3), Fraction(7, 2)),
+              ('a"b\nc', Fraction(1, 3), Fraction(7, 2))], CombinePolicy.MEAN_OF_BOTH, False, True)
+    @example([("C1", Fraction(2, 7), Fraction(2, 7)), ('"\n', Fraction(2, 7), Fraction(2, 7))],
+             CombinePolicy.MEAN_OF_BOTH, False, False)
     def test_matches_json_dumps(self, rows, policy, rounded, courses_last):
         self._check(rows, policy, rounded, courses_last)
 
@@ -935,6 +958,24 @@ class TestRoundTrips:
         courses = data_io.load_curriculum(fine, canonical_catalog())
         data_io.write_curriculum(courses, tmp_path / "c.csv")  # a newline is quoted, and reads back
         assert data_io.load_curriculum(tmp_path / "c.csv", canonical_catalog()) == courses
+
+    def test_a_lone_surrogate_exits_2_and_a_pair_loads(self, tmp_path, capsys):
+        """``estimate --format csv`` and ``grades --format json`` refuse a lone surrogate; an escaped pair is
+        one character, which loads and writes back through CSV."""
+        lone = _write(tmp_path / "c.json", '{"courses": [{"course_code": "\\ud800", "criteria": ["a"]}]}')
+        argv = ["estimate", "--catalog", str(data_io.fixture_path("table1.json")), "--curriculum", str(lone)]
+        assert main([*argv, "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {lone}: courses[0].course_code must not contain "
+                                           "a lone surrogate (\\ud800)\n")
+        grades = _write(tmp_path / "g.json", '{"courses": [{"course_code": "C1", '
+                                             '"generations": [{"label": "\\udc80", "kind": "di", "value": 1}]}]}')
+        assert main(["grades", "--grades", str(grades), "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+        pair = _write(tmp_path / "p.json", '{"courses": [{"course_code": "\\ud83d\\ude00", "criteria": ["a"]}]}')
+        courses = data_io.load_curriculum(pair, canonical_catalog())
+        assert courses[0].code == "\U0001F600"
+        data_io.write_curriculum(courses, tmp_path / "p.csv")
+        assert data_io.load_curriculum(tmp_path / "p.csv", canonical_catalog()) == courses
 
     @pytest.mark.parametrize("name", ["lex.csv", "lex.json"])
     def test_lexicon(self, tmp_path, default_lexicon, name):

@@ -31,8 +31,10 @@ from course_difficulty.taxonomy import CriterionCatalog, canonical_catalog
 
 EXAMPLES = settings(max_examples=30, deadline=None)  # kept small for tier-1 wall time
 
+# json.dumps writes a lone surrogate as its escape, such as \ud800, which loads back as that one character
+LONE_SURROGATES = st.sampled_from(["\ud800", "a\udfff", "\udc80b"])
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | LONE_SURROGATES,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
@@ -127,6 +129,7 @@ CURRICULUM_CSV = _csv_text(data_io.CURRICULUM_COLUMNS, [CODES, st.text(max_size=
 @given(CURRICULUM_ENTRIES)
 @example([{"course_code": "C1", "title": "Intro\rPart 2", "criteria": ["a"]}])  # no CSV cell holds a \r
 @example([{"course_code": "C1", "title": "Intro\nPart 2", "criteria": ["a"]}])
+@example([{"course_code": "\ud800", "criteria": ["a"]}])  # no UTF-8 output holds a lone surrogate
 def test_json_curriculum(entries):
     _check(*LOADERS["curriculum"], "cur.json", json.dumps({"courses": entries}))
 
@@ -150,6 +153,7 @@ GENERATION = st.fixed_dictionaries({}, optional={
     max_size=3,
 ))
 @example([{"course_code": "C1", "generations": [{"label": "g\r1", "kind": "di", "value": 1}]}])
+@example([{"course_code": "C1", "generations": [{"label": "\udc80", "kind": "di", "value": 1}]}])
 def test_json_grades(entries):
     _check(*LOADERS["grades"], "g.json", json.dumps({"courses": entries}))
 
