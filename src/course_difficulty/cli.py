@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare unrounded values instead of the default 1-decimal grid",
     )
-    p_val.add_argument("--plot-data", type=Path, default=None, help="also write actual-vs-estimated plot CSV")
+    p_val.add_argument("--plot-data", type=Path, default=None,
+                       help="also write actual-vs-estimated plot CSV, to a file other than --output")
     p_val.add_argument("--strict", action="store_true", help="fail when a course has no grade history")
     add_output_flags(p_val)
 
@@ -267,6 +268,8 @@ def _validated(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if None not in (args.plot_data, args.output) and args.plot_data.resolve() == args.output.resolve():
+        raise DataFormatError(f"--plot-data and --output name the same file: {args.output}")  # one would be lost
     policy = _POLICIES[args.policy]
     report, finals, missing, unmatched, provenance = _validated(args, policy)
 

@@ -123,6 +123,7 @@ def _read_text(path: str | Path) -> str:
 
     Newlines are translated as text-mode reading does (``\\r\\n`` and a lone
     ``\\r`` become ``\\n``), which CSV quoted fields and JSON line numbers rely on.
+    One leading byte-order mark is dropped after a strict decode, so a decode error names its file offset.
     """
     try:
         data = Path(path).read_bytes()
@@ -134,7 +135,7 @@ def _read_text(path: str | Path) -> str:
 
         digests.append(hashlib.sha256(data).hexdigest())
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # as a spreadsheet's "CSV UTF-8" file begins
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -500,39 +501,32 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
     value cells have the same text share one ``Fraction``, and those whose
     generation cells do, one stripped label. Each is a ``_Memo`` of its texts.
     """
-    grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first record's line, records)
+    grouped: dict[str, tuple[int | str, list[GenerationRecord]]] = {}  # code -> (first row's line, records)
     histories: dict[str, GradeHistory] = {}
     values = _Memo(lambda text: parse_decimal(text, "grade value"))  # a malformed literal never enters
     labels = _Memo(str.strip)
 
-    def build(cells: tuple[str, str, str]) -> GenerationRecord | None:
+    def build(cells: tuple[str, str, str]) -> GenerationRecord:
         label, kind_text, text = cells
-        if label is None:  # a JSON course with no records
-            return None
         kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
         if kind is None:
             raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
         return GenerationRecord(labels[label], kind, values[text])  # checks the label, then the range
 
     shared = _Memo(build)  # raw cells -> their checked record
-    # a row is one get, and a miss one direct call: a dict subclass's subscript is slower on a hit
-    # and reaches __missing__ through C
+    # a row is one get, and a miss one direct call (a record is never false): a dict subclass's
+    # subscript is slower on a hit and reaches __missing__ through C
     hit, miss = shared.get, shared.__missing__
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, (code, label, kind_text, text) in file.rows:
-            record = hit((label, kind_text, text))
-            if record is None:
-                record = miss((label, kind_text, text))
-                if record is None:  # its GradeHistory refuses it below
-                    grouped.setdefault(code.strip(), (file.line, []))
-                    continue
             code = code.strip()
-            group = grouped.get(code)
-            if group is None:
+            if (group := grouped.get(code)) is None:
                 grouped[code] = group = (file.line, [])
-            group[1].append(record)
-        for code, (file.line, records) in grouped.items():  # a course's problem names its first record
+            if label is not None:  # else a JSON course with no records, which its GradeHistory refuses below
+                cells = label, kind_text, text
+                group[1].append(hit(cells) or miss(cells))
+        for code, (file.line, records) in grouped.items():  # a course's problem names its first row
             histories[code] = GradeHistory(code, records)
     return histories
 

@@ -9,12 +9,13 @@ exact ``Fraction``s, rounded by callers at reporting time.
 
 README.md, "Library use", gives the records' rules: checked constructors,
 frozen slotted fields, read-only mappings, pickling, and the number arguments
-accepted; "Validation" gives how each grade record stores its di pair.
+accepted; "Validation" gives how each grade record stores its di pair. One
+installer, ``_writes_slots``, gives each frozen record its slot-writing ``__init__``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -59,8 +60,18 @@ class Course:
         return Course(self.code, self.criteria, self.title)
 
 
+def _writes_slots(cls: type) -> Callable[[Callable], Callable]:
+    """Install as ``cls.__init__``, named as the class's own, what the decorated factory returns when
+    called with each field's slot ``__set__`` in field order: the slots exist only once the class is built."""
+    def install(factory: Callable) -> Callable:
+        cls.__init__ = init = factory(*(cls.__dict__[f.name].__set__ for f in fields(cls)))
+        init.__qualname__ = f"{cls.__name__}.__init__"
+        return factory
+    return install
+
+
+@_writes_slots(Course)
 def _course_init(set_code, set_criteria, set_title, set_overrides):
-    """``Course.__init__``, given each slot's ``__set__``: the slots exist only once the class is built."""
     def __init__(self, code: str, criteria: Iterable[str], title: str | None = None,
                  cell_overrides: Mapping[str, int] = NO_OVERRIDES) -> None:
         """Check the rules of a course: a code, distinct criteria, and overrides
@@ -84,11 +95,7 @@ def _course_init(set_code, set_criteria, set_title, set_overrides):
         set_criteria(self, criteria)
         set_title(self, title)
         set_overrides(self, MappingProxyType(overrides) if overrides else NO_OVERRIDES)
-    __init__.__qualname__ = "Course.__init__"
     return __init__
-
-
-Course.__init__ = _course_init(*(Course.__dict__[f.name].__set__ for f in fields(Course)))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -106,17 +113,14 @@ class BloomDifficulty:
         return Fraction(DI_SCALE * self.raw_total, self.max_total)
 
 
+@_writes_slots(BloomDifficulty)
 def _bloom_init(set_code, set_raw_total, set_criteria_count, set_max_total):
     def __init__(self, course_code: str, raw_total: int, criteria_count: int, max_total: int) -> None:
         set_code(self, course_code)
         set_raw_total(self, raw_total)
         set_criteria_count(self, criteria_count)
         set_max_total(self, max_total)
-    __init__.__qualname__ = "BloomDifficulty.__init__"
     return __init__
-
-
-BloomDifficulty.__init__ = _bloom_init(*(BloomDifficulty.__dict__[f.name].__set__ for f in fields(BloomDifficulty)))
 
 
 class GradeKind(Enum):
@@ -149,6 +153,7 @@ class GenerationRecord:
         return self._pair
 
 
+@_writes_slots(GenerationRecord)
 def _record_init(set_label, set_kind, set_value, set_pair):
     def __init__(self, label: str, kind: GradeKind, value: Fraction | int | str) -> None:
         """Check the rules of a record: its value as ``rounding.to_fraction`` reads it,
@@ -169,11 +174,9 @@ def _record_init(set_label, set_kind, set_value, set_pair):
         set_kind(self, kind)
         set_value(self, value)
         set_pair(self, pair)
-    __init__.__qualname__ = "GenerationRecord.__init__"
     return __init__
 
 
-GenerationRecord.__init__ = _record_init(*(GenerationRecord.__dict__[f.name].__set__ for f in fields(GenerationRecord)))
 _DI_PAIR = attrgetter("_pair")  # a record's ``di_pair()``, read without a Python call
 
 
@@ -185,6 +188,7 @@ class GradeHistory:
     generations: tuple[GenerationRecord, ...]
 
 
+@_writes_slots(GradeHistory)
 def _history_init(set_code, set_generations):
     def __init__(self, course_code: str, generations: Iterable[GenerationRecord]) -> None:
         """Check the rules of a history: a code, and at least one record, with distinct labels."""
@@ -197,11 +201,7 @@ def _history_init(set_code, set_generations):
             raise ValidationError(f"course {course_code!r} repeats a generation label")
         set_code(self, course_code)
         set_generations(self, generations)
-    __init__.__qualname__ = "GradeHistory.__init__"
     return __init__
-
-
-GradeHistory.__init__ = _history_init(*(GradeHistory.__dict__[f.name].__set__ for f in fields(GradeHistory)))
 
 
 class CombinePolicy(Enum):

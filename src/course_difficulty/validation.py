@@ -18,11 +18,11 @@ divided by the course count, and the accuracy is one ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .engine import check_difficulty
+from .engine import _writes_slots, check_difficulty
 from .errors import InsufficientDataError, ValidationError
 from .rounding import to_fraction
 
@@ -59,19 +59,14 @@ class CourseComparison:
         return Fraction(diff * diff, self.den * self.den)
 
 
+@_writes_slots(CourseComparison)
 def _comparison_init(set_code, set_actual_num, set_estimated_num, set_den):
     def __init__(self, course_code: str, actual_num: int, estimated_num: int, den: int) -> None:
         set_code(self, course_code)
         set_actual_num(self, actual_num)
         set_estimated_num(self, estimated_num)
         set_den(self, den)
-    __init__.__qualname__ = "CourseComparison.__init__"
     return __init__
-
-
-CourseComparison.__init__ = _comparison_init(
-    *(CourseComparison.__dict__[f.name].__set__ for f in fields(CourseComparison))
-)
 
 
 @dataclass(frozen=True)

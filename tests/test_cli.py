@@ -358,6 +358,20 @@ class TestValidate:
         assert "nodir" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("grades", ["table3_grades.csv", "missing.csv"])
+    def test_plot_data_and_output_as_one_file_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch, grades):
+        """One file given as both outputs, in two spellings, is refused before any input is read
+        (a missing grades file is not reported) and before anything is written."""
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = self._args(fixture_dir, "--plot-data", "out.csv", "--output", str(tmp_path / "sub" / ".." / "out.csv"))
+        argv[argv.index("--grades") + 1] = str(fixture_dir / grades)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --plot-data and --output name the same file: {tmp_path / 'sub' / '..' / 'out.csv'}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     def test_plot_data_file(self, fixture_dir, tmp_path, capsys):
         plot = tmp_path / "plot.csv"
         code, _, _ = run(capsys, *self._args(fixture_dir, "--plot-data", str(plot)))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -581,6 +582,17 @@ class TestJsonListFields:
         assert main(["grades", "--grades", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {exc.value}\n"
 
+    @pytest.mark.parametrize("empty_first", [True, False], ids=["empty-first", "empty-second"])
+    def test_empty_generations_merge_with_the_same_course(self, tmp_path, empty_first):
+        """A course given twice, once with records and once with an empty ``generations`` list,
+        loads as one history of the records, in either order."""
+        records = {"course_code": "C1", "generations": [{"label": "g1", "kind": "di", "value": 2},
+                                                        {"label": "g2", "kind": "percent", "value": "45"}]}
+        empty = {"course_code": " C1 ", "generations": []}
+        path = _write(tmp_path / "g.json", json.dumps({"courses": [empty, records] if empty_first else [records, empty]}))
+        assert data_io.load_grades(path) == {"C1": GradeHistory("C1", (
+            GenerationRecord("g1", GradeKind.DI, 2), GenerationRecord("g2", GradeKind.PERCENT, 45)))}
+
     def test_missing_generations_exits_2(self, tmp_path, capsys):
         path = _write(tmp_path / "g.json", '{"courses": [{"course_code": "C1"}]}')
         assert main(["grades", "--grades", str(path)]) == 2
@@ -700,11 +712,14 @@ class TestInputParity:
 class TestMalformedFiles:
     @pytest.mark.parametrize("name,data,message", [
         ("cat.csv", "id,description,levels\na,caf\xe9,1\n".encode("latin-1"), "not UTF-8 text"),
+        # a byte-order mark is dropped after decoding, so the bad byte is named at its file offset
+        ("cat.csv", "\ufeffid,description,levels\na,caf".encode() + b"\xe9,1\n",
+         "cat.csv: not UTF-8 text: invalid continuation byte at byte 30"),
         ("cat.csv", b'id,description,levels\na,"' + b"x" * 200_000 + b'",1\n', "cat.csv:2: malformed CSV"),
         ("cat.json", b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
         ("g.csv", b"course_code,generation,kind,value\nC1,g,di,1" + b"0" * 5000 + b"\n", "g.csv:2: cannot parse grade value"),
         ("cur.csv", b"course_code,title,criteria,overrides\nX1,,a,a:1" + b"0" * 5000 + b"\n", "cur.csv:2: cannot parse override points"),
-    ], ids=["latin-1", "huge-field", "deep-json", "long-value", "long-points"])
+    ], ids=["latin-1", "latin-1-after-mark", "huge-field", "deep-json", "long-value", "long-points"])
     def test_is_format_error(self, catalog, tmp_path, name, data, message):
         path = tmp_path / name
         path.write_bytes(data)
@@ -715,6 +730,52 @@ class TestMalformedFiles:
             load(path)
         assert str(exc.value).startswith(f"{path}")
         assert message in str(exc.value)
+
+
+class TestByteOrderMark:
+    """A file may begin with a UTF-8 byte-order mark, as a spreadsheet's "CSV UTF-8" file does."""
+
+    @pytest.mark.parametrize("kind,suffix", [
+        *((kind, suffix) for kind in ("catalog", "lexicon", "curriculum", "grades") for suffix in (".csv", ".json")),
+        ("statements", ".csv"),  # the one form of statements
+    ])
+    def test_loads_equal_with_and_without_a_mark(self, catalog, default_lexicon, fixture_dir, tmp_path, kind, suffix):
+        path = tmp_path / f"input{suffix}"  # one path for both: a catalog's provenance names it
+        load, write, value = {
+            "catalog": (data_io.load_catalog, data_io.write_catalog, catalog),
+            "lexicon": (data_io.load_lexicon, data_io.write_lexicon, default_lexicon),
+            "curriculum": (lambda p: data_io.load_curriculum(p, catalog), data_io.write_curriculum,
+                           data_io.load_curriculum(fixture_dir / "table2_asprinted.csv", catalog)),
+            "grades": (data_io.load_grades, data_io.write_grades, data_io.load_grades(fixture_dir / "table3_grades.csv")),
+            "statements": (data_io.load_statements, None, None),
+        }[kind]
+        if write is None:
+            path.write_bytes((fixture_dir / "outcome_statements.csv").read_bytes())
+        else:
+            write(value, path)
+        plain = load(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load(path) == plain
+
+    def test_marked_csv_runs_as_the_unmarked_one(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        marked = tmp_path / "table2.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "table2_asprinted.csv").read_bytes())
+        monkeypatch.chdir(fixture_dir)
+        outs = []
+        for path in (marked, fixture_dir / "table2_asprinted.csv"):
+            assert main(["estimate", "--catalog", "table1.json", "--curriculum", str(path)]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
+    def test_bundle_digest_is_of_the_marked_bytes(self, fixture_dir, tmp_path):
+        marked = tmp_path / "grades.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "table3_grades.csv").read_bytes())
+        bundle = data_io.load_bundle(fixture_dir / "table1.json", fixture_dir / "table2_asprinted.csv", marked)
+        assert bundle.provenance[2][2] == hashlib.sha256(marked.read_bytes()).hexdigest()
+        plain = data_io.load_bundle(fixture_dir / "table1.json", fixture_dir / "table2_asprinted.csv",
+                                    fixture_dir / "table3_grades.csv")
+        assert bundle.grades == plain.grades
+        assert bundle.provenance[2][2] != plain.provenance[2][2]
 
 
 class TestReportWriting:

@@ -270,7 +270,8 @@ def test_each_distinct_grade_row_builds_one_record(argv, fixture_dir, monkeypatc
 def test_every_init_false_dataclass_has_its_own_docstring():
     """A dataclass declared with ``init=False`` and no docstring gets one built from
     ``inspect.signature(object.__init__)``, which parses source text at import. Each such class in
-    ``src/`` states its own."""
+    ``src/`` states its own, and its ``__init__``, installed by ``engine._writes_slots``, is named as
+    the class's own."""
     declared = {}
     for path in sorted((_ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -282,11 +283,13 @@ def test_every_init_false_dataclass_has_its_own_docstring():
                 declared[node.name] = ast.get_docstring(node)
     modules = [importlib.import_module(f"course_difficulty.{p.stem}")
                for p in sorted((_ROOT / "src" / "course_difficulty").glob("*.py")) if p.stem != "__init__"]
-    built = {cls.__name__ for module in modules for cls in vars(module).values()
+    built = {cls.__name__: cls for module in modules for cls in vars(module).values()
              if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__
              and not cls.__dataclass_params__.init}
-    assert set(declared) == built >= {"Course", "BloomDifficulty", "GenerationRecord", "GradeHistory", "CourseComparison"}
+    assert set(declared) == set(built) >= {"Course", "BloomDifficulty", "GenerationRecord", "GradeHistory",
+                                           "CourseComparison"}
     assert [name for name, doc in declared.items() if not doc] == []
+    assert {name: cls.__init__.__qualname__ for name, cls in built.items()} == {name: f"{name}.__init__" for name in built}
 
 
 def _tool(name):
