@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 from fractions import Fraction
 from operator import truediv
@@ -31,7 +32,7 @@ from .engine import (
 )
 from .errors import CourseDifficultyError, DataFormatError, ValidationError
 from .mapper import map_outcome
-from .rounding import format_fixed, format_ratio, parse_decimal, round_half_away, round_units
+from .rounding import format_fixed, format_ratio, parse_decimal, round_units
 from .taxonomy import BloomLevel
 from .validation import CourseComparison, ValidationReport, compare, summarize
 
@@ -54,7 +55,9 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="course-difficulty",
         description="Estimate course difficulty from outcome rubrics and validate it against grade history.",
@@ -63,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
+        p.add_argument("--output", type=Path, default=None, help="write here instead of stdout (exit 2 if another path "
+                       "argument names the file, or if stdout cannot encode the output)")
 
     p_est = sub.add_parser("estimate", help="rubric-based difficulty index per course")
     p_est.add_argument("--catalog", type=Path, required=True)
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare unrounded values instead of the default 1-decimal grid",
     )
     p_val.add_argument("--plot-data", type=Path, default=None,
-                       help="also write actual-vs-estimated plot CSV, to a file other than --output")
+                       help="also write actual-vs-estimated plot CSV, to a file no other path argument names")
     p_val.add_argument("--strict", action="store_true", help="fail when a course has no grade history")
     add_output_flags(p_val)
 
@@ -111,7 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: Path | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # a text stream encodes the whole text before it writes any
+            raise DataFormatError(f"stdout ({exc.encoding}) cannot encode U+{ord(exc.object[exc.start]):04X}"
+                                  f" at position {exc.start}") from None
     else:
         data_io._write_text(output, text)
 
@@ -123,10 +131,7 @@ def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tu
 
 
 def _table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]  # every row is as wide as the header
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
         "  ".join("-" * w for w in widths),
@@ -187,7 +192,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
     if args.format == "json":
         # one dict per distinct record, as equal records render alike; int division is correctly rounded
         entries = data_io._Memo(
-            lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": truediv(*g.di_pair())}
+            lambda g: {"label": g.label, "kind": g.kind.value, "value": float(g.value), "di": truediv(*_DI_PAIR(g))}
         )
         payload = {
             "courses": [
@@ -195,7 +200,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                     "course_code": history.course_code,
                     "generation_count": len(history.generations),
                     "generations": list(map(entries.__getitem__, history.generations)),
-                    "grade_di": float(round_half_away(grade_difficulty(history))),
+                    "grade_di": float(format_fixed(grade_difficulty(history))),
                 }
                 for history in grades.values()
             ]
@@ -268,8 +273,6 @@ def _validated(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if None not in (args.plot_data, args.output) and args.plot_data.resolve() == args.output.resolve():
-        raise DataFormatError(f"--plot-data and --output name the same file: {args.output}")  # one would be lost
     policy = _POLICIES[args.policy]
     report, finals, missing, unmatched, provenance = _validated(args, policy)
 
@@ -369,7 +372,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
     written = data_io.copy_fixtures(args.dest)
-    sys.stdout.write("".join(f"{path}\n" for path in written))
+    _emit("".join(f"{path}\n" for path in written), None)
     return 0
 
 
@@ -382,17 +385,22 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: parsing leaves no state on it."""
-    return build_parser()
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output that names the file of another path argument (README, "Diagnostics")."""
+    paths = [(f"--{name.replace('_', '-')}", path) for name, path in vars(args).items() if isinstance(path, Path)]
+    outputs, named = {"--output", "--plot-data"}, {}  # named: each resolved path -> the first flag naming it
+    for flag, path in paths if outputs.intersection(flag for flag, _ in paths) else ():  # in parse order
+        earlier = named.setdefault(os.path.realpath(path), flag)  # Path.resolve(), less its symlink-loop RuntimeError
+        if earlier != flag and outputs & {earlier, flag}:  # inputs may share a file
+            raise DataFormatError(f"{earlier} and {flag} name the same file: {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()  # see the module docstring
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:
         print(f"error: {exc}", file=sys.stderr)

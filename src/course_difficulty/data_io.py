@@ -121,8 +121,8 @@ def _read_text(path: str | Path) -> str:
     """A file's UTF-8 text from one read of its bytes; while ``load_bundle``
     collects digests, the SHA-256 of those bytes goes to ``_digests`` as well.
 
-    Newlines are translated as text-mode reading does (``\\r\\n`` and a lone
-    ``\\r`` become ``\\n``), which CSV quoted fields and JSON line numbers rely on.
+    Newlines are translated as text-mode reading does (``\\r\\n`` and a lone ``\\r`` become ``\\n``), which CSV
+    quoted fields and JSON line numbers rely on. Only a text holding a ``\\r`` is searched for the slower ``\\r\\n``.
     One leading byte-order mark is dropped after a strict decode, so a decode error names its file offset.
     """
     try:
@@ -465,9 +465,7 @@ def load_curriculum(path: str | Path, catalog: CriterionCatalog) -> list[Course]
     with _reading(path, CURRICULUM_COLUMNS, "courses") as file:
         for file.line, (code, title, cell, overrides) in file.rows:
             code = code.strip()
-            criteria = tuple(map(str.strip, cell.split("|")))
-            if "" in criteria:
-                criteria = tuple(c for c in criteria if c)
+            criteria = tuple(filter(None, map(str.strip, cell.split("|"))))
             course = Course(code, criteria, title or None, _overrides(overrides))
             if code in courses:
                 raise ValidationError(f"duplicate course code {code!r}")
@@ -508,15 +506,12 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
 
     def build(cells: tuple[str, str, str]) -> GenerationRecord:
         label, kind_text, text = cells
-        kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.strip().lower())  # the usual spelling as is
+        kind = _KINDS.get(kind_text.strip().lower())
         if kind is None:
             raise ValidationError(f"unknown kind {kind_text.strip()!r}; expected " + " or ".join(_KINDS))
         return GenerationRecord(labels[label], kind, values[text])  # checks the label, then the range
 
     shared = _Memo(build)  # raw cells -> their checked record
-    # a row is one get, and a miss one direct call (a record is never false): a dict subclass's
-    # subscript is slower on a hit and reaches __missing__ through C
-    hit, miss = shared.get, shared.__missing__
     # a JSON grade file lists each course's records under its "generations"
     with _reading(path, GRADES_COLUMNS[:1], "courses", GRADES_COLUMNS[1:]) as file:
         for file.line, (code, label, kind_text, text) in file.rows:
@@ -524,8 +519,7 @@ def load_grades(path: str | Path) -> dict[str, GradeHistory]:
             if (group := grouped.get(code)) is None:
                 grouped[code] = group = (file.line, [])
             if label is not None:  # else a JSON course with no records, which its GradeHistory refuses below
-                cells = label, kind_text, text
-                group[1].append(hit(cells) or miss(cells))
+                group[1].append(shared[label, kind_text, text])
         for code, (file.line, records) in grouped.items():  # a course's problem names its first row
             histories[code] = GradeHistory(code, records)
     return histories

@@ -158,9 +158,7 @@ def _record_init(set_label, set_kind, set_value, set_pair):
     def __init__(self, label: str, kind: GradeKind, value: Fraction | int | str) -> None:
         """Check the rules of a record: its value as ``rounding.to_fraction`` reads it,
         a label, and a value within its kind's range; then store the value's di pair."""
-        # kept lean, as a grade file of distinct rows builds a record per row; a Fraction is kept as it is
-        if not isinstance(value, Fraction):
-            value = to_fraction(value, "grade value")
+        value = to_fraction(value, "grade value")
         if not label:
             raise ValidationError("generation label must be non-empty")
         num, den = value.numerator, value.denominator

@@ -75,9 +75,7 @@ MAX_RUBRIC = sum(level.weight for level in BloomLevel)  # 1+2+3+4+5+6 = 21
 
 def _valid_id(criterion_id: str) -> bool:
     # single token: the CSV formats use '|' and ':' as separators
-    if not criterion_id:
-        return False
-    return not any(ch.isspace() or ch in "|:," for ch in criterion_id)
+    return bool(criterion_id) and not any(ch.isspace() or ch in "|:," for ch in criterion_id)
 
 
 @dataclass(frozen=True)

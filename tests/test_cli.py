@@ -819,6 +819,67 @@ def test_a_failed_stdout_write_exits_2_on_one_line(fixture_dir, monkeypatch, cap
     assert capsys.readouterr().err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
 
+@pytest.mark.parametrize("command,fixture,input_flag,output_flag", [
+    ("estimate", "table2_asprinted.csv", "--curriculum", "--output"),
+    ("grades", "table3_grades.csv", "--grades", "--output"),
+    ("validate", "table3_grades.csv", "--grades", "--plot-data"),
+    ("map-outcomes", "outcome_statements.csv", "--statements", "--output"),
+])
+def test_an_output_that_names_an_input_exits_2(command, fixture, input_flag, output_flag, fixture_dir, tmp_path,
+                                                monkeypatch, capsys):
+    """An output given as an input's file, in another spelling, is refused before anything is read or written."""
+    data = (fixture_dir / fixture).read_bytes()
+    (tmp_path / "in.csv").write_bytes(data)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    others = {
+        "estimate": ["--catalog", fixture_dir / "table1.json"],
+        "validate": ["--catalog", fixture_dir / "table1.json", "--curriculum", fixture_dir / "table2_asprinted.csv"],
+    }.get(command, [])
+    code, out, err = run(capsys, command, *map(str, others), input_flag, "in.csv", output_flag, "sub/../in.csv")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {input_flag} and {output_flag} name the same file: sub/../in.csv\n"
+    assert (tmp_path / "in.csv").read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "sub"]
+
+
+def test_inputs_may_name_one_file(tmp_path, capsys):
+    """Only an output is checked against the other paths: one CSV may serve as statements and lexicon."""
+    shared = tmp_path / "both.csv"
+    verbs = ["recall", "explain", "apply", "analyze", "judge", "design"]
+    shared.write_text("criterion_id,text,verb,levels\n"
+                      + "".join(f"c{i},students {v} it,{v},{i + 1}\n" for i, v in enumerate(verbs)), encoding="utf-8")
+    code, _, err = run(capsys, "map-outcomes", "--statements", str(shared), "--lexicon", str(shared),
+                       "--format", "csv", "--output", str(tmp_path / "out.csv"))
+    assert (code, err) == (0, "")
+    assert len(parse_csv((tmp_path / "out.csv").read_text(encoding="utf-8"))) == len(verbs)
+
+
+@pytest.mark.parametrize("command", ["estimate", "validate"])
+def test_an_unencodable_stdout_exits_2_on_one_line_and_writes_nothing(command, fixture_dir, tmp_path, monkeypatch,
+                                                                      capsys):
+    """A stdout whose encoding cannot hold the output fails as a failed write does; a ``validate`` run
+    removes the plot data it wrote."""
+    curriculum, grades, plot = tmp_path / "cur.csv", tmp_path / "grades.csv", tmp_path / "plot.csv"
+    curriculum.write_text("course_code,title,criteria,overrides\nCé1,,a|b,\n", encoding="utf-8")
+    grades.write_text("course_code,generation,kind,value\nCé1,g1,di,3.0\n", encoding="utf-8")
+    argv = ["--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(curriculum)]
+    if command == "validate":
+        argv += ["--grades", str(grades), "--plot-data", str(plot)]
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main([command, *argv])
+    stdout.flush()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200
+    assert err[0].startswith("error: stdout (ascii) cannot encode U+00E9 at position ")
+    assert buffer.getvalue() == b""
+    assert not plot.exists()
+
+
 class TestOneProcess:
     """``main`` reuses one parser and one shipped lexicon per process; no call's flags or inputs reach the next."""
 
@@ -864,6 +925,9 @@ class TestOneProcess:
             env={**os.environ, "PYTHONPATH": str(src)}, check=True,
         )
         assert json.loads(fresh.stdout)[::-1] == in_sequence
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 # Runs each JSON argv list read from stdin through ``main``; prints [exit code, stdout, stderr] per call.

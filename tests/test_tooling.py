@@ -12,7 +12,8 @@ estimated) pair; ``validate``'s and ``grades``' ``GenerationRecord``
 constructions, one per distinct grade row, each computing its di pair once;
 and ``grades``' ``format_ratio`` calls, one per distinct di pair. Every
 ``init=False`` dataclass has its own docstring. ``tools/src_lines.py``'s
-line kinds sum to each module's line count, ``tools/bench_pairs.py``
+line kinds sum to each module's line count, and its ``--base`` table sums
+a git revision's modules beside the working tree's; ``tools/bench_pairs.py``
 summarizes canned pairs and marks bounds and the gain rule,
 ``tools/unreached_lines.py`` finds the lines a small module's one call
 leaves unrun, ``tools/stage_memory.py`` prints a line per stage of a small
@@ -339,6 +340,42 @@ def test_src_lines_table_counts_each_module_and_the_total(tmp_path, capsys):
     assert rows == expected
     assert total == ["all", *(str(sum(int(row[i]) for row in expected)) for i in range(1, len(header)))]
     assert expected[0][-1] == str(len(texts["a.py"]) + 1)  # the non-ASCII letter counts as its two bytes
+
+
+def test_src_lines_base_compares_a_revision_with_the_working_tree(tmp_path, capsys):
+    """``--base REV`` sums ROOT's modules at REV, read from git, and in the working tree, with the difference
+    per kind; files outside ROOT and files that are not modules count on neither side."""
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    def sums(texts):
+        counts = [{"total": len(t.splitlines()), **tool.count_lines(t), "bytes": len(t.encode())} for t in texts]
+        return {kind: sum(c[kind] for c in counts) for kind in ("total", *tool.KINDS, "bytes")}
+
+    tool = _tool("src_lines")
+    src = tmp_path / "src"
+    old = {"a.py": '"""Doc."""\nx = 1\n', "pkg/b.py": "# note\n\ny = 2\n", "notes.txt": "not a module\n"}
+    new = {"a.py": '"""Doc."""\nx = "é"\n\n', "pkg/c.py": "z = 3\n", "notes.txt": "still not\n"}
+    for name, text in old.items():
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        (src / name).write_text(text, encoding="utf-8")
+    (tmp_path / "outside.py").write_text("w = 4\n", encoding="utf-8")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (src / "pkg" / "b.py").unlink()
+    for name, text in new.items():
+        (src / name).write_text(text, encoding="utf-8")
+    assert tool.main(["src_lines.py", "--base", "HEAD", str(src)]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["kind", "HEAD", "working", "tree", "difference"]
+    base = sums(t for name, t in old.items() if name.endswith(".py"))
+    head = sums(t for name, t in new.items() if name.endswith(".py"))
+    assert rows == [[kind, str(base[kind]), str(head[kind]), f"{head[kind] - base[kind]:+d}"] for kind in base]
+    assert base["bytes"] != head["bytes"] and base["code"] == head["code"]
+    with pytest.raises(SystemExit, match="^error: git archive"):
+        tool.main(["src_lines.py", "--base", "no-such-revision", str(src)])
 
 
 def test_readme_library_use_block_states_what_it_computes():
