@@ -32,7 +32,7 @@ from .engine import (
 )
 from .errors import CourseDifficultyError, DataFormatError, ValidationError
 from .mapper import map_outcome
-from .rounding import format_fixed, format_ratio, parse_decimal, round_units
+from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, round_units
 from .taxonomy import BloomLevel
 from .validation import CourseComparison, ValidationReport, compare, summarize
 
@@ -115,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: Path | None) -> None:
     if output is None:
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise DataFormatError("stdout is closed")
         try:
             sys.stdout.write(text)
         except UnicodeEncodeError as exc:  # a text stream encodes the whole text before it writes any
@@ -251,7 +253,7 @@ def _validated(
     graded = [course for course in bundle.courses if course.code in bundle.grades]
     # rounded, each value is its whole number of tenths, rounded in integers, so no Fraction is built per course
     compared = ((lambda value: value) if args.full_precision
-                else lambda value: round_units(value.numerator, value.denominator, 10))
+                else lambda value: round_units(value.numerator, value.denominator))
     rubric = data_io._Memo(lambda key: compared(BloomDifficulty("", *key).di))  # once per distinct key, as in estimate
     results = (bloom_difficulty(_apply_mode(course, args.mode), bundle.catalog) for course in graded)
     estimates = [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]
@@ -305,9 +307,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         cells = data_io._Memo(lambda pair: format_ratio(*pair))  # each distinct final difficulty rendered once
         final_cells = [*(cells[f.numerator, f.denominator] for f in finals), ""]  # the AVERAGE row has no final_di
         rows = [(*row, final) for row, final in zip(data_io.report_rows(report), final_cells)]
+        tolerance = decimal_text(report.tolerance)  # exact: a tolerance off the grid is not rounded
         summary = (
             f"mode: {args.mode}  policy: {policy.value}\n"
-            f"accuracy: {float(report.accuracy):.3f} at tolerance {format_fixed(report.tolerance)}"
+            f"accuracy: {float(report.accuracy):.3f} at tolerance {tolerance}{'' if '.' in tolerance else '.0'}"
             f" ({report.within_tolerance}/{len(report.comparisons)} courses)\n"
         )
         text = _table(headers, rows) + summary
@@ -385,12 +388,23 @@ _COMMANDS = {
 }
 
 
+def _file_key(path: Path) -> tuple[int, int] | str:
+    """A file's identity, so that hard links and symlinks match: its device and inode where it exists,
+    else its resolved path (``Path.resolve()``, less its symlink-loop ``RuntimeError``)."""
+    real = os.path.realpath(path)
+    try:
+        found = os.stat(real)
+    except OSError:
+        return real
+    return found.st_dev, found.st_ino
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse an output that names the file of another path argument (README, "Diagnostics")."""
     paths = [(f"--{name.replace('_', '-')}", path) for name, path in vars(args).items() if isinstance(path, Path)]
-    outputs, named = {"--output", "--plot-data"}, {}  # named: each resolved path -> the first flag naming it
+    outputs, named = {"--output", "--plot-data"}, {}  # named: each file -> the first flag naming it
     for flag, path in paths if outputs.intersection(flag for flag, _ in paths) else ():  # in parse order
-        earlier = named.setdefault(os.path.realpath(path), flag)  # Path.resolve(), less its symlink-loop RuntimeError
+        earlier = named.setdefault(_file_key(path), flag)
         if earlier != flag and outputs & {earlier, flag}:  # inputs may share a file
             raise DataFormatError(f"{earlier} and {flag} name the same file: {path}")
 

@@ -25,9 +25,10 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -323,10 +324,19 @@ _WRITE_SLICE = 1 << 16
 
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
-    no encoded copy of the whole text is ever made."""
+    no encoded copy of the whole text is ever made. A write that fails removes the
+    file it began, if that is a regular file (never ``/dev/stdout`` or a FIFO)."""
     with _writing(path), open(path, "wb") as file:
-        for start in range(0, len(text), _WRITE_SLICE):
-            file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
+        try:
+            for start in range(0, len(text), _WRITE_SLICE):
+                file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
+            file.flush()  # so that the last slice fails here, not at close
+        except BaseException:
+            real = os.path.realpath(path)
+            if os.path.isfile(real):
+                with suppress(OSError):  # the write's own error is the one to report
+                    os.remove(real)
+            raise
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

@@ -1,17 +1,17 @@
 """Exact number parsing and rounding at the input and reporting boundaries.
 
 Difficulty indices are returned as exact ``fractions.Fraction``s so the
-documented identities hold exactly; rounding happens once, at the edge, half
-away from zero, as one integer ``divmod`` on the numerator and denominator
-(``round_units``); ``format_ratio`` renders a (numerator, denominator) pair
-the same way without building a ``Fraction``. The validation report's
-per-course cells and plot data render that way, from the integer numerators
-and shared denominator that each ``validation.CourseComparison`` holds, and
-``validate`` rounds each course's values to whole tenths with ``round_units``.
-All printed values use one decimal place. Numbers read from files and
-flags are ASCII literals, parsed exactly by ``parse_int`` and ``parse_decimal``;
-the writers render a value back with ``decimal_text``, one exact ``decimal``
-division that refuses a value with no finite decimal expansion.
+documented identities hold exactly. Rounding happens once, at the edge, and
+always to one decimal, the grid of the paper's tables and of every printed
+value: half away from zero, as one integer ``divmod`` of the numerator and
+denominator into whole tenths (``round_units``). ``format_ratio`` renders a
+(numerator, denominator) pair that way without building a ``Fraction``; the
+validation report's cells and plot data render from the integers each
+``validation.CourseComparison`` holds, and ``validate`` rounds each course's
+values with ``round_units``. Numbers read from files and flags are ASCII
+literals, parsed exactly by ``parse_int`` and ``parse_decimal``; the writers
+render a value back with ``decimal_text``, one exact ``decimal`` division that
+refuses a value with no finite decimal expansion.
 Library functions take numbers through ``to_fraction``: a ``Fraction``, an
 ``int`` or an ASCII decimal string; floats, bools and ``None`` are refused.
 """
@@ -63,39 +63,35 @@ def to_fraction(value: Fraction | int | str, what: str) -> Fraction:
     raise DataFormatError(f"{what} must be a Fraction, an int or a decimal string, got {value!r}")
 
 
-def round_units(num: int, den: int, scale: int) -> int:
-    """``num/den`` (``den > 0``) as a whole number of ``1/scale`` steps, ties away from zero."""
-    q, r = divmod(abs(num) * scale, den)
+def round_units(num: int, den: int) -> int:
+    """``num/den`` (``den > 0``) as a whole number of tenths, ties away from zero."""
+    q, r = divmod(abs(num) * 10, den)
     if 2 * r >= den:
         q += 1
     return -q if num < 0 else q
 
 
-def round_half_away(value: Fraction, ndigits: int = 1) -> Fraction:
-    """Round to ``ndigits`` decimals with ties going away from zero."""
-    scale = 10**ndigits
-    return Fraction(round_units(value.numerator, value.denominator, scale), scale)
+def round_half_away(value: Fraction) -> Fraction:
+    """Round to one decimal with ties going away from zero."""
+    return Fraction(round_units(value.numerator, value.denominator), 10)
 
 
-def format_fixed(value: Fraction, ndigits: int = 1) -> str:
-    """Render with exactly ``ndigits`` decimals after half-away rounding."""
-    scale = 10**ndigits
-    rounded = round_half_away(value, ndigits)
-    return _units_text(rounded.numerator * (scale // rounded.denominator), ndigits)  # the denominator divides scale
+def format_fixed(value: Fraction) -> str:
+    """Render with one decimal after half-away rounding."""
+    rounded = round_half_away(value)
+    return _tenths_text(rounded.numerator * 10 // rounded.denominator)  # the denominator divides 10
 
 
-def format_ratio(num: int, den: int, ndigits: int = 1) -> str:
-    """``format_fixed(Fraction(num, den), ndigits)`` for ``den > 0``, in integers:
+def format_ratio(num: int, den: int) -> str:
+    """``format_fixed(Fraction(num, den))`` for ``den > 0``, in integers:
     the pair need not be reduced, and no ``Fraction`` is built."""
-    return _units_text(round_units(num, den, 10**ndigits), ndigits)
+    return _tenths_text(round_units(num, den))
 
 
-def _units_text(units: int, ndigits: int) -> str:
-    """A signed whole number of ``10**-ndigits`` steps, written with ``ndigits`` decimals."""
-    scale = 10**ndigits
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    return f"{sign}{units // scale}.{units % scale:0{ndigits}d}"
+def _tenths_text(units: int) -> str:
+    """A signed whole number of tenths, written with one decimal."""
+    whole, tenth = divmod(abs(units), 10)
+    return f"{'-' if units < 0 else ''}{whole}.{tenth}"
 
 
 def decimal_text(value: Fraction) -> str:

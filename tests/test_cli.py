@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +399,17 @@ class TestValidate:
             main(self._args(fixture_dir, "--tolerance", text))
         assert exc.value.code == 2
         assert "cannot parse tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,summary", [
+        ("0.25", "accuracy: 0.636 at tolerance 0.25 (7/11 courses)"),
+        ("0.04", "accuracy: 0.091 at tolerance 0.04 (1/11 courses)"),
+        ("1", "accuracy: 1.000 at tolerance 1.0 (11/11 courses)"),
+    ])
+    def test_the_table_states_the_tolerance_it_used(self, fixture_dir, capsys, text, summary):
+        """The summary gives the tolerance exactly, not rounded to the grid: one decimal at least."""
+        code, out, _ = run(capsys, *self._args(fixture_dir, "--tolerance", text))
+        assert code == 0
+        assert out.splitlines()[-1] == summary
 
     def test_zero_tolerance_rejected_by_parser(self, fixture_dir):
         with pytest.raises(SystemExit) as exc:
@@ -878,6 +890,93 @@ def test_an_unencodable_stdout_exits_2_on_one_line_and_writes_nothing(command, f
     assert err[0].startswith("error: stdout (ascii) cannot encode U+00E9 at position ")
     assert buffer.getvalue() == b""
     assert not plot.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "validate"])
+def test_a_closed_stdout_exits_2_on_one_line(command, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A process started with its stdout closed has ``sys.stdout`` set to ``None``: writing to it fails as a
+    failed stdout write does, and a ``validate`` run removes the plot data it wrote."""
+    plot = tmp_path / "plot.csv"
+    argv = ["--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(fixture_dir / "table2_asprinted.csv")]
+    if command == "validate":
+        argv += ["--grades", str(fixture_dir / "table3_grades.csv"), "--plot-data", str(plot)]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+    assert not plot.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "link"), reason="no hard links on this platform")
+def test_an_output_that_is_a_hard_link_of_an_input_exits_2(fixture_dir, tmp_path, monkeypatch, capsys):
+    """Paths that exist are compared by file identity, so a hard link of an input is refused as an output."""
+    data = (fixture_dir / "table2_asprinted.csv").read_bytes()
+    (tmp_path / "cur.csv").write_bytes(data)
+    try:
+        os.link(tmp_path / "cur.csv", tmp_path / "out.csv")
+    except OSError as exc:
+        pytest.skip(f"cannot make a hard link here: {exc}")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "estimate", "--catalog", str(fixture_dir / "table1.json"),
+                         "--curriculum", "cur.csv", "--output", "out.csv")
+    assert (code, out, err) == (2, "", "error: --curriculum and --output name the same file: out.csv\n")
+    assert (tmp_path / "cur.csv").read_bytes() == data
+
+
+class _FullDiskFile:
+    """A binary file whose second write fails as a write to a full disk does."""
+
+    def __init__(self, path, mode):
+        self._file, self._writes = open(path, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._file.write(data)
+
+    def flush(self):
+        self._file.flush()
+
+
+@pytest.mark.parametrize("failing", ["out.json", "plot.csv"])
+def test_a_failed_write_leaves_no_partial_file(failing, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A write that fails after its first slice removes the file it began; ``validate`` then removes its
+    plot data too, so the failed run leaves no output file."""
+    monkeypatch.setattr(data_io, "_WRITE_SLICE", 100)
+    monkeypatch.setattr(data_io, "open", lambda path, mode: (_FullDiskFile if Path(path).name == failing else open)(
+        path, mode), raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "validate", "--catalog", str(fixture_dir / "table1.json"),
+                         "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
+                         "--grades", str(fixture_dir / "table3_grades.csv"),
+                         "--format", "json", "--output", "out.json", "--plot-data", "plot.csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: {failing}: cannot write file: {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_failed_write_leaves_a_fifo_in_place(fixture_dir, tmp_path, monkeypatch, capsys):
+    """Only a regular file is removed after a failed write: an output that is a FIFO, like ``/dev/stdout``,
+    stays."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=fifo.read_bytes, daemon=True)  # blocks until the run opens the FIFO
+    reader.start()
+    monkeypatch.setattr(data_io, "_WRITE_SLICE", 100)
+    monkeypatch.setattr(data_io, "open", _FullDiskFile, raising=False)
+    code, _, err = run(capsys, "estimate", "--catalog", str(fixture_dir / "table1.json"),
+                       "--curriculum", str(fixture_dir / "table2_asprinted.csv"), "--output", str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert (code, err) == (2, f"error: {fifo}: cannot write file: {os.strerror(errno.ENOSPC)}\n")
+    assert fifo.is_fifo()
 
 
 class TestOneProcess:

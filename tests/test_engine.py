@@ -43,24 +43,21 @@ KERNEL = settings(max_examples=100, deadline=None)
 COMPOSITE = settings(max_examples=30, deadline=None)
 
 
-def _reference_round(value, ndigits):
-    """Half-away rounding through Fraction arithmetic, the former implementation."""
+def _reference_round(value):
+    """Half-away rounding to one decimal through Fraction arithmetic, the former implementation."""
     sign = -1 if value < 0 else 1
-    scale = 10**ndigits
-    scaled = abs(value) * scale
+    scaled = abs(value) * 10
     q, r = divmod(scaled.numerator, scaled.denominator)
     if 2 * r >= scaled.denominator:
         q += 1
-    return Fraction(sign * q, scale)
+    return Fraction(sign * q, 10)
 
 
-def _reference_format(value, ndigits):
-    scale = 10**ndigits
-    scaled = _reference_round(value, ndigits) * scale
-    units = scaled.numerator // scaled.denominator
+def _reference_format(value):
+    units = int(_reference_round(value) * 10)
     sign = "-" if units < 0 else ""
     units = abs(units)
-    return f"{sign}{units // scale}.{units % scale:0{ndigits}d}"
+    return f"{sign}{units // 10}.{units % 10}"
 
 
 def _di_history(code, *values):
@@ -392,34 +389,33 @@ class TestRounding:
         assert round_half_away(Fraction(-25, 100)) == Fraction(-3, 10)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.fractions(max_denominator=10**6), st.integers(min_value=0, max_value=4))
-    @example(Fraction(1, 4), 1)
-    @example(Fraction(-1, 20), 1)
-    @example(Fraction(65, 28), 1)
-    @example(Fraction(65, 28), 2)
-    @example(Fraction(-1, 4), 0)
-    @example(Fraction(1, 2), 0)
-    @example(Fraction(-1, 200), 2)
-    @example(Fraction(-1, 30), 1)
-    def test_kernel_matches_fraction_reference(self, value, ndigits):
-        rounded = round_half_away(value, ndigits)
-        assert rounded == _reference_round(value, ndigits)
+    @given(st.fractions(max_denominator=10**6))
+    @example(Fraction(1, 4))
+    @example(Fraction(-1, 20))
+    @example(Fraction(65, 28))
+    @example(Fraction(65, 280))     # 0.232
+    @example(Fraction(-1, 40))      # -0.025 rounds to zero
+    @example(Fraction(1, 20))       # 0.05, a tie
+    @example(Fraction(-1, 30))
+    def test_kernel_matches_fraction_reference(self, value):
+        rounded = round_half_away(value)
+        assert rounded == _reference_round(value)
         assert type(rounded) is Fraction
-        assert format_fixed(value, ndigits) == _reference_format(value, ndigits)
+        assert format_fixed(value) == _reference_format(value)
         # the tie rule itself: the distance to the result is at most half a step, and a tie moves away from zero
-        step = Fraction(1, 10**ndigits)
+        step = Fraction(1, 10)
         assert abs(rounded - value) <= step / 2
         if abs(rounded - value) == step / 2:
             assert abs(rounded) > abs(value)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 50), st.integers(0, 4))
-    @example(1, 4, 5, 1)       # 0.25, unreduced: a tie goes away from zero
-    @example(-5, 100, 1, 1)    # -0.05
-    @example(-1, 30, 1, 1)     # rounds to zero: no sign
-    @example(1, 2, 3, 0)
-    def test_format_ratio_is_format_fixed(self, num, den, factor, ndigits):
-        assert format_ratio(num * factor, den * factor, ndigits) == format_fixed(Fraction(num, den), ndigits)
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 50))
+    @example(1, 4, 5)       # 0.25, unreduced: a tie goes away from zero
+    @example(-5, 100, 1)    # -0.05
+    @example(-1, 30, 1)     # rounds to zero: no sign
+    @example(1, 20, 3)      # 0.05, unreduced
+    def test_format_ratio_is_format_fixed(self, num, den, factor):
+        assert format_ratio(num * factor, den * factor) == format_fixed(Fraction(num, den))
 
     @pytest.mark.parametrize("text,expected", [
         ("4.2", Fraction(21, 5)),
