@@ -16,6 +16,7 @@ import functools
 import gc
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from operator import truediv
 from pathlib import Path
@@ -124,6 +125,14 @@ def _emit(text: str, output: Path | None) -> None:
                                   f" at position {exc.start}") from None
     else:
         data_io._write_text(output, text)
+
+
+def _diagnose(text: str) -> None:
+    """Write an error or warning to stderr, or drop it where stderr is closed (``None``) or its write
+    fails: a diagnostic never goes to stdout and never changes the exit code."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.write(text)
 
 
 def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
@@ -248,7 +257,7 @@ def _validated(
         warnings.append(f"warning: --policy {args.policy} has no effect on --format csv: "
                         "the CSV report has no final_di column\n")
     if warnings:
-        sys.stderr.write("".join(warnings))
+        _diagnose("".join(warnings))
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
     # rounded, each value is its whole number of tenths, rounded in integers, so no Fraction is built per course
@@ -417,13 +426,13 @@ def main(argv: list[str] | None = None) -> int:
         _check_outputs(args)
         return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}\n")
         return exc.exit_code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}\n")
         return 2
     except Exception as exc:  # a bug, which must not pass for a domain failure
-        print(f"error: internal: {exc!r}", file=sys.stderr)  # the repr keeps it on one line
+        _diagnose(f"error: internal: {exc!r}\n")  # the repr keeps it on one line
         return 70  # EX_SOFTWARE
     finally:
         if collecting:

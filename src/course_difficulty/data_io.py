@@ -5,10 +5,12 @@ number syntax and the error locators; this module implements them, and every
 file a writer here writes loads back to the same objects.
 
 Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
-provenance, and the text is decoded with text-mode newline translation. CSV
-and JSON reach the loaders as (locator, cells) pairs, the cells a tuple in
-the loader's column order, and each record is built through its constructor,
-which checks it.
+provenance, and the text is decoded whole, strictly, with text-mode newline
+translation. ``csv.reader`` reads that text one slice of whole lines at a
+time (``_SLICE`` characters or a little more), so no second copy of the whole
+file is made. CSV and JSON reach the loaders as (locator, cells) pairs, the
+cells a tuple in the loader's column order, and each record is built through
+its constructor, which checks it.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each JSON report entry as its code and
@@ -32,6 +34,7 @@ from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -118,6 +121,11 @@ class _Memo(dict):
 # reading: every file kind as (locator, cells) records
 # ---------------------------------------------------------------------------
 
+# characters per slice, of a CSV text parsed and of an output encoded: slices this size wrote a
+# 3 MB report faster than one ``Path.write_text``, and 8 KiB ones slower
+_SLICE = 1 << 16
+
+
 def _read_text(path: str | Path) -> str:
     """A file's UTF-8 text from one read of its bytes; while ``load_bundle``
     collects digests, the SHA-256 of those bytes goes to ``_digests`` as well.
@@ -142,9 +150,20 @@ def _read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in consecutive slices, each but the last ending just after the first newline at or past
+    ``_SLICE`` characters in, so that each holds whole lines only."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Parse a CSV file, checking the header, and yield (line, cells) pairs, the cells in ``columns`` order."""
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    # the lines io.StringIO(text) gives, a slice at a time: one over the whole text holds it again, 4 bytes a character
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, _slices(_read_text(path)))))
     try:
         header = next(reader, None)
         if header is None:
@@ -317,19 +336,14 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
-# characters per encoded write: slices this size wrote a 3 MB report faster than one
-# ``Path.write_text``, and 8 KiB ones slower
-_WRITE_SLICE = 1 << 16
-
-
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
     no encoded copy of the whole text is ever made. A write that fails removes the
     file it began, if that is a regular file (never ``/dev/stdout`` or a FIFO)."""
     with _writing(path), open(path, "wb") as file:
         try:
-            for start in range(0, len(text), _WRITE_SLICE):
-                file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
+            for start in range(0, len(text), _SLICE):
+                file.write(text[start:start + _SLICE].encode("utf-8"))
             file.flush()  # so that the last slice fails here, not at close
         except BaseException:
             real = os.path.realpath(path)

@@ -906,6 +906,42 @@ def test_a_closed_stdout_exits_2_on_one_line(command, fixture_dir, tmp_path, mon
     assert not plot.exists()
 
 
+def _stderr_calls(fixture_dir, tmp_path):
+    """An error run (exit 2, nothing on stdout) and a warning-only run (exit 0, its report on stdout)."""
+    curriculum, grades = tmp_path / "cur.csv", tmp_path / "grades.csv"
+    curriculum.write_text("course_code,title,criteria,overrides\nC1,,a,\nC2,,b,\n", encoding="utf-8")
+    grades.write_text("course_code,generation,kind,value\nC1,g1,di,3.0\n", encoding="utf-8")
+    return {
+        "error": (["estimate", "--catalog", str(tmp_path / "nope.json"), "--curriculum", str(curriculum)], 2, ""),
+        "warning": (["validate", "--format", "csv", "--catalog", str(fixture_dir / "table1.json"),
+                     "--curriculum", str(curriculum), "--grades", str(grades)], 0,
+                    "course_code,actual_di,estimated_di,abs_error\nC1,3.0,1.4,1.6\nAVERAGE,3.0,1.4,1.6\n"),
+    }
+
+
+@pytest.mark.parametrize("stderr", [None, _FullDevice()], ids=["closed", "failing"])
+@pytest.mark.parametrize("path", ["error", "warning"])
+def test_a_closed_or_failing_stderr_leaves_stdout_and_the_exit_code(path, stderr, fixture_dir, tmp_path, monkeypatch,
+                                                                     capsys):
+    """A diagnostic that cannot be written is dropped: it never goes to stdout, and the run exits as it
+    would with a working stderr."""
+    argv, code, out = _stderr_calls(fixture_dir, tmp_path)[path]
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 2 through a POSIX shell")
+@pytest.mark.parametrize("path", ["error", "warning"])
+def test_a_process_started_with_stderr_closed_keeps_its_stdout(path, fixture_dir, tmp_path):
+    """Started with ``2>&-``, the interpreter sets ``sys.stderr`` to ``None``."""
+    argv, code, out = _stderr_calls(fixture_dir, tmp_path)[path]
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", sys.executable, "-m", "course_difficulty.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (code, out)
+
+
 @pytest.mark.skipif(not hasattr(os, "link"), reason="no hard links on this platform")
 def test_an_output_that_is_a_hard_link_of_an_input_exits_2(fixture_dir, tmp_path, monkeypatch, capsys):
     """Paths that exist are compared by file identity, so a hard link of an input is refused as an output."""
@@ -948,7 +984,7 @@ class _FullDiskFile:
 def test_a_failed_write_leaves_no_partial_file(failing, fixture_dir, tmp_path, monkeypatch, capsys):
     """A write that fails after its first slice removes the file it began; ``validate`` then removes its
     plot data too, so the failed run leaves no output file."""
-    monkeypatch.setattr(data_io, "_WRITE_SLICE", 100)
+    monkeypatch.setattr(data_io, "_SLICE", 100)
     monkeypatch.setattr(data_io, "open", lambda path, mode: (_FullDiskFile if Path(path).name == failing else open)(
         path, mode), raising=False)
     monkeypatch.chdir(tmp_path)
@@ -969,7 +1005,7 @@ def test_a_failed_write_leaves_a_fifo_in_place(fixture_dir, tmp_path, monkeypatc
     os.mkfifo(fifo)
     reader = threading.Thread(target=fifo.read_bytes, daemon=True)  # blocks until the run opens the FIFO
     reader.start()
-    monkeypatch.setattr(data_io, "_WRITE_SLICE", 100)
+    monkeypatch.setattr(data_io, "_SLICE", 100)
     monkeypatch.setattr(data_io, "open", _FullDiskFile, raising=False)
     code, _, err = run(capsys, "estimate", "--catalog", str(fixture_dir / "table1.json"),
                        "--curriculum", str(fixture_dir / "table2_asprinted.csv"), "--output", str(fifo))

@@ -874,7 +874,7 @@ class TestCsvText:
         assert (text, not handed) == (self._writer_text([("h1", "h2"), *rows]), joined)
 
 
-_SLICE = data_io._WRITE_SLICE
+_SLICE = data_io._SLICE
 
 
 class TestWriteText:
@@ -910,6 +910,70 @@ class TestWriteText:
             tracemalloc.stop()
         assert (tmp_path / "out.csv").stat().st_size == len(text)
         assert peak < 1 << 20
+
+
+def _read_rows(path, columns):
+    """The (line, cells) pairs ``_csv_rows`` yields, up to its error if it raises one, and that error's text."""
+    pairs = []
+    try:
+        for pair in data_io._csv_rows(path, columns):
+            pairs.append(pair)
+    except DataFormatError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+class TestCsvSlices:
+    """``_csv_rows`` parses its text one slice of whole lines at a time, and reads exactly what
+    ``csv.reader(io.StringIO(text))`` reads: the same cells, line numbers and located errors."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from(["a,b\n", "b,x,a\n", "a\n", ""]),
+        st.text(alphabet='x,"\n\r é\x00', max_size=60),
+        st.integers(1, 16),
+        st.booleans(),
+    )
+    @example("a,b\n", '1,"x\ny\nz"\n2,3', 2, False)  # a quoted field's newlines cross slice boundaries
+    @example("a,b\n", "1,2\n3,4", 3, False)  # a last line with no newline
+    @example("", "", 1, False)  # an empty file
+    @example("a,b\n", "1,2\n3,4,5\n", 1, False)  # a row too wide
+    @example("a,b\n", "1,2\n\n3\n", 1, False)  # a blank line, then a row too narrow
+    @example("a,b\n", "x" * 40 + ",y\n1,2\n", 4, False)  # a line longer than a slice
+    @example("a,b\n", '1,"xxxxxxxxxxxx\nxxxxx"\n', 3, True)  # a field over the size limit, after a boundary
+    def test_rows_and_errors_match_one_string_io(self, tmp_path, header, body, size, small_limit):
+        path = tmp_path / "in.csv"
+        path.write_bytes((header + body).encode("utf-8"))
+        limit = csv.field_size_limit(8) if small_limit else csv.field_size_limit()
+        try:
+            with mock.patch.object(data_io, "_SLICE", size):
+                text = data_io._read_text(path)
+                slices = list(data_io._slices(text))
+                sliced = _read_rows(path, ("a", "b"))
+            with mock.patch.object(data_io, "_slices", lambda text: [text]):  # the reader fed io.StringIO(text)
+                whole = _read_rows(path, ("a", "b"))
+        finally:
+            csv.field_size_limit(limit)
+        assert "".join(slices) == text
+        for piece in slices[:-1]:  # each ends at the first newline at or past `size` characters
+            assert len(piece) >= size and piece.index("\n", size - 1) == len(piece) - 1
+        assert sliced == whole
+
+    def test_a_1_mb_grades_file_peaks_under_2_5_times_its_size(self, tmp_path):
+        path = tmp_path / "grades.csv"
+        path.write_text("course_code,generation,kind,value\n" + "".join(
+            f"C{i:06d},{term},percent,{50 + i % 500 / 10}\n" for i in range(20_000) for term in ("2019-S1", "2020-S2")
+        ), encoding="ascii")
+        size = path.stat().st_size
+        assert 1_000_000 < size < 1_200_000
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in data_io._csv_rows(path, data_io.GRADES_COLUMNS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 40_000
+        assert peak < 2.5 * size  # the bytes and their text while decoding; no 4-byte-per-character copy
 
 
 # codes a JSON encoder must escape: quotes, backslashes, control characters, non-ASCII text
