@@ -330,7 +330,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _emit(text, args.output)
     except (DataFormatError, OSError):  # a failed --output write, or one to stdout
         if args.plot_data is not None:  # a failed run leaves no output file behind
-            args.plot_data.unlink(missing_ok=True)
+            data_io._remove_output(args.plot_data)
         raise
     return 0
 

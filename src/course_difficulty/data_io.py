@@ -144,10 +144,15 @@ def _read_text(path: str | Path) -> str:
 
         digests.append(hashlib.sha256(data).hexdigest())
     try:
-        text = data.decode("utf-8").removeprefix("\ufeff")  # as a spreadsheet's "CSV UTF-8" file begins
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    del data  # hashed and decoded: not held as well while the text is copied below
+    text = text.removeprefix("\ufeff")  # as a spreadsheet's "CSV UTF-8" file begins
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -336,20 +341,27 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
+def _remove_output(path: str | Path) -> None:
+    """Remove what a failed run wrote at ``path``: the file it resolves to, if that is a regular file
+    (never ``/dev/stdout``, ``/dev/null`` or a FIFO). An error in removing it is not reported: the
+    failure that called for the removal is the one to report."""
+    real = os.path.realpath(path)
+    if os.path.isfile(real):
+        with suppress(OSError):
+            os.remove(real)
+
+
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
     no encoded copy of the whole text is ever made. A write that fails removes the
-    file it began, if that is a regular file (never ``/dev/stdout`` or a FIFO)."""
+    file it began, as ``_remove_output`` does."""
     with _writing(path), open(path, "wb") as file:
         try:
             for start in range(0, len(text), _SLICE):
                 file.write(text[start:start + _SLICE].encode("utf-8"))
             file.flush()  # so that the last slice fails here, not at close
         except BaseException:
-            real = os.path.realpath(path)
-            if os.path.isfile(real):
-                with suppress(OSError):  # the write's own error is the one to report
-                    os.remove(real)
+            _remove_output(path)
             raise
 
 
@@ -681,13 +693,19 @@ def fixture_path(name: str) -> Path:
 
 
 def copy_fixtures(dest: str | Path) -> list[Path]:
-    """Write all shipped fixture files into ``dest`` and return their paths."""
+    """Write all shipped fixture files into ``dest`` and return their paths.
+    A write that fails removes the files written before it, so no part of the set is left."""
     dest_dir = Path(dest)
     with _writing(dest_dir):
         dest_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in FIXTURE_NAMES:
-        target = dest_dir / name
-        _write_text(target, fixture_path(name).read_bytes().decode("utf-8"))  # no newline is translated
-        written.append(target)
+    try:
+        for name in FIXTURE_NAMES:
+            target = dest_dir / name
+            _write_text(target, fixture_path(name).read_bytes().decode("utf-8"))  # no newline is translated
+            written.append(target)
+    except BaseException:
+        for target in written:
+            _remove_output(target)
+        raise
     return written

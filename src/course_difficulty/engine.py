@@ -9,13 +9,12 @@ exact ``Fraction``s, rounded by callers at reporting time.
 
 README.md, "Library use", gives the records' rules: checked constructors,
 frozen slotted fields, read-only mappings, pickling, and the number arguments
-accepted; "Validation" gives how each grade record stores its di pair. One
-installer, ``_writes_slots``, gives each frozen record its slot-writing ``__init__``.
+accepted; "Validation" gives how each grade record stores its di pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -36,6 +35,12 @@ DI_SCALE = 5
 NO_OVERRIDES: Mapping[str, int] = MappingProxyType({})  # shared by every course without overrides
 
 
+def _slot_setters(cls: type) -> tuple:
+    """Each field's slot ``__set__``, in field order: the slots exist only once ``@dataclass(slots=True)``
+    has rebuilt the class, so a record's ``__init__`` reads them from a tuple bound after its class."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Course:
     """A course code plus the criterion ids it maps to.
@@ -51,31 +56,11 @@ class Course:
     title: str | None = None
     cell_overrides: Mapping[str, int] = field(default_factory=dict)
 
-    def __reduce__(self):
-        return Course, (self.code, self.criteria, self.title, dict(self.cell_overrides))
-
-    def without_overrides(self) -> "Course":
-        if not self.cell_overrides:
-            return self
-        return Course(self.code, self.criteria, self.title)
-
-
-def _writes_slots(cls: type) -> Callable[[Callable], Callable]:
-    """Install as ``cls.__init__``, named as the class's own, what the decorated factory returns when
-    called with each field's slot ``__set__`` in field order: the slots exist only once the class is built."""
-    def install(factory: Callable) -> Callable:
-        cls.__init__ = init = factory(*(cls.__dict__[f.name].__set__ for f in fields(cls)))
-        init.__qualname__ = f"{cls.__name__}.__init__"
-        return factory
-    return install
-
-
-@_writes_slots(Course)
-def _course_init(set_code, set_criteria, set_title, set_overrides):
     def __init__(self, code: str, criteria: Iterable[str], title: str | None = None,
                  cell_overrides: Mapping[str, int] = NO_OVERRIDES) -> None:
         """Check the rules of a course: a code, distinct criteria, and overrides
         of listed criteria by ``int`` points within 1..MAX_RUBRIC."""
+        set_code, set_criteria, set_title, set_overrides = _COURSE_SLOTS
         # the shared empty mapping needs no copy, and ``dict()`` of a read-only mapping iterates its keys
         criteria, overrides = tuple(criteria), {} if cell_overrides is NO_OVERRIDES else dict(cell_overrides)
         if not code:
@@ -95,7 +80,17 @@ def _course_init(set_code, set_criteria, set_title, set_overrides):
         set_criteria(self, criteria)
         set_title(self, title)
         set_overrides(self, MappingProxyType(overrides) if overrides else NO_OVERRIDES)
-    return __init__
+
+    def __reduce__(self):
+        return Course, (self.code, self.criteria, self.title, dict(self.cell_overrides))
+
+    def without_overrides(self) -> "Course":
+        if not self.cell_overrides:
+            return self
+        return Course(self.code, self.criteria, self.title)
+
+
+_COURSE_SLOTS = _slot_setters(Course)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -107,20 +102,20 @@ class BloomDifficulty:
     criteria_count: int
     max_total: int
 
+    def __init__(self, course_code: str, raw_total: int, criteria_count: int, max_total: int) -> None:
+        set_code, set_raw_total, set_criteria_count, set_max_total = _BLOOM_SLOTS
+        set_code(self, course_code)
+        set_raw_total(self, raw_total)
+        set_criteria_count(self, criteria_count)
+        set_max_total(self, max_total)
+
     @property
     def di(self) -> Fraction:
         """The difficulty index ``DI_SCALE * raw_total / max_total``, exactly."""
         return Fraction(DI_SCALE * self.raw_total, self.max_total)
 
 
-@_writes_slots(BloomDifficulty)
-def _bloom_init(set_code, set_raw_total, set_criteria_count, set_max_total):
-    def __init__(self, course_code: str, raw_total: int, criteria_count: int, max_total: int) -> None:
-        set_code(self, course_code)
-        set_raw_total(self, raw_total)
-        set_criteria_count(self, criteria_count)
-        set_max_total(self, max_total)
-    return __init__
+_BLOOM_SLOTS = _slot_setters(BloomDifficulty)
 
 
 class GradeKind(Enum):
@@ -141,23 +136,10 @@ class GenerationRecord:
     value: Fraction
     _pair: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    def __reduce__(self):
-        return GenerationRecord, (self.label, self.kind, self.value)  # the pair is computed again, and checked
-
-    def di(self) -> Fraction:
-        """The record on the 0-5 difficulty scale (percent records convert)."""
-        return Fraction(*self._pair)
-
-    def di_pair(self) -> tuple[int, int]:
-        """``di()`` as an unreduced (numerator, denominator) pair, for integer sums and rendering."""
-        return self._pair
-
-
-@_writes_slots(GenerationRecord)
-def _record_init(set_label, set_kind, set_value, set_pair):
     def __init__(self, label: str, kind: GradeKind, value: Fraction | int | str) -> None:
         """Check the rules of a record: its value as ``rounding.to_fraction`` reads it,
         a label, and a value within its kind's range; then store the value's di pair."""
+        set_label, set_kind, set_value, set_pair = _RECORD_SLOTS
         value = to_fraction(value, "grade value")
         if not label:
             raise ValidationError("generation label must be non-empty")
@@ -172,9 +154,20 @@ def _record_init(set_label, set_kind, set_value, set_pair):
         set_kind(self, kind)
         set_value(self, value)
         set_pair(self, pair)
-    return __init__
+
+    def __reduce__(self):
+        return GenerationRecord, (self.label, self.kind, self.value)  # the pair is computed again, and checked
+
+    def di(self) -> Fraction:
+        """The record on the 0-5 difficulty scale (percent records convert)."""
+        return Fraction(*self._pair)
+
+    def di_pair(self) -> tuple[int, int]:
+        """``di()`` as an unreduced (numerator, denominator) pair, for integer sums and rendering."""
+        return self._pair
 
 
+_RECORD_SLOTS = _slot_setters(GenerationRecord)
 _DI_PAIR = attrgetter("_pair")  # a record's ``di_pair()``, read without a Python call
 
 
@@ -185,11 +178,9 @@ class GradeHistory:
     course_code: str
     generations: tuple[GenerationRecord, ...]
 
-
-@_writes_slots(GradeHistory)
-def _history_init(set_code, set_generations):
     def __init__(self, course_code: str, generations: Iterable[GenerationRecord]) -> None:
         """Check the rules of a history: a code, and at least one record, with distinct labels."""
+        set_code, set_generations = _HISTORY_SLOTS
         if not course_code:
             raise ValidationError("course code must be non-empty")
         generations = tuple(generations)
@@ -199,7 +190,9 @@ def _history_init(set_code, set_generations):
             raise ValidationError(f"course {course_code!r} repeats a generation label")
         set_code(self, course_code)
         set_generations(self, generations)
-    return __init__
+
+
+_HISTORY_SLOTS = _slot_setters(GradeHistory)
 
 
 class CombinePolicy(Enum):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .engine import _writes_slots, check_difficulty
+from .engine import _slot_setters, check_difficulty
 from .errors import InsufficientDataError, ValidationError
 from .rounding import to_fraction
 
@@ -40,6 +40,13 @@ class CourseComparison:
     actual_num: int
     estimated_num: int
     den: int  # shared by both numerators, > 0
+
+    def __init__(self, course_code: str, actual_num: int, estimated_num: int, den: int) -> None:
+        set_code, set_actual_num, set_estimated_num, set_den = _COMPARISON_SLOTS
+        set_code(self, course_code)
+        set_actual_num(self, actual_num)
+        set_estimated_num(self, estimated_num)
+        set_den(self, den)
 
     @property
     def actual_di(self) -> Fraction:
@@ -59,14 +66,7 @@ class CourseComparison:
         return Fraction(diff * diff, self.den * self.den)
 
 
-@_writes_slots(CourseComparison)
-def _comparison_init(set_code, set_actual_num, set_estimated_num, set_den):
-    def __init__(self, course_code: str, actual_num: int, estimated_num: int, den: int) -> None:
-        set_code(self, course_code)
-        set_actual_num(self, actual_num)
-        set_estimated_num(self, estimated_num)
-        set_den(self, den)
-    return __init__
+_COMPARISON_SLOTS = _slot_setters(CourseComparison)
 
 
 @dataclass(frozen=True)

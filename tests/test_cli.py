@@ -626,6 +626,24 @@ class TestFixturesCommand:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("failing", ["directory", "full disk"])
+    def test_a_failed_write_leaves_no_fixture_file(self, tmp_path, monkeypatch, capsys, failing):
+        """A fixture that cannot be written, a directory in its place or a disk that fills, takes back
+        the files written before it: a failed run leaves no part of the set."""
+        dest = tmp_path / "out"
+        if failing == "directory":
+            blocked, reason = dest / "table3_grades.csv", os.strerror(errno.EISDIR)
+            blocked.mkdir(parents=True)
+        else:
+            blocked, reason = dest / "worked_example.csv", os.strerror(errno.ENOSPC)
+            monkeypatch.setattr(data_io, "_SLICE", 10)
+            monkeypatch.setattr(data_io, "open", lambda path, mode: (_FullDiskFile if Path(path) == blocked else open)(
+                path, mode), raising=False)
+        code, out, err = run(capsys, "fixtures", str(dest))
+        assert (code, out) == (2, "")
+        assert err == f"error: {blocked}: cannot write file: {reason}\n"
+        assert list(dest.iterdir()) == ([blocked] if failing == "directory" else [])
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, fixture_dir, tmp_path, capsys):
@@ -1013,6 +1031,39 @@ def test_a_failed_write_leaves_a_fifo_in_place(fixture_dir, tmp_path, monkeypatc
     assert not reader.is_alive()
     assert (code, err) == (2, f"error: {fifo}: cannot write file: {os.strerror(errno.ENOSPC)}\n")
     assert fifo.is_fifo()
+
+
+@pytest.mark.parametrize("plot_kind", [
+    "link to a file",
+    pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")),
+    "link to /dev/null",
+])
+def test_a_failed_report_takes_back_the_plot_data_as_a_failed_write_would(plot_kind, fixture_dir, tmp_path, capsys):
+    """After a failed report write, ``validate`` removes its plot data by the one rule: the file the path
+    resolves to goes if it is a regular file, while the link itself, a FIFO or ``/dev/null`` stays."""
+    plot, target = tmp_path / "plot.csv", tmp_path / "target.csv"
+    reader = None
+    if plot_kind == "fifo":
+        os.mkfifo(plot)
+        reader = threading.Thread(target=plot.read_bytes, daemon=True)  # blocks until the run opens the FIFO
+        reader.start()
+    else:
+        try:
+            plot.symlink_to(target if plot_kind == "link to a file" else os.devnull)
+        except OSError as exc:
+            pytest.skip(f"cannot make a symlink here: {exc}")
+    report = tmp_path / "nodir" / "report.json"
+    code, out, err = run(capsys, "validate", "--catalog", str(fixture_dir / "table1.json"),
+                         "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
+                         "--grades", str(fixture_dir / "table3_grades.csv"),
+                         "--format", "json", "--output", str(report), "--plot-data", str(plot))
+    if reader is not None:
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    assert (code, out) == (2, "")
+    assert err == f"error: {report}: cannot write file: {os.strerror(errno.ENOENT)}\n"
+    assert plot.is_fifo() if plot_kind == "fifo" else plot.is_symlink()
+    assert not target.exists()
 
 
 class TestOneProcess:

@@ -959,21 +959,34 @@ class TestCsvSlices:
             assert len(piece) >= size and piece.index("\n", size - 1) == len(piece) - 1
         assert sliced == whole
 
-    def test_a_1_mb_grades_file_peaks_under_2_5_times_its_size(self, tmp_path):
-        path = tmp_path / "grades.csv"
+    @staticmethod
+    def _read_grades_file(path, newline):
+        """Write 40,000 grade rows to ``path`` with ``newline`` line endings and read them through ``_csv_rows``
+        under tracemalloc; return the file's size, the rows read and the traced peak."""
         path.write_text("course_code,generation,kind,value\n" + "".join(
             f"C{i:06d},{term},percent,{50 + i % 500 / 10}\n" for i in range(20_000) for term in ("2019-S1", "2020-S2")
-        ), encoding="ascii")
-        size = path.stat().st_size
-        assert 1_000_000 < size < 1_200_000
+        ), encoding="ascii", newline=newline)
         tracemalloc.start()
         try:
             rows = sum(1 for _ in data_io._csv_rows(path, data_io.GRADES_COLUMNS))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return path.stat().st_size, rows, peak
+
+    def test_a_1_mb_grades_file_peaks_under_2_5_times_its_size(self, tmp_path):
+        size, rows, peak = self._read_grades_file(tmp_path / "grades.csv", "\n")
+        assert 1_000_000 < size < 1_200_000
         assert rows == 40_000
         assert peak < 2.5 * size  # the bytes and their text while decoding; no 4-byte-per-character copy
+
+    def test_a_crlf_grades_file_peaks_under_2_5_times_its_size(self, tmp_path):
+        """The bytes are let go once hashed and decoded, so translating the newlines copies the text
+        while only the text is held: no third copy of the file."""
+        size, rows, peak = self._read_grades_file(tmp_path / "grades.csv", "\r\n")
+        assert 1_100_000 < size < 1_300_000
+        assert rows == 40_000
+        assert peak < 2.5 * size
 
 
 # codes a JSON encoder must escape: quotes, backslashes, control characters, non-ASCII text

@@ -262,6 +262,8 @@ class TestGradeDifficulty:
     def test_empty_history_rejected(self):
         with pytest.raises(InsufficientDataError):
             GradeHistory(course_code="X", generations=())
+        with pytest.raises(InsufficientDataError):  # dataclasses.replace goes through the constructor
+            dataclasses.replace(_di_history("X", "3.7"), generations=())
 
     def test_empty_course_code_rejected(self):
         record = GenerationRecord(label="g", kind=GradeKind.DI, value=Fraction(1))
@@ -297,10 +299,13 @@ class TestGradeDifficulty:
         (GradeKind.PERCENT, "-2"),
         (GradeKind.DI, "5.1"),
         (GradeKind.DI, "-0.1"),
+        (GradeKind.PERCENT, "101"),
     ])
     def test_values_validated_per_kind(self, kind, value):
         with pytest.raises(InvalidGradeError):
             GenerationRecord(label="g", kind=kind, value=Fraction(value))
+        with pytest.raises(InvalidGradeError):  # dataclasses.replace goes through the constructor
+            dataclasses.replace(GenerationRecord("g", kind, Fraction(1)), value=Fraction(value))
 
     @KERNEL
     @given(st.sampled_from(list(GradeKind)), st.fractions(min_value=-1, max_value=101, max_denominator=1000))
@@ -311,6 +316,20 @@ class TestGradeDifficulty:
         else:
             with pytest.raises(InvalidGradeError, match=f"outside \\[0, {top}\\]"):
                 GenerationRecord(label="g", kind=kind, value=value)
+
+
+@pytest.mark.parametrize("record", [
+    Course("X", ("a", "h"), "T", {"h": 5}),
+    BloomDifficulty("X", 38, 4, 84),
+    GenerationRecord("g", GradeKind.PERCENT, Fraction(35)),
+    _di_history("X", "4.2", "3.4"),
+    compare("3.1", "2.9", "X"),
+], ids=lambda record: type(record).__name__)
+def test_replace_with_no_change_builds_an_equal_new_record(record):
+    """``dataclasses.replace``, which README offers in place of assignment, builds every record
+    with a constructor in its class anew, through that constructor."""
+    copied = dataclasses.replace(record)
+    assert copied == record and copied is not record
 
 
 class TestFinalDifficulty:

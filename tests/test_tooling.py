@@ -271,7 +271,7 @@ def test_each_distinct_grade_row_builds_one_record(argv, fixture_dir, monkeypatc
 def test_every_init_false_dataclass_has_its_own_docstring():
     """A dataclass declared with ``init=False`` and no docstring gets one built from
     ``inspect.signature(object.__init__)``, which parses source text at import. Each such class in
-    ``src/`` states its own, and its ``__init__``, installed by ``engine._writes_slots``, is named as
+    ``src/`` states its own, and declares its ``__init__`` in its own body, so that it is named as
     the class's own."""
     declared = {}
     for path in sorted((_ROOT / "src").rglob("*.py")):
