@@ -3,10 +3,11 @@
 README.md gives the exit codes, why ``main`` pauses the cyclic garbage
 collector while a command runs, and, under "Validation", how ``grades`` and
 ``validate`` work once per distinct value. Output is rendered fully before
-anything is written, and a ``validate`` run whose report cannot be written
-removes the plot data it wrote. ``estimate`` and ``validate`` drop the loaded
-inputs before they render, so that rendering holds only the results
-(README, "Memory").
+anything is written. ``main`` runs each command as one run
+(``data_io._one_run``): a command that fails in any way, after any of its
+writes, takes back every file it wrote. ``estimate`` and ``validate`` drop
+the loaded inputs before they render, so that rendering holds only the
+results (README, "Memory").
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def _emit(text: str, output: Path | None) -> None:
         except UnicodeEncodeError as exc:  # a text stream encodes the whole text before it writes any
             raise DataFormatError(f"stdout ({exc.encoding}) cannot encode U+{ord(exc.object[exc.start]):04X}"
                                   f" at position {exc.start}") from None
+        except ValueError:  # "I/O operation on closed file": a stream closed in the process
+            raise DataFormatError("stdout is closed") from None
     else:
         data_io._write_text(output, text)
 
@@ -326,12 +329,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.plot_data is not None:
         data_io.write_plot_data(report, args.plot_data)
-    try:
-        _emit(text, args.output)
-    except (DataFormatError, OSError):  # a failed --output write, or one to stdout
-        if args.plot_data is not None:  # a failed run leaves no output file behind
-            data_io._remove_output(args.plot_data)
-        raise
+    _emit(text, args.output)
     return 0
 
 
@@ -424,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # see the module docstring
     try:
         _check_outputs(args)
-        return _COMMANDS[args.command](args)
+        with data_io._one_run():  # a command that fails takes back every file it wrote
+            return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:
         _diagnose(f"error: {exc}\n")
         return exc.exit_code

@@ -18,7 +18,8 @@ its values' text, from one table of distinct tails, as ``json.dumps``
 (indent 2) would, joined once with the text around the list. Whatever runs
 once per distinct value, here and in ``cli``, runs through one bounded memo,
 ``_Memo``. Every file is written by ``_write_text``, in slices that are each
-encoded on their own, so no encoded copy of a whole output is made.
+encoded on their own, so no encoded copy of a whole output is made, and each
+as an output of one run, ``_one_run``: a run that fails removes them all.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ _UNWRITABLE = re.compile("[\r\ud800-\udfff]")
 
 # while set (by load_bundle), each file read appends the SHA-256 of its bytes here
 _digests: ContextVar[list[str] | None] = ContextVar("_digests", default=None)
+# while set (by _one_run), each file _write_text begins appends its path here
+_outputs: ContextVar[list[str | Path] | None] = ContextVar("_outputs", default=None)
 
 
 # the bound keeps a memo over inputs whose values do not repeat (a gradebook's cells
@@ -341,28 +344,37 @@ def _writing(path: str | Path) -> Iterator[None]:
         raise DataFormatError(f"cannot write file: {exc.strerror or exc}").locate(str(path)) from exc
 
 
-def _remove_output(path: str | Path) -> None:
-    """Remove what a failed run wrote at ``path``: the file it resolves to, if that is a regular file
-    (never ``/dev/stdout``, ``/dev/null`` or a FIFO). An error in removing it is not reported: the
-    failure that called for the removal is the one to report."""
-    real = os.path.realpath(path)
-    if os.path.isfile(real):
-        with suppress(OSError):
-            os.remove(real)
+@contextmanager
+def _one_run() -> Iterator[list[str | Path]]:
+    """One run's outputs, taken back together: it yields the list of paths ``_write_text`` begins inside
+    ``with``, and if the block raises anything, removes the file each resolves to where that is a regular file
+    (never ``/dev/stdout``, ``/dev/null`` or a FIFO), one that existed before the run too, and reports no error
+    in removing it. Entered while a run is open, it yields that run's list and leaves the removal to that run."""
+    if (begun := _outputs.get()) is not None:
+        yield begun
+        return
+    token = _outputs.set(begun := [])
+    try:
+        yield begun
+    except BaseException:
+        for real in map(os.path.realpath, begun):
+            if os.path.isfile(real):
+                with suppress(OSError):
+                    os.remove(real)
+        raise
+    finally:
+        _outputs.reset(token)
 
 
 def _write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
-    no encoded copy of the whole text is ever made. A write that fails removes the
-    file it began, as ``_remove_output`` does."""
-    with _writing(path), open(path, "wb") as file:
-        try:
-            for start in range(0, len(text), _SLICE):
-                file.write(text[start:start + _SLICE].encode("utf-8"))
-            file.flush()  # so that the last slice fails here, not at close
-        except BaseException:
-            _remove_output(path)
-            raise
+    no encoded copy of the whole text is ever made. The file is an output of the
+    open run, or of its own (``_one_run``), so a failed write removes it."""
+    with _one_run() as begun, _writing(path), open(path, "wb") as file:
+        begun.append(path)
+        for start in range(0, len(text), _SLICE):
+            file.write(text[start:start + _SLICE].encode("utf-8"))
+        file.flush()  # so that the last slice fails here, not at close
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -694,18 +706,12 @@ def fixture_path(name: str) -> Path:
 
 def copy_fixtures(dest: str | Path) -> list[Path]:
     """Write all shipped fixture files into ``dest`` and return their paths.
-    A write that fails removes the files written before it, so no part of the set is left."""
+    The set is one run (``_one_run``): a write that fails removes the files written before it."""
     dest_dir = Path(dest)
     with _writing(dest_dir):
         dest_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for name in FIXTURE_NAMES:
-            target = dest_dir / name
-            _write_text(target, fixture_path(name).read_bytes().decode("utf-8"))  # no newline is translated
-            written.append(target)
-    except BaseException:
-        for target in written:
-            _remove_output(target)
-        raise
+    written = [dest_dir / name for name in FIXTURE_NAMES]
+    with _one_run():
+        for target in written:  # no newline is translated
+            _write_text(target, fixture_path(target.name).read_bytes().decode("utf-8"))
     return written

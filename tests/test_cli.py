@@ -626,11 +626,20 @@ class TestFixturesCommand:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text(encoding="utf-8") == "kept\n"
 
-    @pytest.mark.parametrize("failing", ["directory", "full disk"])
+    @pytest.mark.parametrize("failing", ["directory", "full disk", "closed stdout", "full stdout"])
     def test_a_failed_write_leaves_no_fixture_file(self, tmp_path, monkeypatch, capsys, failing):
         """A fixture that cannot be written, a directory in its place or a disk that fills, takes back
-        the files written before it: a failed run leaves no part of the set."""
+        the files written before it, and a stdout that cannot take their list, closed or full, takes back
+        the whole set: a failed run leaves no part of the set."""
         dest = tmp_path / "out"
+        if failing.endswith("stdout"):
+            stdout, line = (None, "stdout is closed") if failing == "closed stdout" else (
+                _FullDevice(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["fixtures", str(dest)]) == 2
+            assert capsys.readouterr().err == f"error: {line}\n"
+            assert list(dest.iterdir()) == []
+            return
         if failing == "directory":
             blocked, reason = dest / "table3_grades.csv", os.strerror(errno.EISDIR)
             blocked.mkdir(parents=True)
@@ -849,6 +858,18 @@ def test_a_failed_stdout_write_exits_2_on_one_line(fixture_dir, monkeypatch, cap
     assert capsys.readouterr().err.splitlines() == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
 
 
+def test_a_closed_stdout_stream_exits_2_and_takes_back_the_plot_data(fixture_dir, tmp_path, monkeypatch, capsys):
+    """A stdout stream closed in the process fails as a process started with its stdout closed does."""
+    stdout, plot = io.StringIO(), tmp_path / "plot.csv"
+    stdout.close()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.chdir(fixture_dir)
+    assert main(["validate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
+                 "--grades", "table3_grades.csv", "--plot-data", str(plot)]) == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+    assert not plot.exists()
+
+
 @pytest.mark.parametrize("command,fixture,input_flag,output_flag", [
     ("estimate", "table2_asprinted.csv", "--curriculum", "--output"),
     ("grades", "table3_grades.csv", "--grades", "--output"),
@@ -998,18 +1019,31 @@ class _FullDiskFile:
         self._file.flush()
 
 
-@pytest.mark.parametrize("failing", ["out.json", "plot.csv"])
+def _interrupted(path, mode):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failing", ["out.json", "plot.csv", "out.json interrupted"])
 def test_a_failed_write_leaves_no_partial_file(failing, fixture_dir, tmp_path, monkeypatch, capsys):
     """A write that fails after its first slice removes the file it began; ``validate`` then removes its
-    plot data too, so the failed run leaves no output file."""
+    plot data too, so the failed run leaves no output file. A run interrupted as it opens its report
+    (``KeyboardInterrupt``) takes back its plot data the same way, and the interrupt goes on."""
+    name, _, interrupted = failing.partition(" ")
     monkeypatch.setattr(data_io, "_SLICE", 100)
-    monkeypatch.setattr(data_io, "open", lambda path, mode: (_FullDiskFile if Path(path).name == failing else open)(
-        path, mode), raising=False)
+    monkeypatch.setattr(data_io, "open", lambda path, mode: (
+        (_interrupted if interrupted else _FullDiskFile) if Path(path).name == name else open)(path, mode),
+        raising=False)
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "validate", "--catalog", str(fixture_dir / "table1.json"),
-                         "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
-                         "--grades", str(fixture_dir / "table3_grades.csv"),
-                         "--format", "json", "--output", "out.json", "--plot-data", "plot.csv")
+    argv = ["validate", "--catalog", str(fixture_dir / "table1.json"),
+            "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
+            "--grades", str(fixture_dir / "table3_grades.csv"),
+            "--format", "json", "--output", "out.json", "--plot-data", "plot.csv"]
+    if interrupted:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert list(tmp_path.iterdir()) == []
+        return
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {failing}: cannot write file: {os.strerror(errno.ENOSPC)}\n"
     assert list(tmp_path.iterdir()) == []

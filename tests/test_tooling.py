@@ -2,8 +2,9 @@
 
 ``bench/child.py --trace 1`` wraps each function in its ``TRACED`` table by
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
-fails on a stale ``__all__`` entry. The benchmark's coverage guard also fails
-a run whose workload no longer calls a function it names. The same wrapping
+fails on a stale ``__all__`` entry. Each benchmark workload's calls, run
+once on small inputs, reach every function its coverage guard
+(``Workload.traced``) names, as ``bench/run.py`` requires. The same wrapping
 counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair;
 ``validate``'s ``round_units`` calls, one per graded course, one per
 distinct rubric pair and, in the CSV report, one per distinct cell value, and
@@ -46,6 +47,11 @@ _ROOT = Path(__file__).resolve().parents[1]
 _CHILD = _ROOT / "bench" / "child.py"
 _SYNTHETIC_CURRICULUM = Path(__file__).resolve().parent / "data" / "synthetic" / "curriculum.csv"
 _SYNTHETIC_GRADES = _SYNTHETIC_CURRICULUM.with_name("grades.csv")
+sys.path.insert(0, str(_CHILD.parent))  # bench/workloads.py imports bench/oracle.py by its top-level name
+try:
+    import workloads
+finally:
+    sys.path.remove(str(_CHILD.parent))
 
 
 def _traced():
@@ -63,36 +69,6 @@ def test_bench_traced_name_resolves(module, name):
 @pytest.mark.parametrize("name", course_difficulty.__all__)
 def test_public_name_resolves(name):
     assert hasattr(course_difficulty, name)
-
-
-# What each bench/workloads.py coverage guard requires its workload's call to reach
-# (``cli.main`` aside, which every call enters).
-GUARDS = {
-    "validate": (
-        ["validate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
-         "--grades", "table3_grades.csv", "--mode", "as-printed", "--format", "json",
-         "--plot-data", "{tmp}/plot.csv", "--output", "{tmp}/report.json"],
-        (("data_io", "load_bundle"), ("data_io", "load_curriculum"), ("data_io", "load_grades"),
-         ("data_io", "write_plot_data"), ("json", "dumps"), ("engine", "bloom_difficulty"),
-         ("engine", "grade_difficulty"), ("engine", "final_difficulty"),
-         ("validation", "compare"), ("validation", "summarize")),
-    ),
-    "grades": (
-        ["grades", "--grades", "table3_grades.csv", "--format", "csv", "--output", "{tmp}/grades.csv"],
-        (("data_io", "load_grades"), ("engine", "grade_difficulty"),
-         ("rounding", "round_half_away"), ("rounding", "format_fixed")),
-    ),
-    "estimate": (
-        ["estimate", "--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
-         "--mode", "canonical", "--format", "csv", "--output", "{tmp}/estimate.csv"],
-        (("data_io", "load_curriculum"), ("data_io", "csv_text"), ("engine", "bloom_difficulty"),
-         ("taxonomy", "criterion_rubric"), ("rounding", "round_half_away"), ("rounding", "format_fixed")),
-    ),
-    "map-outcomes": (
-        ["map-outcomes", "--statements", "outcome_statements.csv"],
-        (("data_io", "default_lexicon"), ("mapper", "map_outcome")),
-    ),
-}
 
 
 def _count_calls(reaches, monkeypatch):
@@ -120,28 +96,21 @@ def _count_calls(reaches, monkeypatch):
     return calls
 
 
-def _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys):
-    """A refactor that bypasses one of ``GUARDS[command]`` fails here, not only in ``bench/run.py``.
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_each_workload_reaches_its_guarded_functions(name, fixture_dir, tmp_path, monkeypatch, capsys):
+    """A refactor that bypasses a function named in a workload's ``traced`` guard fails here, not only in
+    ``bench/run.py``: each of the workload's distinct calls runs once, on inputs drawn at 1% of its size.
 
     The shipped lexicon is cached per process on ``data_io.default_lexicon``,
     so that cache is cleared first, as a bench child starts without it.
     """
-    argv, reaches = GUARDS[command]
+    workload = workloads.prepare(name, 1, 0.01, tmp_path, fixture_dir)
     data_io.default_lexicon.cache_clear()
-    calls = _count_calls(reaches, monkeypatch)
-    monkeypatch.chdir(fixture_dir)
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    calls = _count_calls([tuple(fn.split(".")) for fn in workload.traced if fn != "cli.main"], monkeypatch)
+    for call in workload.calls:
+        assert main(call["argv"]) == 0
     capsys.readouterr()
     assert {key: count > 0 for key, count in calls.items()} == dict.fromkeys(calls, True)
-
-
-def test_validate_json_run_reaches_the_guarded_functions(fixture_dir, tmp_path, monkeypatch, capsys):
-    _assert_run_reaches("validate", fixture_dir, tmp_path, monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("command", ["estimate", "grades", "map-outcomes"])
-def test_csv_and_map_runs_reach_the_guarded_functions(command, fixture_dir, tmp_path, monkeypatch, capsys):
-    _assert_run_reaches(command, fixture_dir, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("curriculum,mode", [
