@@ -7,7 +7,9 @@ anything is written. ``main`` runs each command as one run
 (``data_io._one_run``): a command that fails in any way, after any of its
 writes, takes back every file it wrote. ``estimate`` and ``validate`` drop
 the loaded inputs before they render, so that rendering holds only the
-results (README, "Memory").
+results (README, "Memory"). ``validate`` imports ``validation``, and
+``map-outcomes`` ``mapper``, as it runs, so that no other command loads them
+(README, "Start-up").
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from contextlib import suppress
 from fractions import Fraction
 from operator import truediv
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import data_io
 from .engine import (
@@ -32,11 +35,11 @@ from .engine import (
     final_difficulty,
     grade_difficulty,
 )
-from .errors import CourseDifficultyError, DataFormatError, ValidationError
-from .mapper import map_outcome
+from .errors import CourseDifficultyError, DataFormatError, InsufficientDataError, ValidationError
 from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, round_units
-from .taxonomy import BloomLevel
-from .validation import CourseComparison, ValidationReport, compare, summarize
+
+if TYPE_CHECKING:  # annotations only: validate imports validation as it runs
+    from .validation import ValidationReport
 
 MODE_CANONICAL = "canonical"
 MODE_AS_PRINTED = "as-printed"
@@ -249,6 +252,8 @@ def _validated(
 ) -> tuple[ValidationReport, list[Fraction], tuple[str, ...], tuple[str, ...], tuple[tuple[str, str, str], ...]]:
     """What ``validate`` renders: the report, each comparison's final difficulty, the excluded and the
     unmatched course codes, and the provenance. The loaded inputs are freed when it returns."""
+    from .validation import CourseComparison, compare, summarize
+
     bundle = data_io.load_bundle(args.catalog, args.curriculum, args.grades)
     missing = bundle.courses_without_grades()
     if missing and args.strict:
@@ -263,6 +268,8 @@ def _validated(
         _diagnose("".join(warnings))
 
     graded = [course for course in bundle.courses if course.code in bundle.grades]
+    if not graded:
+        raise InsufficientDataError("no course of the curriculum has a grade history").locate(str(args.grades))
     # rounded, each value is its whole number of tenths, rounded in integers, so no Fraction is built per course
     compared = ((lambda value: value) if args.full_precision
                 else lambda value: round_units(value.numerator, value.denominator))
@@ -338,6 +345,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_map_outcomes(args: argparse.Namespace) -> int:
+    from .mapper import map_outcome
+    from .taxonomy import BloomLevel
+
     statements = data_io.load_statements(args.statements)
     lexicon = data_io.default_lexicon() if args.lexicon is None else data_io.load_lexicon(args.lexicon)
 

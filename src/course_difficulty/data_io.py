@@ -40,6 +40,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .engine import (
     NO_OVERRIDES,
@@ -49,7 +50,6 @@ from .engine import (
     GradeKind,
 )
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
-from .mapper import OutcomeStatement
 from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, parse_int
 from .taxonomy import (
     AbetCriterion,
@@ -57,7 +57,10 @@ from .taxonomy import (
     BloomLexicon,
     CriterionCatalog,
 )
-from .validation import ValidationReport
+
+if TYPE_CHECKING:  # annotations only: these modules load where a command runs them (README, "Start-up")
+    from .mapper import OutcomeStatement
+    from .validation import ValidationReport
 
 CATALOG_COLUMNS = ("id", "description", "levels")
 LEXICON_COLUMNS = ("verb", "levels")
@@ -347,9 +350,11 @@ def _writing(path: str | Path) -> Iterator[None]:
 @contextmanager
 def _one_run() -> Iterator[list[str | Path]]:
     """One run's outputs, taken back together: it yields the list of paths ``_write_text`` begins inside
-    ``with``, and if the block raises anything, removes the file each resolves to where that is a regular file
-    (never ``/dev/stdout``, ``/dev/null`` or a FIFO), one that existed before the run too, and reports no error
-    in removing it. Entered while a run is open, it yields that run's list and leaves the removal to that run."""
+    ``with``, and of the directories the run makes, outermost first. If the block raises anything, it removes
+    the file each path resolves to where that is a regular file (never ``/dev/stdout``, ``/dev/null`` or a
+    FIFO), one that existed before the run too, then each directory, deepest first, where it is empty, and
+    reports no error in removing them. Entered while a run is open, it yields that run's list and leaves the
+    removal to that run."""
     if (begun := _outputs.get()) is not None:
         yield begun
         return
@@ -361,6 +366,9 @@ def _one_run() -> Iterator[list[str | Path]]:
             if os.path.isfile(real):
                 with suppress(OSError):
                     os.remove(real)
+        for path in reversed(begun):  # rmdir refuses a file's path and a directory that still holds a file
+            with suppress(OSError):
+                os.rmdir(path)
         raise
     finally:
         _outputs.reset(token)
@@ -587,6 +595,8 @@ def write_grades(grades: Mapping[str, GradeHistory], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def load_statements(path: str | Path) -> list[OutcomeStatement]:
+    from .mapper import OutcomeStatement
+
     statements = []
     with _reading(path, STATEMENTS_COLUMNS, None) as file:
         for file.line, (cid, text) in file.rows:
@@ -706,12 +716,14 @@ def fixture_path(name: str) -> Path:
 
 def copy_fixtures(dest: str | Path) -> list[Path]:
     """Write all shipped fixture files into ``dest`` and return their paths.
-    The set is one run (``_one_run``): a write that fails removes the files written before it."""
+    The set is one run (``_one_run``), with the directories it makes: a write that fails removes the files
+    written before it, and the directories the run made."""
     dest_dir = Path(dest)
-    with _writing(dest_dir):
-        dest_dir.mkdir(parents=True, exist_ok=True)
     written = [dest_dir / name for name in FIXTURE_NAMES]
-    with _one_run():
+    with _one_run() as begun:
+        begun += [path for path in reversed((dest_dir, *dest_dir.parents)) if not os.path.lexists(path)]
+        with _writing(dest_dir):
+            dest_dir.mkdir(parents=True, exist_ok=True)
         for target in written:  # no newline is translated
             _write_text(target, fixture_path(target.name).read_bytes().decode("utf-8"))
     return written

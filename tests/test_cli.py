@@ -320,6 +320,21 @@ class TestValidate:
         assert out == ""
         assert "C2" in err
 
+    def test_no_graded_course_exits_1_naming_the_grades_file(self, fixture_dir, tmp_path, capsys):
+        """With no course graded, the run fails at the grades file, in the CLI's terms, not the library's."""
+        grades = tmp_path / "header_only.csv"
+        grades.write_text("course_code,generation,kind,value\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "validate",
+            "--catalog", str(fixture_dir / "table1.json"),
+            "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
+            "--grades", str(grades),
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"error: {grades}: no course of the curriculum has a grade history"
+        assert err.count("warning: no grade history for course") == 11
+
     def test_unmatched_grades_reported(self, fixture_dir, tmp_path, capsys):
         grades = tmp_path / "extra.csv"
         text = (fixture_dir / "table3_grades.csv").read_text(encoding="utf-8")
@@ -630,15 +645,25 @@ class TestFixturesCommand:
     def test_a_failed_write_leaves_no_fixture_file(self, tmp_path, monkeypatch, capsys, failing):
         """A fixture that cannot be written, a directory in its place or a disk that fills, takes back
         the files written before it, and a stdout that cannot take their list, closed or full, takes back
-        the whole set: a failed run leaves no part of the set."""
+        the whole set: a failed run leaves no part of the set, and none of the directories it made, a
+        nested new DEST too. A DEST that existed before the run stays, with its other files."""
         dest = tmp_path / "out"
         if failing.endswith("stdout"):
             stdout, line = (None, "stdout is closed") if failing == "closed stdout" else (
                 _FullDevice(), f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+            if failing == "closed stdout":
+                dest = dest / "x" / "y"
+            else:
+                dest.mkdir()
+                (dest / "notes.txt").write_text("kept\n", encoding="utf-8")
             monkeypatch.setattr(sys, "stdout", stdout)
             assert main(["fixtures", str(dest)]) == 2
             assert capsys.readouterr().err == f"error: {line}\n"
-            assert list(dest.iterdir()) == []
+            if failing == "closed stdout":
+                assert list(tmp_path.iterdir()) == []
+            else:
+                assert list(dest.iterdir()) == [dest / "notes.txt"]
+                assert (dest / "notes.txt").read_text(encoding="utf-8") == "kept\n"
             return
         if failing == "directory":
             blocked, reason = dest / "table3_grades.csv", os.strerror(errno.EISDIR)
@@ -651,7 +676,10 @@ class TestFixturesCommand:
         code, out, err = run(capsys, "fixtures", str(dest))
         assert (code, out) == (2, "")
         assert err == f"error: {blocked}: cannot write file: {reason}\n"
-        assert list(dest.iterdir()) == ([blocked] if failing == "directory" else [])
+        if failing == "directory":  # made before the run, so it stays
+            assert list(dest.iterdir()) == [blocked]
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:
