@@ -20,6 +20,10 @@ once per distinct value, here and in ``cli``, runs through one bounded memo,
 ``_Memo``. Every file is written by ``_write_text``, in slices that are each
 encoded on their own, so no encoded copy of a whole output is made, and each
 as an output of one run, ``_one_run``: a run that fails removes them all.
+
+``taxonomy`` and ``json`` are imported inside the loaders and renderers that
+use them, once per call, so that a command that reads no catalog, lexicon or
+JSON and writes no JSON loads neither (README, "Start-up").
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import os
 import re
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -36,7 +39,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,15 +53,10 @@ from .engine import (
 )
 from .errors import CourseDifficultyError, DataFormatError, UnresolvedCriterionError, ValidationError
 from .rounding import decimal_text, format_fixed, format_ratio, parse_decimal, parse_int
-from .taxonomy import (
-    AbetCriterion,
-    BloomLevel,
-    BloomLexicon,
-    CriterionCatalog,
-)
 
-if TYPE_CHECKING:  # annotations only: these modules load where a command runs them (README, "Start-up")
+if TYPE_CHECKING:  # annotations only: these modules load where a call uses them (README, "Start-up")
     from .mapper import OutcomeStatement
+    from .taxonomy import BloomLexicon, CriterionCatalog
     from .validation import ValidationReport
 
 CATALOG_COLUMNS = ("id", "description", "levels")
@@ -208,6 +205,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def _load_json(path: str | Path) -> object:
+    import json
+
     text = _read_text(path)
     try:  # numbers stay literal text, so they parse exactly as CSV cells do
         return json.loads(text, parse_int=str, parse_float=str, parse_constant=str, object_pairs_hook=_unique_keys)
@@ -316,24 +315,6 @@ def _reading(
         raise exc.locate(str(path), file.line)
 
 
-_LEVEL_TOKENS = {str(level.weight): level for level in BloomLevel}  # the canonical spellings "1"-"6"
-
-
-def _levels(cell: str, owner: str, name: str) -> frozenset[BloomLevel]:
-    """The levels cell of the ``owner`` record ``name``: a cell of canonical digits is read
-    by table, any other token by token through ``BloomLevel.from_token``."""
-    tokens = cell.split("|")
-    try:
-        levels = [_LEVEL_TOKENS[t] for t in tokens]
-    except KeyError:
-        levels = [BloomLevel.from_token(t) for t in tokens if t.strip()]  # out-of-range -> ValidationError
-    found = frozenset(levels)
-    if len(found) != len(levels):
-        repeated = next(level for i, level in enumerate(levels) if level in levels[:i])
-        raise ValidationError(f"{owner} {name!r} lists level {repeated.weight} more than once")
-    return found
-
-
 # ---------------------------------------------------------------------------
 # writing
 # ---------------------------------------------------------------------------
@@ -406,6 +387,8 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def json_text(payload: object) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -444,6 +427,8 @@ def _write_records(
 
 def load_catalog(path: str | Path) -> CriterionCatalog:
     """Load a criterion catalog from CSV or JSON (chosen by file extension)."""
+    from .taxonomy import AbetCriterion, CriterionCatalog, _levels
+
     with _reading(path, CATALOG_COLUMNS, "criteria") as file:
         def criteria() -> Iterator[AbetCriterion]:  # keeps file.line on the row that from_criteria checks
             for file.line, (cid, description, levels) in file.rows:
@@ -466,6 +451,8 @@ def write_catalog(catalog: CriterionCatalog, path: str | Path) -> None:
 
 def load_lexicon(path: str | Path) -> BloomLexicon:
     """Load an action-verb lexicon (verb -> level(s)) from CSV or JSON."""
+    from .taxonomy import BloomLevel, BloomLexicon, _levels
+
     by_verb: dict[str, frozenset[BloomLevel]] = {}  # each verb as the lexicon normalises it
     with _reading(path, LEXICON_COLUMNS, "verbs") as file:
         for file.line, (verb, cell) in file.rows:
@@ -646,6 +633,8 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
     ``finals`` holds each course's final difficulty, in comparison order.
     The report holds at least one comparison, as ``summarize`` requires.
     """
+    from json.encoder import encode_basestring_ascii
+
     tails = _Memo(_entry_tail)
     entries = [
         f'    {{\n      "course_code": {encode_basestring_ascii(c.course_code)},\n'

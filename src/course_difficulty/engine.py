@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .errors import (
     DataFormatError,
@@ -29,9 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .rounding import to_fraction
-from .taxonomy import MAX_RUBRIC, CriterionCatalog
+
+if TYPE_CHECKING:  # annotations only: a command loads taxonomy where it reads a catalog (README, "Start-up")
+    from .taxonomy import CriterionCatalog
 
 DI_SCALE = 5
+MAX_RUBRIC = 21  # a criterion's most points: the six level weights 1+2+3+4+5+6, re-exported by taxonomy
 NO_OVERRIDES: Mapping[str, int] = MappingProxyType({})  # shared by every course without overrides
 
 

@@ -22,6 +22,7 @@ from enum import Enum
 from operator import attrgetter
 from types import MappingProxyType
 
+from .engine import MAX_RUBRIC  # re-exported: engine owns it, so that scoring loads no catalog class
 from .errors import DataFormatError, InvalidCriterionError, ValidationError
 from .rounding import parse_int
 
@@ -70,7 +71,22 @@ class BloomLevel(Enum):
             raise ValidationError(f"complexity level out of range 1-6: {value}") from None
 
 
-MAX_RUBRIC = sum(level.weight for level in BloomLevel)  # 1+2+3+4+5+6 = 21
+_LEVEL_TOKENS = {str(level.weight): level for level in BloomLevel}  # the canonical spellings "1"-"6"
+
+
+def _levels(cell: str, owner: str, name: str) -> frozenset[BloomLevel]:
+    """The levels cell of the ``owner`` record ``name``, its levels joined by '|': a cell of canonical
+    digits is read by table, any other token by token through ``BloomLevel.from_token``."""
+    tokens = cell.split("|")
+    try:
+        levels = [_LEVEL_TOKENS[t] for t in tokens]
+    except KeyError:
+        levels = [BloomLevel.from_token(t) for t in tokens if t.strip()]  # out-of-range -> ValidationError
+    found = frozenset(levels)
+    if len(found) != len(levels):
+        repeated = next(level for i, level in enumerate(levels) if level in levels[:i])
+        raise ValidationError(f"{owner} {name!r} lists level {repeated.weight} more than once")
+    return found
 
 
 def _valid_id(criterion_id: str) -> bool:

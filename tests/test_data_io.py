@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from course_difficulty import data_io
+from course_difficulty import data_io, taxonomy
 from course_difficulty.cli import main
 from course_difficulty.engine import (
     CombinePolicy,
@@ -106,7 +106,7 @@ class TestLoadCatalog:
 
 
 def _levels_by_token(cell, owner, name):
-    """``data_io._levels`` as every token through ``BloomLevel.from_token``, the path its table replaces."""
+    """``taxonomy._levels`` as every token through ``BloomLevel.from_token``, the path its table replaces."""
     levels = [BloomLevel.from_token(t) for t in cell.split("|") if t.strip()]
     for i, level in enumerate(levels):
         if level in levels[:i]:
@@ -147,7 +147,7 @@ class TestLevelCells:
     def test_table_read_matches_the_token_path(self, cell):
         """A cell reads as every token through ``from_token`` would read it, or fails with the same error."""
         expected = _outcome(_levels_by_token, cell, "criterion", "a")
-        assert _outcome(data_io._levels, cell, "criterion", "a") == expected
+        assert _outcome(taxonomy._levels, cell, "criterion", "a") == expected
 
     @pytest.mark.parametrize("name,text,message", [
         ("cat.csv", "id,description,levels\nb,ok,2\na,x,1|1|3\n", "3: criterion 'a' lists level 1 more than once"),

@@ -1,5 +1,5 @@
-"""What start-up loads: each subcommand imports only the package modules it runs, and the package's
-lazy re-exports behave as eager imports would (README, "Start-up").
+"""What start-up loads: each call imports only the package modules it runs, and ``json`` only where it reads
+or writes JSON; the package's lazy re-exports behave as eager imports would (README, "Start-up").
 
 Each case runs in a fresh interpreter, since this one has imported every module already.
 """
@@ -13,15 +13,20 @@ from pathlib import Path
 import pytest
 
 import course_difficulty
+from course_difficulty import data_io
 
 _SRC = Path(course_difficulty.__file__).resolve().parents[1]
 _EVERY_COMMAND = ["course_difficulty.cli", "course_difficulty.data_io", "course_difficulty.engine",
-                  "course_difficulty.errors", "course_difficulty.rounding", "course_difficulty.taxonomy"]
+                  "course_difficulty.errors", "course_difficulty.rounding"]
+_TAXONOMY = "course_difficulty.taxonomy"
 
-# printed last: the package modules loaded, sorted, and whether hashlib is
+# printed last: the package modules loaded, sorted, and whether hashlib and json are (json is imported after)
 _LOADED = """
-import json, sys
-print(json.dumps([sorted(m for m in sys.modules if m.startswith("course_difficulty.")), "hashlib" in sys.modules]))
+import sys
+loaded = [sorted(m for m in sys.modules if m.startswith("course_difficulty.")), "hashlib" in sys.modules,
+          "json" in sys.modules]
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -33,27 +38,46 @@ def _fresh(code: str, *args: str) -> object:
 
 
 def test_the_parser_alone_loads_neither_mapper_nor_validation_nor_hashlib():
-    assert _fresh("import course_difficulty.cli as cli\ncli.build_parser()" + _LOADED) == [_EVERY_COMMAND, False]
+    """Nor ``taxonomy`` nor ``json``: only the calls that read a catalog or lexicon, or JSON, load them."""
+    assert _fresh("import course_difficulty.cli as cli\ncli.build_parser()" + _LOADED) == [_EVERY_COMMAND, False, False]
 
 
-# each subcommand's inputs among the fixtures, and the modules it loads beyond _EVERY_COMMAND
+def test_taxonomy_imports_on_its_own():
+    """``taxonomy`` re-exports ``engine.MAX_RUBRIC``, and ``engine`` names ``taxonomy`` in annotations only,
+    so a fresh import of ``taxonomy`` meets no cycle."""
+    code = "import course_difficulty.taxonomy as taxonomy\nassert taxonomy.MAX_RUBRIC == 21" + _LOADED
+    assert _fresh(code) == [["course_difficulty.engine", "course_difficulty.errors", "course_difficulty.rounding",
+                             _TAXONOMY], False, False]
+
+
+# each call's argv ({fixtures}: the shipped fixtures, {tmp}: the test's directory, holding the canonical
+# catalog as catalog.csv), the modules it loads beyond _EVERY_COMMAND, and whether it loads json
 _COMMANDS = {
-    "estimate": (["--catalog", "table1.json", "--curriculum", "table2_asprinted.csv"], []),
-    "grades": (["--grades", "table3_grades.csv"], []),
-    "validate": (["--catalog", "table1.json", "--curriculum", "table2_asprinted.csv",
-                  "--grades", "table3_grades.csv"], ["course_difficulty.validation"]),
-    "map-outcomes": (["--statements", "outcome_statements.csv"], ["course_difficulty.mapper"]),
+    "estimate": (["estimate", "--catalog", "{fixtures}/table1.json", "--curriculum",
+                  "{fixtures}/table2_asprinted.csv"], [_TAXONOMY], True),
+    "estimate-csv-catalog": (["estimate", "--catalog", "{tmp}/catalog.csv", "--curriculum",
+                              "{fixtures}/table2_asprinted.csv"], [_TAXONOMY], False),
+    "grades": (["grades", "--grades", "{fixtures}/table3_grades.csv"], [], False),
+    "validate": (["validate", "--catalog", "{fixtures}/table1.json", "--curriculum", "{fixtures}/table2_asprinted.csv",
+                  "--grades", "{fixtures}/table3_grades.csv"], [_TAXONOMY, "course_difficulty.validation"], True),
+    "map-outcomes": (["map-outcomes", "--statements", "{fixtures}/outcome_statements.csv"],
+                     ["course_difficulty.mapper", _TAXONOMY], False),
+    "map-outcomes-json": (["map-outcomes", "--statements", "{fixtures}/outcome_statements.csv", "--format", "json"],
+                          ["course_difficulty.mapper", _TAXONOMY], True),
+    "fixtures": (["fixtures", "{tmp}/copies"], [], False),
 }
 
 
-@pytest.mark.parametrize("command", _COMMANDS)
-def test_each_subcommand_loads_only_what_it_runs(command, fixture_dir, tmp_path):
+@pytest.mark.parametrize("case", _COMMANDS)
+def test_each_subcommand_loads_only_what_it_runs(case, catalog, fixture_dir, tmp_path):
     """Only ``validate`` hashes its inputs, so only it loads ``hashlib``."""
-    inputs, loads = _COMMANDS[command]
-    argv = [command, *(arg if arg.startswith("--") else str(fixture_dir / arg) for arg in inputs),
-            "--output", str(tmp_path / "out.txt")]
+    argv, loads, reads_json = _COMMANDS[case]
+    data_io.write_catalog(catalog, tmp_path / "catalog.csv")
+    argv = [arg.format(fixtures=fixture_dir, tmp=tmp_path) for arg in argv]
+    if argv[0] != "fixtures":  # the one command with no --output
+        argv += ["--output", str(tmp_path / "out.txt")]
     run = "import sys\nfrom course_difficulty.cli import main\nassert main(sys.argv[1:]) == 0" + _LOADED
-    assert _fresh(run, *argv) == [sorted(_EVERY_COMMAND + loads), command == "validate"]
+    assert _fresh(run, *argv) == [sorted(_EVERY_COMMAND + loads), argv[0] == "validate", reads_json]
 
 
 def test_lazy_reexports_behave_like_eager_ones():

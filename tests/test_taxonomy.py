@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from course_difficulty import data_io
+from course_difficulty import data_io, engine
 from course_difficulty.errors import InvalidCriterionError, ValidationError
 from course_difficulty.mapper import _SUFFIX_CANDIDATES, tokenize
 from course_difficulty.taxonomy import (
@@ -99,6 +99,11 @@ class TestMaxRubric:
 
     def test_equals_rubric_of_fully_mapped_criterion(self):
         assert MAX_RUBRIC == criterion_rubric(_criterion(range(1, 7)))
+
+    def test_is_engines_one_value_the_sum_of_the_level_weights(self):
+        """``engine`` defines it, so that scoring loads no catalog class, and this module re-exports it."""
+        assert MAX_RUBRIC is engine.MAX_RUBRIC
+        assert engine.MAX_RUBRIC == sum(level.weight for level in BloomLevel)
 
 
 class TestRubricTable:

@@ -15,7 +15,8 @@ and ``grades``' ``format_ratio`` calls, one per distinct di pair. Every
 ``init=False`` dataclass has its own docstring. ``tools/src_lines.py``'s
 line kinds sum to each module's line count, and its ``--base`` table sums
 a git revision's modules beside the working tree's; ``tools/bench_pairs.py``
-summarizes canned pairs and marks bounds and the gain rule,
+summarizes canned pairs and marks bounds and the gain rule, and it and
+``tools/cold_start.py`` refuse an unknown workload or revision, or no pairs, before writing a tree,
 ``tools/unreached_lines.py`` finds the lines a small module's one call
 leaves unrun, ``tools/stage_memory.py`` prints a line per stage of a small
 workload, and README's "Library use" block runs as written.
@@ -412,6 +413,31 @@ def test_bench_pairs_marks_bounds_and_the_gain_rule():
     assert lines[0].endswith("pairs better, gain rule") and len(lines) == 4
     assert lines[1].split()[-2:] == ["8/10", "fails"]
     assert lines[3].endswith(" 0/10 fails  BEYOND-BOUND (worse by more than 5%)")
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("bench_pairs", ["--base", "HEAD", "--workload", "grades-deep", "--pairs", "0"], "--pairs must be at least 1"),
+    ("bench_pairs", ["--base", "no-such-revision", "--workload", "grades-deep"],
+     "--base 'no-such-revision' names no commit"),
+    ("bench_pairs", ["--base", "HEAD", "--workload", "no-such-workload"],
+     "--workload 'no-such-workload' is not a workload of BENCHMARK.json"),
+    ("cold_start", ["--base", "no-such-revision"], "--base 'no-such-revision' names no commit"),
+], ids=["bench-pairs-no-pairs", "bench-pairs-unknown-base", "bench-pairs-unknown-workload", "cold-start-unknown-base"])
+def test_comparing_tools_refuse_bad_arguments_before_writing_a_tree(name, argv, message, monkeypatch, capsys):
+    """``tools/bench_pairs.py`` and ``tools/cold_start.py`` check ``--workload``, ``--pairs`` and ``--base``
+    first, and exit 2 with one ``error:`` line, before they copy the working tree or extract a revision."""
+    def no_tree(*args):
+        raise AssertionError("a tree was written")
+
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))  # cold_start imports bench_pairs by its top-level name
+    tool = _tool(name)
+    monkeypatch.setattr(tool, "extract", no_tree)
+    monkeypatch.setattr(tool, "snapshot", no_tree)
+    with pytest.raises(SystemExit) as exited:
+        tool.main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert (exited.value.code, len(errors)) == (2, 1)
+    assert errors[0].endswith(f" error: {message}")
 
 
 @pytest.mark.parametrize("workload,stages", [

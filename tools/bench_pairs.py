@@ -22,7 +22,9 @@ working tree better in at least nine tenths of the pairs, ties counting for
 neither side, and its median better than the base median by more than the
 base IQR. With ``--record``, the summary goes into that JSON file
 under ``"workloads"``, next to the entries other workloads wrote there.
-A run that exits non-zero or reports ``"correct": false`` stops the script.
+A workload that ``BENCHMARK.json`` does not list, fewer than one pair or a
+revision that names no commit exits 2 before any tree is written. A run
+that exits non-zero or reports ``"correct": false`` stops the script.
 Standard library only.
 """
 
@@ -40,16 +42,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def extract(rev: str, dest: Path) -> str:
-    """Write the tree of ``rev`` into ``dest`` and return the full commit id."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, check=True,
-                            capture_output=True, text=True).stdout.strip()
+def commit_of(rev: str) -> str | None:
+    """The full id of the commit ``rev`` names, or None if it names none."""
+    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def extract(commit: str, dest: Path) -> None:
+    """Write the tree of ``commit`` (a full id, from ``commit_of``) into ``dest``."""
     archive = subprocess.Popen(["git", "archive", "--format=tar", commit], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"error: git archive {commit} failed")
-    return commit
 
 
 def snapshot(dest: Path) -> None:
@@ -124,12 +130,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--record", type=Path, default=None, help="JSON file to add this workload's summary to")
     args = parser.parse_args(argv)
-
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.workload not in {workload["name"] for workload in spec["workloads"]}:
+        parser.error(f"--workload {args.workload!r} is not a workload of BENCHMARK.json")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    commit = commit_of(args.base)
+    if commit is None:
+        parser.error(f"--base {args.base!r} names no commit")
+
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree, head_tree = Path(tmp) / "base", Path(tmp) / "head"
         base_tree.mkdir()
-        commit = extract(args.base, base_tree)
+        extract(commit, base_tree)
         snapshot(head_tree)
         pairs = []
         for i in range(args.pairs):

@@ -22,7 +22,8 @@ extracted by ``git archive`` as well, the two sides run in turn within each
 run, and which side runs first alternates from one run to the next. The
 script prints, per case and mode, each side's min and median wall time in
 milliseconds and, with a base, in how many runs the working tree was faster.
-A call that exits non-zero stops the script. Standard library only.
+A ``--base`` that names no commit exits 2 before any tree is written. A
+call that exits non-zero stops the script. Standard library only.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from bench_pairs import extract, snapshot  # this script's directory is on sys.path
+from bench_pairs import commit_of, extract, snapshot  # this script's directory is on sys.path
 
 MODES = ("none", "cached")
 
@@ -102,15 +103,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    commit = None if args.base is None else commit_of(args.base)
+    if args.base is not None and commit is None:
+        parser.error(f"--base {args.base!r} names no commit")
 
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
         work = Path(tmp)
         trees = {"tree": work / "tree"}
         snapshot(trees["tree"])
-        if args.base is not None:
+        if commit is not None:
             trees = {"base": work / "base", **trees}
             trees["base"].mkdir()
-            extract(args.base, trees["base"])
+            extract(commit, trees["base"])
         out = work / "out"
         out.mkdir()
         fixtures = out / "inputs"
