@@ -2,12 +2,15 @@
 
 README.md gives the exit codes, why ``main`` pauses the cyclic garbage
 collector while a command runs, and, under "Validation", how ``grades`` and
-``validate`` work once per distinct value. Output is rendered fully before
-anything is written. ``main`` runs each command as one run
-(``data_io._one_run``): a command that fails in any way, after any of its
-writes, takes back every file it wrote. ``estimate`` and ``validate`` drop
-the loaded inputs before they render, so that rendering holds only the
-results (README, "Memory"). ``validate`` imports ``validation``, and
+``validate`` work once per distinct value. ``estimate`` and ``grades`` make
+their CSV rows as they are rendered, a batch at a time, and write each batch
+to an ``--output`` file as it is made; stdout gets the whole text once it is
+all made, and table and JSON output is rendered whole first. ``main`` runs
+each command as one run (``data_io._one_run``): the files it writes land
+only when it succeeds, so a command that fails in any way leaves every
+output as it was. ``validate`` drops the loaded inputs before it renders,
+so that rendering holds only the results (README, "Memory"). ``validate``
+imports ``validation``, and
 ``map-outcomes`` ``mapper``, as it runs, so that no other command loads them
 (README, "Start-up").
 """
@@ -19,6 +22,7 @@ import functools
 import gc
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import suppress
 from fractions import Fraction
 from operator import truediv
@@ -118,8 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: Path | None) -> None:
+def _emit(pieces: Iterable[str], output: Path | None) -> None:
+    """Write the text ``pieces`` join to: to ``output`` as the pieces are made, or to stdout once they are all
+    made and joined, so that a run that fails while making them prints nothing."""
     if output is None:
+        text = "".join(pieces)
         if sys.stdout is None:  # the process started with its stdout closed
             raise DataFormatError("stdout is closed")
         try:
@@ -130,7 +137,7 @@ def _emit(text: str, output: Path | None) -> None:
         except ValueError:  # "I/O operation on closed file": a stream closed in the process
             raise DataFormatError("stdout is closed") from None
     else:
-        data_io._write_text(output, text)
+        data_io._write_text(output, pieces)
 
 
 def _diagnose(text: str) -> None:
@@ -141,10 +148,13 @@ def _diagnose(text: str) -> None:
             sys.stderr.write(text)
 
 
-def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
-    """Render rows as CSV or as an aligned table, per ``--format``, and emit them."""
-    render = data_io.csv_text if args.format == "csv" else _table
-    _emit(render(headers, rows), args.output)
+def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> None:
+    """Render rows as CSV, a batch at a time as they are drawn, or as an aligned table, per ``--format``, and
+    emit them."""
+    if args.format == "csv":
+        _emit(data_io.csv_batches(headers, rows), args.output)
+    else:
+        _emit([_table(headers, list(rows))], args.output)
 
 
 def _table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -168,12 +178,11 @@ def _apply_mode(course: Course, mode: str) -> Course:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     catalog = data_io.load_catalog(args.catalog)
-    # scored straight from the loader's list, so that the courses are freed once the results exist
-    results = [bloom_difficulty(_apply_mode(c, args.mode), catalog)
-               for c in data_io.load_curriculum(args.curriculum, catalog)]
+    # each course scored as its row is drawn, from the loader's list, which is freed once all are drawn
+    results = (bloom_difficulty(_apply_mode(c, args.mode), catalog)
+               for c in data_io.load_curriculum(args.curriculum, catalog))
     # each value of a rubric result but its code follows from its integers, so each distinct key renders once
     rubric = data_io._Memo(lambda key: (*map(str, key), format_fixed(BloomDifficulty("", *key).di), args.mode))
-    cells = [rubric[r.raw_total, r.criteria_count, r.max_total] for r in results]
 
     if args.format == "json":
         payload = {
@@ -184,15 +193,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                     "raw_total": r.raw_total,
                     "criteria_count": r.criteria_count,
                     "max_total": r.max_total,
-                    "difficulty_index": float(c[3]),  # the double nearest the rounded value, as float() of its Fraction
+                    # the double nearest the rounded value, as float() of its Fraction
+                    "difficulty_index": float(rubric[r.raw_total, r.criteria_count, r.max_total][3]),
                 }
-                for r, c in zip(results, cells)
+                for r in results
             ],
         }
-        _emit(data_io.json_text(payload), args.output)
+        _emit([data_io.json_text(payload)], args.output)
         return 0
 
-    rows = [(r.course_code, *c) for r, c in zip(results, cells)]
+    rows = ((r.course_code, *rubric[r.raw_total, r.criteria_count, r.max_total]) for r in results)
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
     _emit_rows(args, headers, rows)
     return 0
@@ -222,7 +232,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                 for history in grades.values()
             ]
         }
-        _emit(data_io.json_text(payload), args.output)
+        _emit([data_io.json_text(payload)], args.output)
         return 0
 
     headers = (
@@ -231,14 +241,12 @@ def cmd_grades(args: argparse.Namespace) -> int:
         + ("generation_count", "grade_di")
     )
     cells = data_io._Memo(lambda pair: format_ratio(*pair))  # each distinct di pair rendered once, with no Fraction
-    rows = []
-    for history in grades.values():
-        generations = history.generations
-        rows.append(
-            (history.course_code, *map(cells.__getitem__, map(_DI_PAIR, generations)),
-             *("",) * (max_generations - len(generations)), str(len(generations)),
-             format_fixed(grade_difficulty(history)))
-        )
+    rows = (
+        (history.course_code, *map(cells.__getitem__, map(_DI_PAIR, history.generations)),
+         *("",) * (max_generations - len(history.generations)), str(len(history.generations)),
+         format_fixed(grade_difficulty(history)))
+        for history in grades.values()
+    )
     _emit_rows(args, headers, rows)
     return 0
 
@@ -336,7 +344,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.plot_data is not None:
         data_io.write_plot_data(report, args.plot_data)
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0
 
 
@@ -366,7 +374,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
         })
 
     if args.format == "json":
-        _emit(data_io.json_text({"suffix_rule": args.suffix_rule, "statements": entries}), args.output)
+        _emit([data_io.json_text({"suffix_rule": args.suffix_rule, "statements": entries})], args.output)
         return 0
 
     headers = ("criterion_id", "levels", "matched", "draft_rubric", "unmatched_tokens", "ambiguous", "status")
@@ -392,7 +400,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
     written = data_io.copy_fixtures(args.dest)
-    _emit("".join(f"{path}\n" for path in written), None)
+    _emit([f"{path}\n" for path in written], None)
     return 0
 
 
@@ -406,13 +414,13 @@ _COMMANDS = {
 
 
 def _file_key(path: Path) -> tuple[int, int] | str:
-    """A file's identity, so that hard links and symlinks match: its device and inode where it exists,
-    else its resolved path (``Path.resolve()``, less its symlink-loop ``RuntimeError``)."""
-    real = os.path.realpath(path)
+    """A file's identity, so that hard links and symlinks match: its device and inode where it exists
+    (``os.stat`` follows symlinks), else its resolved path (``Path.resolve()``, less its symlink-loop
+    ``RuntimeError``), which is only worked out then."""
     try:
-        found = os.stat(real)
+        found = os.stat(path)
     except OSError:
-        return real
+        return os.path.realpath(path)
     return found.st_dev, found.st_ino
 
 
@@ -432,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # see the module docstring
     try:
         _check_outputs(args)
-        with data_io._one_run():  # a command that fails takes back every file it wrote
+        with data_io._one_run():  # the files a command writes land only if it succeeds
             return _COMMANDS[args.command](args)
     except CourseDifficultyError as exc:
         _diagnose(f"error: {exc}\n")

@@ -4,22 +4,25 @@ README.md, "File formats", specifies the CSV columns, the JSON forms, the
 number syntax and the error locators; this module implements them, and every
 file a writer here writes loads back to the same objects.
 
-Each file is read once, as bytes; ``load_bundle`` hashes those bytes for its
-provenance, and the text is decoded whole, strictly, with text-mode newline
-translation. ``csv.reader`` reads that text one slice of whole lines at a
-time (``_SLICE`` characters or a little more), so no second copy of the whole
-file is made. CSV and JSON reach the loaders as (locator, cells) pairs, the
-cells a tuple in the loader's column order, and each record is built through
-its constructor, which checks it.
+Each file is read once, one block of ``_SLICE`` bytes at a time;
+``load_bundle`` hashes each block for its provenance, and each is decoded
+strictly, with text-mode newline translation, as it comes. ``csv.reader``
+reads the text one slice of whole lines at a time, so no copy of the whole
+file is held; JSON is parsed from the slices joined. CSV and JSON reach the
+loaders as (locator, cells) pairs, the cells a tuple in the loader's column
+order, and each record is built through its constructor, which checks it.
 
 Reports render from the integers each comparison holds: the CSV and plot
 cells through ``format_ratio``, and each JSON report entry as its code and
 its values' text, from one table of distinct tails, as ``json.dumps``
 (indent 2) would, joined once with the text around the list. Whatever runs
 once per distinct value, here and in ``cli``, runs through one bounded memo,
-``_Memo``. Every file is written by ``_write_text``, in slices that are each
-encoded on their own, so no encoded copy of a whole output is made, and each
-as an output of one run, ``_one_run``: a run that fails removes them all.
+``_Memo``. Every file is written by ``_write_text``, from pieces of text,
+in slices that are each encoded on their own, so no encoded copy of a whole
+output is made; CSV is rendered a batch of rows at a time (``csv_batches``).
+Each file is an output of one run, ``_one_run``: it is written to a temp
+file that replaces it only once the whole run has succeeded, so a run that
+fails leaves every output as it was.
 
 ``taxonomy`` and ``json`` are imported inside the loaders and renderers that
 use them, once per call, so that a command that reads no catalog, lexicon or
@@ -28,17 +31,20 @@ JSON and writes no JSON loads neither (README, "Start-up").
 
 from __future__ import annotations
 
+import codecs
 import csv
+import errno
 import functools
 import io
 import os
 import re
+import stat
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -89,8 +95,8 @@ _UNWRITABLE = re.compile("[\r\ud800-\udfff]")
 
 # while set (by load_bundle), each file read appends the SHA-256 of its bytes here
 _digests: ContextVar[list[str] | None] = ContextVar("_digests", default=None)
-# while set (by _one_run), each file _write_text begins appends its path here
-_outputs: ContextVar[list[str | Path] | None] = ContextVar("_outputs", default=None)
+# while set (by _one_run), each temp file _write_text begins, and each directory a run makes, is listed here
+_outputs: ContextVar[list[tuple[str | Path, str | None, str | None]] | None] = ContextVar("_outputs", default=None)
 
 
 # the bound keeps a memo over inputs whose values do not repeat (a gradebook's cells
@@ -124,54 +130,53 @@ class _Memo(dict):
 # reading: every file kind as (locator, cells) records
 # ---------------------------------------------------------------------------
 
-# characters per slice, of a CSV text parsed and of an output encoded: slices this size wrote a
-# 3 MB report faster than one ``Path.write_text``, and 8 KiB ones slower
+# bytes per block read, and characters per slice of an output encoded: slices this size wrote a 3 MB report
+# faster than one ``Path.write_text``, and 8 KiB ones slower
 _SLICE = 1 << 16
 
 
-def _read_text(path: str | Path) -> str:
-    """A file's UTF-8 text from one read of its bytes; while ``load_bundle``
-    collects digests, the SHA-256 of those bytes goes to ``_digests`` as well.
+def _text_slices(path: str | Path) -> Iterator[str]:
+    """A file's UTF-8 text in slices of whole lines, read ``_SLICE`` bytes at a time, so that no copy of the
+    whole file is held; while ``load_bundle`` collects digests, the SHA-256 of its bytes goes to ``_digests``.
 
-    Newlines are translated as text-mode reading does (``\\r\\n`` and a lone ``\\r`` become ``\\n``), which CSV
-    quoted fields and JSON line numbers rely on. Only a text holding a ``\\r`` is searched for the slower ``\\r\\n``.
-    One leading byte-order mark is dropped after a strict decode, so a decode error names its file offset.
+    The decode is strict and incremental: an error names its byte offset in the file, for a character split
+    between two blocks too. One leading byte-order mark is dropped. Newlines are translated as text-mode
+    reading does (``\\r\\n`` and a lone ``\\r`` become ``\\n``), across blocks too, which CSV quoted fields
+    and JSON line numbers rely on. Each slice but the last ends with a ``\\n``.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc.strerror or exc}") from exc
     digests = _digests.get()
     if digests is not None:
         import hashlib  # here, so that the subcommands that never hash do not load OpenSSL at start-up
 
-        digests.append(hashlib.sha256(data).hexdigest())
+        digest = hashlib.sha256()
+    decode = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True).decode
+    read, pending, mark = 0, [], "\ufeff"  # as a spreadsheet's "CSV UTF-8" file begins
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    del data  # hashed and decoded: not held as well while the text is copied below
-    text = text.removeprefix("\ufeff")  # as a spreadsheet's "CSV UTF-8" file begins
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        text = text.replace("\r", "\n")
-    return text
-
-
-def _slices(text: str) -> Iterator[str]:
-    """``text`` in consecutive slices, each but the last ending just after the first newline at or past
-    ``_SLICE`` characters in, so that each holds whole lines only."""
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _SLICE - 1) + 1 or size
-        yield text[start:end]
-        start = end
+        with io.open(path, "rb", buffering=0) as file:  # not open(), which writes alone go through
+            for block in iter(functools.partial(file.read, _SLICE), b""):
+                read += len(block)
+                if digests is not None:
+                    digest.update(block)
+                lines, newline, rest = decode(block).rpartition("\n")
+                if newline:
+                    yield "".join((*pending, lines, newline)).removeprefix(mark)
+                    pending, mark = [], ""
+                pending.append(rest)
+            pending.append(decode(b"", True))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read file: {exc.strerror or exc}").locate(str(path)) from exc
+    except UnicodeDecodeError as exc:  # its object is the bytes decoded in the failing call, the last read
+        raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {read - len(exc.object) + exc.start}"
+                              ).locate(str(path)) from None
+    if digests is not None:
+        digests.append(digest.hexdigest())
+    yield "".join(pending).removeprefix(mark)
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Parse a CSV file, checking the header, and yield (line, cells) pairs, the cells in ``columns`` order."""
     # the lines io.StringIO(text) gives, a slice at a time: one over the whole text holds it again, 4 bytes a character
-    reader = csv.reader(chain.from_iterable(map(io.StringIO, _slices(_read_text(path)))))
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, _text_slices(path))))
     try:
         header = next(reader, None)
         if header is None:
@@ -207,7 +212,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 def _load_json(path: str | Path) -> object:
     import json
 
-    text = _read_text(path)
+    text = "".join(_text_slices(path))
     try:  # numbers stay literal text, so they parse exactly as CSV cells do
         return json.loads(text, parse_int=str, parse_float=str, parse_constant=str, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -329,41 +334,72 @@ def _writing(path: str | Path) -> Iterator[None]:
 
 
 @contextmanager
-def _one_run() -> Iterator[list[str | Path]]:
-    """One run's outputs, taken back together: it yields the list of paths ``_write_text`` begins inside
-    ``with``, and of the directories the run makes, outermost first. If the block raises anything, it removes
-    the file each path resolves to where that is a regular file (never ``/dev/stdout``, ``/dev/null`` or a
-    FIFO), one that existed before the run too, then each directory, deepest first, where it is empty, and
-    reports no error in removing them. Entered while a run is open, it yields that run's list and leaves the
-    removal to that run."""
+def _one_run() -> Iterator[list[tuple[str | Path, str | None, str | None]]]:
+    """One run's outputs, landing together or not at all. It yields a list of (path, temp, target) entries:
+    ``_write_text`` adds one for each file it writes to a temp file, to replace the resolved ``target``, and
+    ``copy_fixtures`` a (directory, None, None) for each directory the run makes, outermost first. When the
+    block returns, each temp replaces its target (``os.replace``), in the order begun; a replace that fails
+    fails the run, and the targets replaced before it stay replaced. If anything raises, the temps that are
+    left are removed, then each directory, deepest first, where it is empty, with no error reported in
+    removing them: every target not yet replaced is left as it was. Entered while a run is open, it yields
+    that run's list and leaves the landing to that run."""
     if (begun := _outputs.get()) is not None:
         yield begun
         return
     token = _outputs.set(begun := [])
     try:
         yield begun
+        for path, temp, target in begun:
+            if temp is not None:
+                with _writing(path):
+                    os.replace(temp, target)
     except BaseException:
-        for real in map(os.path.realpath, begun):
-            if os.path.isfile(real):
+        for path, temp, _ in begun:
+            if temp is not None:
+                with suppress(OSError):  # a temp that has replaced its target is gone
+                    os.remove(temp)
+        for path, temp, _ in reversed(begun):  # rmdir refuses a directory that still holds a file
+            if temp is None:
                 with suppress(OSError):
-                    os.remove(real)
-        for path in reversed(begun):  # rmdir refuses a file's path and a directory that still holds a file
-            with suppress(OSError):
-                os.rmdir(path)
+                    os.rmdir(path)
         raise
     finally:
         _outputs.reset(token)
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, with no newline translated, one slice at a time:
-    no encoded copy of the whole text is ever made. The file is an output of the
-    open run, or of its own (``_one_run``), so a failed write removes it."""
-    with _one_run() as begun, _writing(path), open(path, "wb") as file:
-        begun.append(path)
-        for start in range(0, len(text), _SLICE):
-            file.write(text[start:start + _SLICE].encode("utf-8"))
-        file.flush()  # so that the last slice fails here, not at close
+def _write_text(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` join to as UTF-8, with no newline translated, one slice at a time: no
+    encoded copy of the whole text is ever made, nor the whole text where the pieces are made as they are
+    written. The file is an output of the open run, or of its own (``_one_run``).
+
+    A regular file, or one that does not exist yet, is written to a new temp file beside the file the path
+    resolves to, with that file's permission bits, which replaces it once the run has succeeded; so its
+    directory must be writable. Anything else, such as ``/dev/stdout`` or a FIFO, is written in place.
+    """
+    with _one_run() as begun, _writing(path):
+        target = os.path.realpath(path) if os.path.islink(path) else path  # realpath costs ten islinks
+        kept = None  # the mode of the file there before the run
+        with suppress(FileNotFoundError):
+            kept = os.stat(target).st_mode
+        if kept is not None and not stat.S_ISREG(kept):
+            file, kept = open(path, "wb"), None
+        else:
+            if kept is not None and not os.access(target, os.W_OK):  # a read-only file is not replaced
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            head, name = os.path.split(target)
+            for n in count():  # 50 characters of the name, so that a name of up to 255 bytes still fits
+                temp = os.path.join(head, f".{name[:50]}.{os.getpid()}-{n}.tmp")
+                with suppress(FileExistsError):
+                    file = open(temp, "xb")
+                    break
+            begun.append((path, temp, target))
+        with file:
+            if kept is not None:
+                os.chmod(temp, stat.S_IMODE(kept))
+            for text in pieces:
+                for start in range(0, len(text), _SLICE):
+                    file.write(text[start:start + _SLICE].encode("utf-8"))
+            file.flush()  # so that the last slice fails here, not at close
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -384,6 +420,15 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
         csv.writer(buf, lineterminator="\n").writerows(rows)
         text = buf.getvalue()
     return text
+
+
+def csv_batches(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """The text of ``csv_text(columns, rows)`` in pieces, each ``csv_text`` of the next batch of rows, the
+    header first: the rows are drawn, and their text made, one batch at a time. A batch is ``_SLICE >> 7``
+    rows, so that its text fits in one slice where rows are 128 characters or shorter."""
+    rows = chain((columns,), rows)
+    while batch := list(islice(rows, _SLICE >> 7 or 1)):
+        yield csv_text(batch[0], batch[1:])
 
 
 def json_text(payload: object) -> str:
@@ -407,7 +452,7 @@ def _write_records(
     In CSV a list value becomes one '|'-joined cell and a dict id:points pairs.
     """
     if not _is_json(path):
-        _write_text(path, csv_text((*columns, *nested), ([_cell_text(v) for v in row] for row in rows)))
+        _write_text(path, csv_batches((*columns, *nested), ([_cell_text(v) for v in row] for row in rows)))
         return
     entries: list[dict[str, object]] = []
     for row in rows:
@@ -418,7 +463,7 @@ def _write_records(
         if not entries or any(entries[-1][c] != entry[c] for c in columns):
             entries.append({**entry, "generations": []})
         entries[-1]["generations"].append({_JSON_KEYS.get(c, c): v for c, v in zip(nested, row[len(columns):])})
-    _write_text(path, json_text({**(head or {}), key: entries}))
+    _write_text(path, [json_text({**(head or {}), key: entries})])
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +697,8 @@ def render_report_json(payload: dict[str, object], report: ValidationReport, fin
 def write_plot_data(report: ValidationReport, path: str | Path) -> None:
     """Two-series plot data: actual vs estimated difficulty per course."""
     cells = _Memo(lambda pair: format_ratio(*pair))
-    rows = [(c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den]) for c in report.comparisons]
-    _write_text(path, csv_text(PLOT_COLUMNS, rows))
+    rows = ((c.course_code, cells[c.actual_num, c.den], cells[c.estimated_num, c.den]) for c in report.comparisons)
+    _write_text(path, csv_batches(PLOT_COLUMNS, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +755,9 @@ def copy_fixtures(dest: str | Path) -> list[Path]:
     dest_dir = Path(dest)
     written = [dest_dir / name for name in FIXTURE_NAMES]
     with _one_run() as begun:
-        begun += [path for path in reversed((dest_dir, *dest_dir.parents)) if not os.path.lexists(path)]
+        begun += [(path, None, None) for path in reversed((dest_dir, *dest_dir.parents)) if not os.path.lexists(path)]
         with _writing(dest_dir):
             dest_dir.mkdir(parents=True, exist_ok=True)
         for target in written:  # no newline is translated
-            _write_text(target, fixture_path(target.name).read_bytes().decode("utf-8"))
+            _write_text(target, [fixture_path(target.name).read_bytes().decode("utf-8")])
     return written

@@ -19,9 +19,11 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from course_difficulty import cli, data_io
 from course_difficulty.cli import main
+from course_difficulty.errors import ValidationError
 from course_difficulty.engine import (
     Course,
     GenerationRecord,
@@ -671,8 +673,8 @@ class TestFixturesCommand:
         else:
             blocked, reason = dest / "worked_example.csv", os.strerror(errno.ENOSPC)
             monkeypatch.setattr(data_io, "_SLICE", 10)
-            monkeypatch.setattr(data_io, "open", lambda path, mode: (_FullDiskFile if Path(path) == blocked else open)(
-                path, mode), raising=False)
+            monkeypatch.setattr(data_io, "open", lambda path, mode: (
+                _FullDiskFile if _opens_output(path, blocked.name) else open)(path, mode), raising=False)
         code, out, err = run(capsys, "fixtures", str(dest))
         assert (code, out) == (2, "")
         assert err == f"error: {blocked}: cannot write file: {reason}\n"
@@ -790,15 +792,14 @@ def _write_synthetic_inputs(tmp_path, courses=3000, generations=3):
 
 
 @pytest.mark.parametrize("command,loader,renderer", [
-    ("estimate", "load_curriculum", "csv_text"),
     ("validate", "load_bundle", "render_report_json"),
 ])
 def test_rendering_starts_once_the_loaded_inputs_are_freed(command, loader, renderer, fixture_dir, tmp_path,
                                                            monkeypatch):
-    """When ``estimate`` or ``validate`` starts rendering, no course, grade history or grade record it loaded is
-    alive, and the traced memory is below its value right after loading, although the results have been built
-    since: the courses' long titles, which no result holds, are gone. Reference counting alone frees the
-    inputs, as the collector is paused."""
+    """When ``validate`` starts rendering, no course, grade history or grade record it loaded is alive, and the
+    traced memory is below its value right after loading, although the results have been built since: the
+    courses' long titles, which no result holds, are gone. Reference counting alone frees the inputs, as the
+    collector is paused."""
     curriculum, grades = _write_synthetic_inputs(tmp_path)
     kinds = {Course, GradeHistory, GenerationRecord}
     load, render = getattr(data_io, loader), getattr(data_io, renderer)
@@ -828,6 +829,39 @@ def test_rendering_starts_once_the_loaded_inputs_are_freed(command, loader, rend
         tracemalloc.stop()
     assert seen["alive"] == alive
     assert seen["rendering"] < seen["loaded"], seen
+
+
+def test_a_csv_estimate_peaks_within_a_slice_of_its_loaded_courses(fixture_dir, tmp_path, monkeypatch):
+    """From the end of ``load_curriculum`` to the end of the run, the traced peak of a CSV ``estimate`` to
+    ``--output`` stays within one slice's worth (``4 * _SLICE`` bytes: a slice of text at 4 bytes a character)
+    of the traced memory right after loading. The rows are scored, rendered and written a batch at a time;
+    no list of results or rows, and no text of the whole output, is held. The 20,000 courses cycle through
+    12 criteria sets, so that the table of distinct rubric keys stays small."""
+    rng = random.Random(31)
+    ids = sorted(CATALOG.criteria)
+    sets = [rng.sample(ids, rng.randint(3, 8)) for _ in range(12)]
+    curriculum, output = tmp_path / "curriculum.csv", tmp_path / "out.csv"
+    curriculum.write_text("course_code,title,criteria,overrides\n" + "".join(
+        f"C{i:05d},,{'|'.join(sets[i % 12])},{f'{sets[i % 12][0]}:3' if i % 10 == 0 else ''}\n"
+        for i in range(20_000)), encoding="utf-8")
+    load, seen = data_io.load_curriculum, {}
+
+    def loading(*args):
+        loaded = load(*args)
+        seen["loaded"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return loaded
+
+    monkeypatch.setattr(data_io, "load_curriculum", loading)
+    tracemalloc.start()
+    try:
+        assert main(["estimate", "--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(curriculum),
+                     "--format", "csv", "--output", str(output)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert output.read_text(encoding="utf-8").count("\n") == 20_001
+    assert peak - seen["loaded"] <= 4 * data_io._SLICE, (peak, seen["loaded"])
 
 
 class TestSharedRecordMeans:
@@ -1025,6 +1059,22 @@ def test_an_output_that_is_a_hard_link_of_an_input_exits_2(fixture_dir, tmp_path
     assert (tmp_path / "cur.csv").read_bytes() == data
 
 
+def test_an_output_that_is_a_symlink_to_an_input_exits_2(fixture_dir, tmp_path, monkeypatch, capsys):
+    """A symlink is followed to the file it names, so a link to an input is refused as an output."""
+    data = (fixture_dir / "table2_asprinted.csv").read_bytes()
+    (tmp_path / "cur.csv").write_bytes(data)
+    try:
+        (tmp_path / "out.csv").symlink_to("cur.csv")
+    except OSError as exc:
+        pytest.skip(f"cannot make a symlink here: {exc}")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "estimate", "--catalog", str(fixture_dir / "table1.json"),
+                         "--curriculum", "cur.csv", "--output", "out.csv")
+    assert (code, out, err) == (2, "", "error: --curriculum and --output name the same file: out.csv\n")
+    assert (tmp_path / "cur.csv").read_bytes() == data
+    assert (tmp_path / "out.csv").is_symlink()
+
+
 class _FullDiskFile:
     """A binary file whose second write fails as a write to a full disk does."""
 
@@ -1051,6 +1101,13 @@ def _interrupted(path, mode):
     raise KeyboardInterrupt
 
 
+def _opens_output(path, name):
+    """Whether ``data_io`` opening ``path`` begins the output file named ``name``: the file itself, or the temp
+    file beside it that replaces it once the run has succeeded."""
+    opened = Path(path).name
+    return opened == name or opened.startswith(f".{name}.")
+
+
 @pytest.mark.parametrize("failing", ["out.json", "plot.csv", "out.json interrupted"])
 def test_a_failed_write_leaves_no_partial_file(failing, fixture_dir, tmp_path, monkeypatch, capsys):
     """A write that fails after its first slice removes the file it began; ``validate`` then removes its
@@ -1059,7 +1116,7 @@ def test_a_failed_write_leaves_no_partial_file(failing, fixture_dir, tmp_path, m
     name, _, interrupted = failing.partition(" ")
     monkeypatch.setattr(data_io, "_SLICE", 100)
     monkeypatch.setattr(data_io, "open", lambda path, mode: (
-        (_interrupted if interrupted else _FullDiskFile) if Path(path).name == name else open)(path, mode),
+        (_interrupted if interrupted else _FullDiskFile) if _opens_output(path, name) else open)(path, mode),
         raising=False)
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "--catalog", str(fixture_dir / "table1.json"),
@@ -1126,6 +1183,168 @@ def test_a_failed_report_takes_back_the_plot_data_as_a_failed_write_would(plot_k
     assert err == f"error: {report}: cannot write file: {os.strerror(errno.ENOENT)}\n"
     assert plot.is_fifo() if plot_kind == "fifo" else plot.is_symlink()
     assert not target.exists()
+
+
+def _estimate_argv(fixture_dir, *more):
+    return ["estimate", "--catalog", str(fixture_dir / "table1.json"),
+            "--curriculum", str(fixture_dir / "table2_asprinted.csv"), *more]
+
+
+def _failing_call(after):
+    """A stand-in for ``cli.bloom_difficulty`` that raises a ``ValidationError`` at its call number ``after``."""
+    calls = itertools.count(1)
+
+    def scored(course, catalog):
+        if next(calls) == after:
+            raise ValidationError("the run failed partway")
+        return bloom_difficulty(course, catalog)
+
+    return scored
+
+
+@pytest.mark.parametrize("failing", ["full disk", "error after five rows"])
+def test_a_run_that_fails_while_writing_keeps_the_old_output_and_leaves_no_temp_file(failing, fixture_dir, tmp_path,
+                                                                                      monkeypatch, capsys):
+    """An ``--output`` that existed before the run keeps its bytes and its permission bits when the run fails
+    partway through writing it, at the disk or in the rows it is writing, and no temp file is left beside it."""
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o640)
+    monkeypatch.setattr(data_io, "_SLICE", 128)  # a row a batch, each written before the next is made
+    if failing == "full disk":
+        monkeypatch.setattr(data_io, "open", lambda path, mode: (
+            _FullDiskFile if _opens_output(path, "out.csv") else open)(path, mode), raising=False)
+        expected = (2, f"error: {target}: cannot write file: {os.strerror(errno.ENOSPC)}\n")
+    else:
+        monkeypatch.setattr(cli, "bloom_difficulty", _failing_call(after=5))
+        expected = (1, "error: the run failed partway\n")
+    code, out, err = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv", "--output", str(target)))
+    assert (code, err, out) == (*expected, "")
+    assert target.read_bytes() == b"old bytes\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_a_run_replaces_an_old_output_keeping_its_permission_bits(fixture_dir, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o604)
+    code, out, err = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv", "--output", str(target)))
+    assert (code, out, err) == (0, "", "")
+    _, expected, _ = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv"))
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert target.stat().st_mode & 0o777 == 0o604
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_an_output_whose_name_is_255_bytes_long_is_written(fixture_dir, tmp_path, capsys):
+    """The temp file beside the output takes only the start of the output's name, so the longest name a
+    file may have is still written, and no temp file is left."""
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("this file system allows shorter names")
+    target = tmp_path / ("é" * 125 + "x.csv")  # 255 bytes in UTF-8
+    code, out, err = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv", "--output", str(target)))
+    assert (code, out, err) == (0, "", "")
+    _, expected, _ = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv"))
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_a_read_only_output_is_refused_and_kept(fixture_dir, tmp_path, monkeypatch, capsys):
+    """A regular file the run may not write is not replaced, although its directory is writable: the run
+    exits 2 as an in-place write to it would."""
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(data_io.os, "access", lambda path, mode: os.path.realpath(path) != str(target))
+    code, out, err = run(capsys, *_estimate_argv(fixture_dir, "--output", str(target)))
+    assert (code, out, err) == (2, "", f"error: {target}: cannot write file: {os.strerror(errno.EACCES)}\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_a_failed_report_write_keeps_both_old_validate_outputs(fixture_dir, tmp_path, monkeypatch, capsys):
+    """``validate`` writes its plot data, then its report; when the report's write fails, neither lands: the
+    plot data and the report that were there before keep their bytes, and no temp file is left."""
+    plot, report = tmp_path / "plot.csv", tmp_path / "report.json"
+    plot.write_bytes(b"old plot\n")
+    report.write_bytes(b"old report\n")
+    monkeypatch.setattr(data_io, "_SLICE", 100)
+    monkeypatch.setattr(data_io, "open", lambda path, mode: (
+        _FullDiskFile if _opens_output(path, "report.json") else open)(path, mode), raising=False)
+    code, out, err = run(capsys, "validate", "--catalog", str(fixture_dir / "table1.json"),
+                         "--curriculum", str(fixture_dir / "table2_asprinted.csv"),
+                         "--grades", str(fixture_dir / "table3_grades.csv"),
+                         "--format", "json", "--plot-data", str(plot), "--output", str(report))
+    assert (code, out, err) == (2, "", f"error: {report}: cannot write file: {os.strerror(errno.ENOSPC)}\n")
+    assert (plot.read_bytes(), report.read_bytes()) == (b"old plot\n", b"old report\n")
+    assert sorted(tmp_path.iterdir()) == [plot, report]
+
+
+def test_a_symlinked_output_replaces_the_file_it_names_and_stays_a_link(fixture_dir, tmp_path, capsys):
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "target.csv", tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    try:
+        link.symlink_to(target)
+    except OSError as exc:
+        pytest.skip(f"cannot make a symlink here: {exc}")
+    _, expected, _ = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv"))
+    code, out, err = run(capsys, *_estimate_argv(fixture_dir, "--format", "csv", "--output", str(link)))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert sorted(tmp_path.rglob("*")) == [link, tmp_path / "real", target]
+
+
+class TestBatchedCsv:
+    """``estimate`` and ``grades`` make, render and write their CSV rows a batch at a time. With batches of
+    a row or a few, the file written to ``--output`` is byte for byte what stdout gets, and what one
+    ``csv_text`` call over every row gives, as the golden corpus, captured before the rows were batched, holds."""
+
+    @pytest.mark.parametrize("size", [128, 384], ids=["1-row-batches", "3-row-batches"])
+    @pytest.mark.parametrize("case", [
+        "estimate-canonical-csv", "estimate-as-printed-csv", "estimate-json-input-csv",
+        "estimate-synthetic-canonical-csv", "estimate-synthetic-as-printed-csv",
+        "grades-csv", "grades-json-input-csv", "grades-synthetic-csv",
+    ])
+    def test_golden_cases_write_the_golden_bytes(self, case, size, tmp_path, monkeypatch):
+        from test_golden import CASES, GOLDEN, run_case
+
+        argv, _ = CASES[case]
+        golden = (GOLDEN / f"{case}.stdout").read_bytes()
+        monkeypatch.setattr(data_io, "_SLICE", size)
+        code, out, err, _ = run_case(argv, tmp_path / "stdout")
+        assert (code, out.encode("utf-8"), err) == (0, golden, "")
+        assert run_case([*argv, "--output", "out.csv"], tmp_path / "file") == (0, "", "", {"out.csv": golden})
+
+    @pytest.mark.parametrize("command", ["estimate", "grades"])
+    @settings(max_examples=30, deadline=None)
+    @given(courses=repeating_curricula(), grades=grade_maps(), code=st.sampled_from(["K,x", 'K"x', "K\nx"]))
+    def test_a_code_to_quote_in_a_later_batch_only(self, command, courses, grades, code):
+        """The last row's code needs quoting, and no row of the batches before it does: that batch goes to
+        ``csv.writer``, and the text is still what one ``csv_text`` call over every row gives."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, output = Path(tmp) / "input.csv", Path(tmp) / "out.csv"
+            if command == "estimate":
+                data_io.write_curriculum([*courses, Course(code, ("a", "b"))], path)
+                argv = ["estimate", "--catalog", str(data_io.fixture_path("table1.json")), "--curriculum", str(path),
+                        "--format", "csv"]
+            else:
+                history = next(iter(grades.values()))
+                data_io.write_grades({**grades, code: GradeHistory(code, history.generations)}, path)
+                argv = ["grades", "--grades", str(path), "--format", "csv"]
+            whole = io.StringIO()
+            with contextlib.redirect_stdout(whole):
+                assert main(argv) == 0  # fewer rows than one batch of the default size: one csv_text call
+            before, quoted, _ = whole.getvalue().partition('"K')
+            assert quoted and '"' not in before  # only the last row is quoted
+            with mock.patch.object(data_io, "_SLICE", 128):  # a row a batch
+                batched = io.StringIO()
+                with contextlib.redirect_stdout(batched):
+                    assert main(argv) == 0
+                assert main([*argv, "--output", str(output)]) == 0
+            assert batched.getvalue() == whole.getvalue()
+            assert output.read_bytes() == whole.getvalue().encode("utf-8")
 
 
 class TestOneProcess:

@@ -896,7 +896,7 @@ class TestWriteText:
     def test_bytes_match_path_write_text(self, tmp_path, text):
         sliced, whole = tmp_path / "sliced.txt", tmp_path / "whole.txt"
         sliced.write_bytes(b"stale" * _SLICE)  # a longer file it replaces
-        data_io._write_text(sliced, text)
+        data_io._write_text(sliced, [text])
         whole.write_text(text, encoding="utf-8", newline="")
         assert sliced.read_bytes() == whole.read_bytes()
 
@@ -904,7 +904,7 @@ class TestWriteText:
         text = "C000123,3.8,4.1,0.3\n" * 200_000  # 4,000,000 characters
         tracemalloc.start()
         try:
-            data_io._write_text(tmp_path / "out.csv", text)
+            data_io._write_text(tmp_path / "out.csv", [text])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -924,12 +924,13 @@ def _read_rows(path, columns):
 
 
 class TestCsvSlices:
-    """``_csv_rows`` parses its text one slice of whole lines at a time, and reads exactly what
-    ``csv.reader(io.StringIO(text))`` reads: the same cells, line numbers and located errors."""
+    """``_csv_rows`` reads its file one block of bytes at a time and parses it one slice of whole lines at a
+    time, and reads exactly what ``csv.reader(io.StringIO(text))`` reads of the file's whole text, as text-mode
+    reading decodes it: the same cells, line numbers and located errors."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        st.sampled_from(["a,b\n", "b,x,a\n", "a\n", ""]),
+        st.sampled_from(["a,b\n", "b,x,a\n", "a\n", "", "\ufeffa,b\r\n"]),
         st.text(alphabet='x,"\n\r é\x00', max_size=60),
         st.integers(1, 16),
         st.booleans(),
@@ -941,23 +942,65 @@ class TestCsvSlices:
     @example("a,b\n", "1,2\n\n3\n", 1, False)  # a blank line, then a row too narrow
     @example("a,b\n", "x" * 40 + ",y\n1,2\n", 4, False)  # a line longer than a slice
     @example("a,b\n", '1,"xxxxxxxxxxxx\nxxxxx"\n', 3, True)  # a field over the size limit, after a boundary
+    @example("\ufeffa,b\r\n", '1,"x\r\ny"\r\n2,3\r', 1, False)  # a mark and each \r\n split across blocks
+    @example("a,b\n", "\u00e9,1\n", 1, False)  # a 2-byte character split across blocks
     def test_rows_and_errors_match_one_string_io(self, tmp_path, header, body, size, small_limit):
         path = tmp_path / "in.csv"
         path.write_bytes((header + body).encode("utf-8"))
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # newlines translated, the mark dropped
         limit = csv.field_size_limit(8) if small_limit else csv.field_size_limit()
         try:
             with mock.patch.object(data_io, "_SLICE", size):
-                text = data_io._read_text(path)
-                slices = list(data_io._slices(text))
+                slices = list(data_io._text_slices(path))
                 sliced = _read_rows(path, ("a", "b"))
-            with mock.patch.object(data_io, "_slices", lambda text: [text]):  # the reader fed io.StringIO(text)
+            with mock.patch.object(data_io, "_text_slices", lambda path: [text]):  # the reader fed io.StringIO(text)
                 whole = _read_rows(path, ("a", "b"))
         finally:
             csv.field_size_limit(limit)
         assert "".join(slices) == text
-        for piece in slices[:-1]:  # each ends at the first newline at or past `size` characters
-            assert len(piece) >= size and piece.index("\n", size - 1) == len(piece) - 1
+        assert all(piece.endswith("\n") for piece in slices[:-1])
         assert sliced == whole
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.sampled_from([b"a", b",", b"\r", b"\n", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xe2\x82\xac",
+                                  b"\xf0\x9f\x98\x80", b"\xe2", b"\x82", b"\xff", b"\xed\xa0\x80"]), max_size=12),
+        st.integers(1, 8),
+    )
+    @example([b"ab", b"\xe2\x82"], 3)  # a character cut short by the end of the file
+    @example([b"a", b"\xe2\x82\xac", b"b", b"\xff"], 2)  # a character split between blocks, then a bad byte
+    @example([b"\xef\xbb\xbf", b"\xef\xbb\xbf", b"x", b"\r"], 1)  # two marks, of which one is dropped
+    def test_text_digest_and_decode_errors_match_one_whole_decode(self, tmp_path, parts, size):
+        """The joined slices are the whole text, decoded strictly and translated; the digest is of the whole
+        file; a decode error names the file and the byte offset a decode of the whole file names."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data := b"".join(parts))
+        try:
+            expected = data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            expected = f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        token = data_io._digests.set(digests := [])
+        try:
+            with mock.patch.object(data_io, "_SLICE", size):
+                got = "".join(data_io._text_slices(path))
+        except DataFormatError as exc:
+            got = str(exc)
+        finally:
+            data_io._digests.reset(token)
+        assert got == expected
+        assert digests == ([] if got.startswith(f"{path}: ") else [hashlib.sha256(data).hexdigest()])
+
+    @pytest.mark.parametrize("size", [16, 1 << 16], ids=["row-blocks-before-the-byte", "one-block"])
+    def test_a_decode_error_is_reported_once_its_block_is_read(self, tmp_path, size):
+        """The file is decoded a block at a time as ``csv.reader`` draws its lines, so a bad row some blocks
+        before a byte that is not UTF-8 is reported first, and one in the same block is not."""
+        path = tmp_path / "in.csv"
+        path.write_bytes(data := b"course_code,generation,kind,value\nC1,g1,di,x\n" + b"C2,g1,di,1.0\n" * 5 + b"\xff\n")
+        offset = data.index(b"\xff")
+        with mock.patch.object(data_io, "_SLICE", size), pytest.raises(DataFormatError) as exc:
+            data_io.load_grades(path)
+        assert str(exc.value) == (f"{path}:2: cannot parse grade value 'x' as a decimal number" if size == 16 else
+                                  f"{path}: not UTF-8 text: invalid start byte at byte {offset}")
 
     @staticmethod
     def _read_grades_file(path, newline):

@@ -312,9 +312,11 @@ def test_src_lines_table_counts_each_module_and_the_total(tmp_path, capsys):
     assert expected[0][-1] == str(len(texts["a.py"]) + 1)  # the non-ASCII letter counts as its two bytes
 
 
-def test_src_lines_base_compares_a_revision_with_the_working_tree(tmp_path, capsys):
+def test_src_lines_base_compares_a_revision_with_the_working_tree(tmp_path, monkeypatch, capsys):
     """``--base REV`` sums ROOT's modules at REV, read from git, and in the working tree, with the difference
-    per kind; files outside ROOT and files that are not modules count on neither side."""
+    per kind; files outside ROOT and files that are not modules count on neither side. A REV that names no
+    commit of ROOT's repository exits 2 with one ``error:`` line, before anything is read."""
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))  # src_lines imports bench_pairs by its top-level name
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args], cwd=tmp_path,
                        check=True, capture_output=True)
@@ -344,8 +346,11 @@ def test_src_lines_base_compares_a_revision_with_the_working_tree(tmp_path, caps
     head = sums(t for name, t in new.items() if name.endswith(".py"))
     assert rows == [[kind, str(base[kind]), str(head[kind]), f"{head[kind] - base[kind]:+d}"] for kind in base]
     assert base["bytes"] != head["bytes"] and base["code"] == head["code"]
-    with pytest.raises(SystemExit, match="^error: git archive"):
+    monkeypatch.setattr(tool, "_sources_at", None)  # a revision that names no commit is refused before any read
+    with pytest.raises(SystemExit) as exited:
         tool.main(["src_lines.py", "--base", "no-such-revision", str(src)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert (exited.value.code, errors) == (2, ["src_lines.py: error: --base 'no-such-revision' names no commit"])
 
 
 def test_readme_library_use_block_states_what_it_computes():

@@ -42,9 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def commit_of(rev: str) -> str | None:
-    """The full id of the commit ``rev`` names, or None if it names none."""
-    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+def commit_of(rev: str, repo: Path = ROOT) -> str | None:
+    """The full id of the commit ``rev`` names in the git repository at ``repo``, or None if it names none."""
+    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=repo,
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
 

@@ -97,6 +97,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     parser.add_argument("--base", metavar="REV", help="compare the sums at this git revision with the working tree")
     args = parser.parse_args(argv[1:])
+    if args.base is not None:
+        from bench_pairs import commit_of  # this script's directory is on sys.path
+
+        if commit_of(args.base, args.root) is None:
+            parser.error(f"--base {args.base!r} names no commit")
     sources = {path.relative_to(args.root).as_posix(): path.read_bytes() for path in sorted(args.root.rglob("*.py"))}
     if args.base is not None:
         base, head = _sum(_sources_at(args.root, args.base)), _sum(sources)
