@@ -37,40 +37,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbetCriterion",
-    "BloomDifficulty",
-    "BloomLevel",
-    "BloomLexicon",
-    "CombinePolicy",
-    "Course",
-    "CourseComparison",
-    "CourseDifficultyError",
-    "CriterionCatalog",
-    "DataFormatError",
-    "GenerationRecord",
-    "GradeHistory",
-    "GradeKind",
-    "InsufficientDataError",
-    "InvalidCriterionError",
-    "InvalidGradeError",
-    "MappingResult",
-    "NoActionWordsError",
-    "OutcomeStatement",
-    "UnresolvedCriterionError",
-    "ValidationError",
-    "ValidationReport",
-    "bloom_difficulty",
-    "canonical_catalog",
-    "catalog_total",
-    "class_average_to_di",
-    "compare",
-    "course_raw_total",
-    "criterion_rubric",
-    "final_difficulty",
-    "grade_difficulty",
-    "map_outcome",
-    "suggest_criterion",
-    "summarize",
-    "tokenize",
-]
+__all__ = sorted(_HOMES)

@@ -48,10 +48,7 @@ if TYPE_CHECKING:  # annotations only: validate imports validation as it runs
 MODE_CANONICAL = "canonical"
 MODE_AS_PRINTED = "as-printed"
 
-_POLICIES = {
-    "bloom-primary": CombinePolicy.BLOOM_PRIMARY,
-    "mean-of-both": CombinePolicy.MEAN_OF_BOTH,
-}
+_POLICIES = {policy.value.replace("_", "-"): policy for policy in CombinePolicy}  # --policy spells each with hyphens
 
 
 def _positive_fraction(text: str) -> Fraction:
@@ -88,10 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="canonical computes every cell from the catalog; as-printed applies per-cell overrides",
     )
     add_output_flags(p_est)
+    p_est.set_defaults(run=cmd_estimate)
 
     p_gr = sub.add_parser("grades", help="grade-history difficulty index per course")
     p_gr.add_argument("--grades", type=Path, required=True)
     add_output_flags(p_gr)
+    p_gr.set_defaults(run=cmd_grades)
 
     p_val = sub.add_parser("validate", help="compare estimated and grade-derived difficulty")
     p_val.add_argument("--catalog", type=Path, required=True)
@@ -109,15 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write actual-vs-estimated plot CSV, to a file no other path argument names")
     p_val.add_argument("--strict", action="store_true", help="fail when a course has no grade history")
     add_output_flags(p_val)
+    p_val.set_defaults(run=cmd_validate)
 
     p_map = sub.add_parser("map-outcomes", help="tag outcome statements with complexity levels")
     p_map.add_argument("--statements", type=Path, required=True)
     p_map.add_argument("--lexicon", type=Path, default=None, help="defaults to the shipped verb list")
     p_map.add_argument("--suffix-rule", action="store_true", help="also match plural/gerund verb forms")
     add_output_flags(p_map)
+    p_map.set_defaults(run=cmd_map_outcomes)
 
     p_fix = sub.add_parser("fixtures", help="write the bundled reference dataset files")
     p_fix.add_argument("dest", type=Path)
+    p_fix.set_defaults(run=cmd_fixtures)
 
     return parser
 
@@ -404,15 +406,6 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "grades": cmd_grades,
-    "validate": cmd_validate,
-    "map-outcomes": cmd_map_outcomes,
-    "fixtures": cmd_fixtures,
-}
-
-
 def _file_key(path: Path) -> tuple[int, int] | str:
     """A file's identity, so that hard links and symlinks match: its device and inode where it exists
     (``os.stat`` follows symlinks), else its resolved path (``Path.resolve()``, less its symlink-loop
@@ -441,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_outputs(args)
         with data_io._one_run():  # the files a command writes land only if it succeeds
-            return _COMMANDS[args.command](args)
+            return args.run(args)  # the subcommand's function, which its parser sets
     except CourseDifficultyError as exc:
         _diagnose(f"error: {exc}\n")
         return exc.exit_code

@@ -25,6 +25,7 @@ from course_difficulty import cli, data_io
 from course_difficulty.cli import main
 from course_difficulty.errors import ValidationError
 from course_difficulty.engine import (
+    CombinePolicy,
     Course,
     GenerationRecord,
     GradeHistory,
@@ -487,6 +488,11 @@ class TestValidatePairs:
     @settings(max_examples=15, deadline=None)
     @given(courses=repeating_curricula(), grade_map=repeating_grade_maps())
     def test_output_matches_per_course_reference(self, bound, courses, grade_map):
+        # the policies looped over below are the --policy spellings, each naming the CombinePolicy member it maps to
+        validate = cli.build_parser()._subparsers._group_actions[0].choices["validate"]
+        flag = next(action for action in validate._actions if action.dest == "policy")
+        assert (flag.choices, flag.default) == (("bloom-primary", "mean-of-both"), "bloom-primary")
+        assert all(cli._POLICIES[choice] is CombinePolicy[choice.replace("-", "_").upper()] for choice in flag.choices)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data_io, "_SHARED_LITERALS", bound):
             paths, graded, grades = self._write_inputs(tmp, courses, grade_map)
             plot = Path(tmp) / "plot.csv"

@@ -2,7 +2,8 @@
 
 ``bench/child.py --trace 1`` wraps each function in its ``TRACED`` table by
 ``getattr`` and crashes on a missing one; ``from course_difficulty import *``
-fails on a stale ``__all__`` entry. Each benchmark workload's calls, run
+fails on a stale entry of the package's ``_HOMES`` table, whose sorted keys
+are its ``__all__``. Each benchmark workload's calls, run
 once on small inputs, reach every function its coverage guard
 (``Workload.traced``) names, as ``bench/run.py`` requires. The same wrapping
 counts ``estimate``'s ``format_fixed`` calls, one per distinct rubric pair;
@@ -18,8 +19,9 @@ a git revision's modules beside the working tree's; ``tools/bench_pairs.py``
 summarizes canned pairs and marks bounds and the gain rule, and it and
 ``tools/cold_start.py`` refuse an unknown workload or revision, or no pairs, before writing a tree,
 ``tools/unreached_lines.py`` finds the lines a small module's one call
-leaves unrun, ``tools/stage_memory.py`` prints a line per stage of a small
-workload, and README's "Library use" block runs as written.
+leaves unrun, ``tools/stage_memory.py`` prints a line per run of one stage
+of a small workload, one line for all the CSV batches of a write, and
+README's "Library use" block runs as written.
 """
 
 import ast
@@ -445,21 +447,28 @@ def test_comparing_tools_refuse_bad_arguments_before_writing_a_tree(name, argv, 
     assert errors[0].endswith(f" error: {message}")
 
 
-@pytest.mark.parametrize("workload,stages", [
-    ("validate-20k", ["data_io.load_catalog", "data_io.load_curriculum", "data_io.load_grades", "data_io.load_bundle",
-                      "data_io.json_text", "data_io.render_report_json", "data_io.csv_text", "data_io._write_text",
-                      "data_io.write_plot_data", "data_io._write_text"]),
-    ("estimate-50k", ["data_io.load_catalog", "data_io.load_curriculum", "data_io.csv_text", "data_io._write_text"]),
-])
-def test_stage_memory_prints_each_stage_of_a_small_workload(workload, stages):
-    """``tools/stage_memory.py`` at a small scale: one line per loader, renderer and write, in the order they
-    return, each with its traced current and peak MB, then the call's exit code and whole peak."""
+_ESTIMATE_STAGES = ["data_io.load_catalog", "data_io.load_curriculum", "data_io.csv_text", "data_io._write_text"]
+
+
+@pytest.mark.parametrize("workload,scale,stages,calls", [
+    ("validate-20k", "0.01",
+     ["data_io.load_catalog", "data_io.load_curriculum", "data_io.load_grades", "data_io.load_bundle",
+      "data_io.json_text", "data_io.render_report_json", "data_io.csv_text", "data_io._write_text",
+      "data_io.write_plot_data", "data_io._write_text"], [1] * 10),
+    ("estimate-50k", "0.01", _ESTIMATE_STAGES, [1, 1, 1, 1]),
+    ("estimate-50k", "0.03", _ESTIMATE_STAGES, [1, 1, 3, 1]),  # 1,500 courses: three CSV batches of 512 rows
+], ids=["validate-20k-stages0", "estimate-50k-stages1", "estimate-50k-batches"])
+def test_stage_memory_prints_each_stage_of_a_small_workload(workload, scale, stages, calls):
+    """``tools/stage_memory.py`` at a small scale: one line per run of consecutive returns of one loader,
+    renderer or write, in the order they return, each with its traced current and peak MB and its count of
+    returns, then the call's exit code and whole peak."""
     done = subprocess.run([sys.executable, str(_ROOT / "tools" / "stage_memory.py"), "--workload", workload,
-                           "--seed", "1", "--scale", "0.01"], capture_output=True, text=True, timeout=120)
+                           "--seed", "1", "--scale", scale], capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     title, header, *lines, last = done.stdout.splitlines()
-    assert (title, header.split()) == (f"call 0: {workload.split('-')[0]}", ["stage", "current_mb", "peak_mb"])
+    assert (title, header.split()) == (f"call 0: {workload.split('-')[0]}", ["stage", "current_mb", "peak_mb", "calls"])
     assert [line.split()[0] for line in lines] == stages
+    assert [int(line.split()[3]) for line in lines] == calls
     peaks = [float(line.split()[2]) for line in lines]
     assert all(float(line.split()[1]) >= 0 for line in lines) and min(peaks) > 0
     assert last.startswith("  exit 0, whole call peak ") and float(last.split()[-2]) >= max(peaks)

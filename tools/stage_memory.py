@@ -8,12 +8,15 @@ The workload's seeded inputs are written with ``bench/workloads.prepare``
 into a temporary directory, as ``bench/run.py`` writes them. Each distinct
 CLI call of the workload then runs once through ``cli.main`` in this
 process, under ``tracemalloc``, from this tree's ``src``. Each loader,
-renderer and write (``STAGES``) is wrapped: when one returns, the script
-prints its name, the traced memory still allocated, and the traced peak
-since the line before, both in MB. Each call ends with its exit code and its
-whole peak. Memory allocated before a call starts is not counted. Output the
-call writes to stdout or stderr is discarded. Tracing slows the run, so no
-time is measured. Standard library only; nothing under ``bench/`` changes.
+renderer and write (``STAGES``) is wrapped. Once the call returns, the
+script prints a line per run of consecutive returns of one stage
+(``estimate``'s CSV batches, say): its name, the traced memory still
+allocated when it last returned, the traced peak since the line before,
+both in MB, and how many times it returned. Each call ends with its exit
+code and its whole peak. Memory allocated before a call starts is not
+counted. Output the call writes to stdout or stderr is discarded. Tracing
+slows the run, so no time is measured. Standard library only; nothing
+under ``bench/`` changes.
 """
 
 from __future__ import annotations
@@ -71,21 +74,24 @@ def _wrap(stages: tuple[tuple[str, str], ...], report) -> list[tuple[object, str
 
 
 def trace_call(argv: list[str]) -> int:
-    """Run ``cli.main(argv)`` under tracemalloc and print a line per stage; return its exit code."""
+    """Run ``cli.main(argv)`` under tracemalloc and print a line per run of one stage; return its exit code."""
     from course_difficulty import cli
 
     out = sys.stdout  # the call's own output goes to the null device
     whole = 0
+    runs = []  # per run of consecutive returns of one stage: [name, last current, highest peak, returns]
 
     def report(name: str) -> None:
         nonlocal whole
         current, peak = tracemalloc.get_traced_memory()
         whole = max(whole, peak)
-        out.write(f"  {name:<28} {current / _MB:>10.2f} {peak / _MB:>10.2f}\n")
+        if runs and runs[-1][0] == name:
+            runs[-1][1:] = current, max(runs[-1][2], peak), runs[-1][3] + 1
+        else:
+            runs.append([name, current, peak, 1])
         tracemalloc.reset_peak()
 
     restore = _wrap(STAGES, report)
-    out.write(f"  {'stage':<28} {'current_mb':>10} {'peak_mb':>10}\n")
     try:
         with open(os.devnull, "w", encoding="utf-8") as sink, \
                 contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -98,6 +104,9 @@ def trace_call(argv: list[str]) -> int:
     finally:
         for module, name, original in restore:
             setattr(module, name, original)
+    out.write(f"  {'stage':<28} {'current_mb':>10} {'peak_mb':>10} {'calls':>6}\n")
+    for name, current, peak, calls in runs:
+        out.write(f"  {name:<28} {current / _MB:>10.2f} {peak / _MB:>10.2f} {calls:>6}\n")
     out.write(f"  exit {code}, whole call peak {whole / _MB:.2f} MB\n")
     return code
 
