@@ -2,17 +2,17 @@
 
 README.md gives the exit codes, why ``main`` pauses the cyclic garbage
 collector while a command runs, and, under "Validation", how ``grades`` and
-``validate`` work once per distinct value. ``estimate`` and ``grades`` make
-their CSV rows as they are rendered, a batch at a time, and write each batch
-to an ``--output`` file as it is made; stdout gets the whole text once it is
-all made, and table and JSON output is rendered whole first. ``main`` runs
-each command as one run (``data_io._one_run``): the files it writes land
-only when it succeeds, so a command that fails in any way leaves every
-output as it was. ``validate`` drops the loaded inputs before it renders,
+``validate`` work once per distinct value. Each ``cmd_*`` function returns
+its output as pieces of text, and ``main`` alone writes them, inside one run
+(``data_io._one_run``): the files a command writes land only when it
+succeeds, so a command that fails in any way leaves every output as it was.
+``estimate`` and ``grades`` return their CSV text as batches made as their
+rows are drawn, which ``main`` writes to an ``--output`` file one at a time;
+stdout gets the whole text once it is all made, and table and JSON output is
+rendered whole first. ``validate`` drops the loaded inputs before it renders,
 so that rendering holds only the results (README, "Memory"). ``validate``
-imports ``validation``, and
-``map-outcomes`` ``mapper``, as it runs, so that no other command loads them
-(README, "Start-up").
+imports ``validation``, and ``map-outcomes`` ``mapper``, as it runs, so that
+no other command loads them (README, "Start-up").
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 from . import data_io
 from .engine import (
     _DI_PAIR,
+    DI_SCALE,
     BloomDifficulty,
     CombinePolicy,
     Course,
@@ -56,8 +57,8 @@ def _positive_fraction(text: str) -> Fraction:
         value = parse_decimal(text, "tolerance")
     except DataFormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if not 0 < value <= DI_SCALE:  # every error lies on the 0-5 scale: a larger tolerance counts every course
+        raise argparse.ArgumentTypeError(f"must be above 0 and at most {DI_SCALE}: {text}")
     return value
 
 
@@ -70,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_mode_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--mode", choices=(MODE_CANONICAL, MODE_AS_PRINTED), default=MODE_CANONICAL,
+                       help="canonical computes every cell from the catalog; as-printed applies per-cell overrides")
+
     def add_output_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--output", type=Path, default=None, help="write here instead of stdout (exit 2 if another path "
@@ -78,12 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="rubric-based difficulty index per course")
     p_est.add_argument("--catalog", type=Path, required=True)
     p_est.add_argument("--curriculum", type=Path, required=True)
-    p_est.add_argument(
-        "--mode",
-        choices=(MODE_CANONICAL, MODE_AS_PRINTED),
-        default=MODE_CANONICAL,
-        help="canonical computes every cell from the catalog; as-printed applies per-cell overrides",
-    )
+    add_mode_flag(p_est)
     add_output_flags(p_est)
     p_est.set_defaults(run=cmd_estimate)
 
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--catalog", type=Path, required=True)
     p_val.add_argument("--curriculum", type=Path, required=True)
     p_val.add_argument("--grades", type=Path, required=True)
-    p_val.add_argument("--mode", choices=(MODE_CANONICAL, MODE_AS_PRINTED), default=MODE_CANONICAL)
+    add_mode_flag(p_val)
     p_val.add_argument("--policy", choices=tuple(_POLICIES), default="bloom-primary")
     p_val.add_argument("--tolerance", type=_positive_fraction, default=Fraction(1, 2))
     p_val.add_argument(
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fix = sub.add_parser("fixtures", help="write the bundled reference dataset files")
     p_fix.add_argument("dest", type=Path)
-    p_fix.set_defaults(run=cmd_fixtures)
+    p_fix.set_defaults(run=cmd_fixtures, output=None)
 
     return parser
 
@@ -150,13 +150,9 @@ def _diagnose(text: str) -> None:
             sys.stderr.write(text)
 
 
-def _emit_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> None:
-    """Render rows as CSV, a batch at a time as they are drawn, or as an aligned table, per ``--format``, and
-    emit them."""
-    if args.format == "csv":
-        _emit(data_io.csv_batches(headers, rows), args.output)
-    else:
-        _emit([_table(headers, list(rows))], args.output)
+def _render_rows(args: argparse.Namespace, headers: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> Iterable[str]:
+    """Rows as CSV, a batch at a time as they are drawn, or as an aligned table, per ``--format``."""
+    return data_io.csv_batches(headers, rows) if args.format == "csv" else [_table(headers, list(rows))]
 
 
 def _table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
@@ -178,43 +174,28 @@ def _apply_mode(course: Course, mode: str) -> Course:
 # estimate
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> Iterable[str]:
     catalog = data_io.load_catalog(args.catalog)
     # each course scored as its row is drawn, from the loader's list, which is freed once all are drawn
     results = (bloom_difficulty(_apply_mode(c, args.mode), catalog)
                for c in data_io.load_curriculum(args.curriculum, catalog))
     # each value of a rubric result but its code follows from its integers, so each distinct key renders once
     rubric = data_io._Memo(lambda key: (*map(str, key), format_fixed(BloomDifficulty("", *key).di), args.mode))
-
-    if args.format == "json":
-        payload = {
-            "mode": args.mode,
-            "courses": [
-                {
-                    "course_code": r.course_code,
-                    "raw_total": r.raw_total,
-                    "criteria_count": r.criteria_count,
-                    "max_total": r.max_total,
-                    # the double nearest the rounded value, as float() of its Fraction
-                    "difficulty_index": float(rubric[r.raw_total, r.criteria_count, r.max_total][3]),
-                }
-                for r in results
-            ],
-        }
-        _emit([data_io.json_text(payload)], args.output)
-        return 0
-
-    rows = ((r.course_code, *rubric[r.raw_total, r.criteria_count, r.max_total]) for r in results)
     headers = ("course_code", "raw_total", "criteria_count", "max_total", "difficulty_index", "mode")
-    _emit_rows(args, headers, rows)
-    return 0
+
+    if args.format == "json":  # the first five columns; the index is the double nearest its rounded value
+        courses = [dict(zip(headers, (r.course_code, *key, float(rubric[key][3]))))
+                   for r in results for key in [(r.raw_total, r.criteria_count, r.max_total)]]
+        return [data_io.json_text({"mode": args.mode, "courses": courses})]
+    rows = ((r.course_code, *rubric[r.raw_total, r.criteria_count, r.max_total]) for r in results)
+    return _render_rows(args, headers, rows)
 
 
 # ---------------------------------------------------------------------------
 # grades
 # ---------------------------------------------------------------------------
 
-def cmd_grades(args: argparse.Namespace) -> int:
+def cmd_grades(args: argparse.Namespace) -> Iterable[str]:
     grades = data_io.load_grades(args.grades)
     max_generations = max((len(h.generations) for h in grades.values()), default=0)
 
@@ -234,8 +215,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
                 for history in grades.values()
             ]
         }
-        _emit([data_io.json_text(payload)], args.output)
-        return 0
+        return [data_io.json_text(payload)]
 
     headers = (
         ("course_code",)
@@ -249,8 +229,7 @@ def cmd_grades(args: argparse.Namespace) -> int:
          format_fixed(grade_difficulty(history)))
         for history in grades.values()
     )
-    _emit_rows(args, headers, rows)
-    return 0
+    return _render_rows(args, headers, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +282,7 @@ def _validated(
     return summarize(comparisons, args.tolerance), finals, missing, unmatched, bundle.provenance
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Iterable[str]:
     policy = _POLICIES[args.policy]
     report, finals, missing, unmatched, provenance = _validated(args, policy)
 
@@ -346,15 +325,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.plot_data is not None:
         data_io.write_plot_data(report, args.plot_data)
-    _emit([text], args.output)
-    return 0
+    return [text]
 
 
 # ---------------------------------------------------------------------------
 # map-outcomes
 # ---------------------------------------------------------------------------
 
-def cmd_map_outcomes(args: argparse.Namespace) -> int:
+def cmd_map_outcomes(args: argparse.Namespace) -> Iterable[str]:
     from .mapper import map_outcome
     from .taxonomy import BloomLevel
 
@@ -376,8 +354,7 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
         })
 
     if args.format == "json":
-        _emit([data_io.json_text({"suffix_rule": args.suffix_rule, "statements": entries})], args.output)
-        return 0
+        return [data_io.json_text({"suffix_rule": args.suffix_rule, "statements": entries})]
 
     headers = ("criterion_id", "levels", "matched", "draft_rubric", "unmatched_tokens", "ambiguous", "status")
     rows = [
@@ -392,18 +369,15 @@ def cmd_map_outcomes(args: argparse.Namespace) -> int:
         )
         for e in entries
     ]
-    _emit_rows(args, headers, rows)
-    return 0
+    return _render_rows(args, headers, rows)
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
 
-def cmd_fixtures(args: argparse.Namespace) -> int:
-    written = data_io.copy_fixtures(args.dest)
-    _emit([f"{path}\n" for path in written], None)
-    return 0
+def cmd_fixtures(args: argparse.Namespace) -> Iterable[str]:
+    return [f"{path}\n" for path in data_io.copy_fixtures(args.dest)]
 
 
 def _file_key(path: Path) -> tuple[int, int] | str:
@@ -434,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_outputs(args)
         with data_io._one_run():  # the files a command writes land only if it succeeds
-            return args.run(args)  # the subcommand's function, which its parser sets
+            _emit(args.run(args), args.output)  # the output of the subcommand's function, which its parser sets
+        return 0
     except CourseDifficultyError as exc:
         _diagnose(f"error: {exc}\n")
         return exc.exit_code

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -422,6 +423,7 @@ class TestValidate:
         ("0.25", "accuracy: 0.636 at tolerance 0.25 (7/11 courses)"),
         ("0.04", "accuracy: 0.091 at tolerance 0.04 (1/11 courses)"),
         ("1", "accuracy: 1.000 at tolerance 1.0 (11/11 courses)"),
+        ("5", "accuracy: 1.000 at tolerance 5.0 (11/11 courses)"),  # the largest error on the 0-5 scale
     ])
     def test_the_table_states_the_tolerance_it_used(self, fixture_dir, capsys, text, summary):
         """The summary gives the tolerance exactly, not rounded to the grid: one decimal at least."""
@@ -429,10 +431,14 @@ class TestValidate:
         assert code == 0
         assert out.splitlines()[-1] == summary
 
-    def test_zero_tolerance_rejected_by_parser(self, fixture_dir):
+    @pytest.mark.parametrize("text", ["0", "5.1", "1" + "0" * 400], ids=["zero", "above-5", "401-digits"])
+    def test_zero_tolerance_rejected_by_parser(self, fixture_dir, capsys, text):
+        """A tolerance outside (0, 5] is refused as a usage error: above 5, the top of the scale every
+        error lies on, it would count every course, and the JSON report's float of it could overflow."""
         with pytest.raises(SystemExit) as exc:
-            main(self._args(fixture_dir, "--tolerance", "0"))
+            main(self._args(fixture_dir, "--tolerance", text))
         assert exc.value.code == 2
+        assert "argument --tolerance: must be above 0 and at most 5" in capsys.readouterr().err
 
     def test_modes_differ_only_on_overridden_courses(self, fixture_dir, capsys):
         _, printed_out, _ = run(capsys, *self._args(fixture_dir, "--format", "csv"))
@@ -720,6 +726,20 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_help_renders_for_the_parser_and_each_subcommand(capsys):
+    """argparse formats a help string only when it prints help, so a stray ``%`` in one fails here. No bytes
+    are pinned, as argparse lays help out differently from one Python version to the next."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for argv in ([], *([name] for name in commands)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip()
+    estimate, validate = (next(a.help for a in commands[name]._actions if a.dest == "mode")
+                          for name in ("estimate", "validate"))
+    assert estimate and estimate == validate
+
+
 @pytest.mark.parametrize("command,loader", [("grades", "load_grades"), ("validate", "load_bundle")])
 def test_internal_error_exits_70_on_one_line(command, loader, fixture_dir, tmp_path, monkeypatch, capsys):
     """A bug, which is neither bad input nor a failed read or write, exits 70 (``EX_SOFTWARE``)."""
@@ -975,42 +995,57 @@ def test_inputs_may_name_one_file(tmp_path, capsys):
     assert len(parse_csv((tmp_path / "out.csv").read_text(encoding="utf-8"))) == len(verbs)
 
 
-@pytest.mark.parametrize("command", ["estimate", "validate"])
+def _stdout_call(command, fixture_dir, tmp_path):
+    """An argv list of ``command`` whose stdout output holds a non-ASCII character (U+00E9): a course code,
+    a criterion id or the ``fixtures`` destination. Its inputs are written into ``tmp_path``, and its other
+    outputs, ``validate``'s plot data and the ``fixtures`` directory, are named there."""
+    (tmp_path / "cur.csv").write_text("course_code,title,criteria,overrides\nCé1,,a|b,\n", encoding="utf-8")
+    (tmp_path / "grades.csv").write_text("course_code,generation,kind,value\nCé1,g1,di,3.0\n", encoding="utf-8")
+    (tmp_path / "s.csv").write_text("criterion_id,text\ncé1,students list results\n", encoding="utf-8")
+    bundle = ["--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(tmp_path / "cur.csv")]
+    return {
+        "estimate": ["estimate", *bundle],
+        "validate": ["validate", *bundle, "--grades", str(tmp_path / "grades.csv"),
+                     "--plot-data", str(tmp_path / "plot.csv")],
+        "grades": ["grades", "--grades", str(tmp_path / "grades.csv")],
+        "map-outcomes": ["map-outcomes", "--statements", str(tmp_path / "s.csv")],
+        "fixtures": ["fixtures", str(tmp_path / "dé" / "sub")],
+    }[command]
+
+
+STDOUT_COMMANDS = ["estimate", "validate", "grades", "map-outcomes", "fixtures"]
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
 def test_an_unencodable_stdout_exits_2_on_one_line_and_writes_nothing(command, fixture_dir, tmp_path, monkeypatch,
                                                                       capsys):
     """A stdout whose encoding cannot hold the output fails as a failed write does; a ``validate`` run
-    removes the plot data it wrote."""
-    curriculum, grades, plot = tmp_path / "cur.csv", tmp_path / "grades.csv", tmp_path / "plot.csv"
-    curriculum.write_text("course_code,title,criteria,overrides\nCé1,,a|b,\n", encoding="utf-8")
-    grades.write_text("course_code,generation,kind,value\nCé1,g1,di,3.0\n", encoding="utf-8")
-    argv = ["--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(curriculum)]
-    if command == "validate":
-        argv += ["--grades", str(grades), "--plot-data", str(plot)]
+    removes the plot data it wrote, and a ``fixtures`` run its files and the directories it made."""
+    argv = _stdout_call(command, fixture_dir, tmp_path)
+    inputs = sorted(tmp_path.iterdir())
     buffer = io.BytesIO()
     stdout = io.TextIOWrapper(buffer, encoding="ascii")
     monkeypatch.setattr(sys, "stdout", stdout)
-    code = main([command, *argv])
+    code = main(argv)
     stdout.flush()
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and len(err[0]) < 200
     assert err[0].startswith("error: stdout (ascii) cannot encode U+00E9 at position ")
     assert buffer.getvalue() == b""
-    assert not plot.exists()
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
-@pytest.mark.parametrize("command", ["estimate", "validate"])
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
 def test_a_closed_stdout_exits_2_on_one_line(command, fixture_dir, tmp_path, monkeypatch, capsys):
     """A process started with its stdout closed has ``sys.stdout`` set to ``None``: writing to it fails as a
-    failed stdout write does, and a ``validate`` run removes the plot data it wrote."""
-    plot = tmp_path / "plot.csv"
-    argv = ["--catalog", str(fixture_dir / "table1.json"), "--curriculum", str(fixture_dir / "table2_asprinted.csv")]
-    if command == "validate":
-        argv += ["--grades", str(fixture_dir / "table3_grades.csv"), "--plot-data", str(plot)]
+    failed stdout write does, and a ``validate`` or ``fixtures`` run removes the files it wrote."""
+    argv = _stdout_call(command, fixture_dir, tmp_path)
+    inputs = sorted(tmp_path.iterdir())
     monkeypatch.setattr(sys, "stdout", None)
-    assert main([command, *argv]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err == "error: stdout is closed\n"
-    assert not plot.exists()
+    assert sorted(tmp_path.iterdir()) == inputs
 
 
 def _stderr_calls(fixture_dir, tmp_path):

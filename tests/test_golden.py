@@ -100,6 +100,11 @@ CASES["validate-written-files"] = (
 CASES["map-outcomes-lexicon"] = ([*MAP, "--lexicon", "default_lexicon.csv", "--format", "json"], 0)
 CASES["map-outcomes-json-input-lexicon"] = ([*MAP, "--lexicon", "default_lexicon.json", "--format", "json"], 0)
 CASES["map-outcomes-output"] = ([*MAP, "--format", "csv", "--output", "mapping.csv"], 0)
+# the call shapes of the benchmark's estimate-50k and grades-deep workloads
+CASES["estimate-output"] = ([*EST, "--mode", "canonical", "--format", "csv", "--output", "estimate.csv"], 0)
+CASES["grades-output"] = (
+    ["grades", "--grades", "table3_grades.csv", "--format", "csv", "--output", "grades_out.csv"], 0
+)
 CASES["fixtures"] = (["fixtures", "copy"], 0)
 
 
